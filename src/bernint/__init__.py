@@ -2,16 +2,15 @@
 
 Exact-arithmetic models of the classical Bernstein operator and its two
 integer-coefficient modifications (floor and nearest-integer rounding of
-f(k/n) C(n,k)), plus the numerics used to study them: stable evaluation,
-derivative models, moduli of smoothness, sup-norm estimation, rate fitting,
-and the saturation / Voronovskaya / boundary-interpolation / converse
-experiments.  The ``bernint`` CLI exposes the experiments as reproducible
-JSON/CSV reports.
+f(k/n) C(n,k)), plus the numerics used to study them: linear-time float
+evaluation, derivative models, moduli of smoothness, sup-norm estimation,
+rate fitting, and the saturation / Voronovskaya / boundary-interpolation /
+converse experiments.  The ``bernint`` CLI exposes the experiments as
+reproducible JSON/CSV reports.
 """
 
 __version__ = "0.1.0"
 
-from bernint._kernels import BACKEND as KERNEL_BACKEND
 from bernint.analysis import (
     DEFAULT_GRID,
     ErrorPoint,
@@ -76,7 +75,6 @@ from bernint.operators import (
 
 __all__ = [
     "__version__",
-    "KERNEL_BACKEND",
     # exact
     "TiePolicy", "DEFAULT_TIE", "PrecisionInsufficient", "PrecisionExhausted",
     "binomial", "binomial_row", "floor_int", "nearest_int", "guarded_round",

@@ -27,11 +27,10 @@ import numpy as np
 
 from bernint.corpus import KINK_WINDOW, CapabilityError, FunctionSpec
 from bernint.exact import (
-    DEFAULT_MAX_BITS,
-    DEFAULT_START_BITS,
     DEFAULT_TIE,
-    PrecisionExhausted,
+    PrecisionInsufficient,
     TiePolicy,
+    escalate_precision,
 )
 from bernint.operators import (
     BernsteinModel,
@@ -99,19 +98,28 @@ def _as_eval(F) -> Callable:
     return F.eval_float if hasattr(F, "eval_float") else F
 
 
+def _abs_finite(fn: Callable, xs: np.ndarray) -> np.ndarray:
+    """|fn(xs)| as floats; ValueError if any value is NaN or infinite."""
+    vals = np.abs(np.asarray(fn(xs), dtype=np.float64))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sup_norm: target is not finite at some point")
+    return vals
+
+
 def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEstimate:
     """Estimate sup |F| on a closed subinterval of [0, 1].
 
     Dense-grid maximum followed by ``grid.refine`` rounds of ternary search
     in the bracket around the argmax; every evaluated point contributes, so
-    the result is a certified lower bound of the true sup.
+    the result is a certified lower bound of the true sup.  Raises
+    ValueError if F yields a NaN or an infinity at any evaluated point.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError(f"sup_norm: bad interval {interval}")
     fn = _as_eval(F)
     xs = grid_points(grid, lo, hi)
-    vals = np.abs(np.asarray(fn(xs), dtype=np.float64))
+    vals = _abs_finite(fn, xs)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     left = float(xs[i - 1]) if i > 0 else float(xs[i])
@@ -121,7 +129,7 @@ def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEsti
             break
         m1 = left + (right - left) / 3.0
         m2 = right - (right - left) / 3.0
-        v1, v2 = np.abs(np.asarray(fn(np.array([m1, m2])), dtype=np.float64))
+        v1, v2 = _abs_finite(fn, np.array([m1, m2]))
         if v1 > best_v:
             best_x, best_v = m1, float(v1)
         if v2 > best_v:
@@ -724,18 +732,16 @@ def _certified_ge(f: FunctionSpec, node: Fraction, rhs: Fraction) -> bool:
     v = f.eval_exact(node)
     if v is not None:
         return v >= rhs
-    bits = DEFAULT_START_BITS
-    while True:
+
+    def attempt(bits: int) -> bool:
         lo, hi = f.eval_bounds(node, bits)
         if lo >= rhs:
             return True
         if hi < rhs:
             return False
-        if bits >= DEFAULT_MAX_BITS:
-            raise PrecisionExhausted(
-                f"cannot decide f({node}) >= {rhs} at {bits} bits"
-            )
-        bits = min(2 * bits, DEFAULT_MAX_BITS)
+        raise PrecisionInsufficient(f"cannot decide f({node}) >= {rhs} at {bits} bits")
+
+    return escalate_precision(attempt)
 
 
 def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:

@@ -10,7 +10,8 @@ lack:
 * integer q-th roots and exact/certified rational powers u**(p/q),
 * interval-guarded rounding: round a value known only through an enclosure
   [v-eps, v+eps], escalating the working precision until the answer is
-  provably unambiguous.
+  provably unambiguous (escalate_precision is the one doubling loop, shared
+  with the certified comparisons in analysis).
 
 The guarded rounding is what lets non-polynomial corpus functions (whose
 values at the Bernstein nodes are usually irrational) be rounded *correctly*,
@@ -24,12 +25,14 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, TypeVar
 
 _HALF = Fraction(1, 2)
 
 DEFAULT_START_BITS = 128
 DEFAULT_MAX_BITS = 4096
+
+T = TypeVar("T")
 
 
 class TiePolicy(enum.Enum):
@@ -52,12 +55,14 @@ class PrecisionExhausted(ArithmeticError):
     """Escalation hit the precision cap without resolving the rounding."""
 
 
-@lru_cache(maxsize=None)
+# A degree sweep touches a few dozen distinct rows; an unbounded cache would
+# keep every row ever built (row 20000 alone holds tens of MB).
+@lru_cache(maxsize=128)
 def binomial_row(n: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle, (C(n,0), ..., C(n,n)), computed exactly.
 
     Uses the multiplicative recurrence C(n,k) = C(n,k-1)*(n-k+1)/k, in which
-    every division is exact.
+    every division is exact.  The most recently used rows are cached.
     """
     if n < 0:
         raise ValueError("binomial_row: n must be >= 0")
@@ -124,6 +129,28 @@ def guarded_round(value, radius, mode: str, policy: TiePolicy = DEFAULT_TIE) -> 
     return a
 
 
+def escalate_precision(
+    attempt: Callable[[int], T],
+    start_bits: int = DEFAULT_START_BITS,
+    max_bits: int = DEFAULT_MAX_BITS,
+) -> T:
+    """Return ``attempt(bits)`` at the first precision where it decides.
+
+    ``attempt`` raises PrecisionInsufficient when its enclosure at ``bits`` is
+    too wide to decide.  Precision doubles from start_bits up to max_bits; at
+    the cap the last PrecisionInsufficient is raised again as
+    PrecisionExhausted with the same message.
+    """
+    bits = start_bits
+    while True:
+        try:
+            return attempt(bits)
+        except PrecisionInsufficient as e:
+            if bits >= max_bits:
+                raise PrecisionExhausted(str(e)) from None
+            bits = min(2 * bits, max_bits)
+
+
 def round_with_escalation(
     enclose: Callable[[int], tuple[Fraction, Fraction]],
     mode: str,
@@ -139,8 +166,8 @@ def round_with_escalation(
     cap (e.g. the true value sits exactly on a boundary and the oracle cannot
     say so), PrecisionExhausted is raised.
     """
-    bits = start_bits
-    while True:
+
+    def attempt(bits: int) -> int:
         lo, hi = enclose(bits)
         if lo > hi:
             raise ValueError("round_with_escalation: enclosure has lo > hi")
@@ -148,12 +175,12 @@ def round_with_escalation(
         try:
             return guarded_round(mid, (hi - lo) / 2, mode, policy)
         except PrecisionInsufficient:
-            if bits >= max_bits:
-                raise PrecisionExhausted(
-                    f"rounding still ambiguous at {bits} bits "
-                    f"(enclosure [{float(lo)!r}, {float(hi)!r}])"
-                ) from None
-            bits = min(2 * bits, max_bits)
+            raise PrecisionInsufficient(
+                f"rounding still ambiguous at {bits} bits "
+                f"(enclosure [{float(lo)!r}, {float(hi)!r}])"
+            ) from None
+
+    return escalate_precision(attempt, start_bits, max_bits)
 
 
 def iroot(a: int, q: int) -> tuple[int, bool]:
@@ -249,6 +276,7 @@ __all__ = [
     "floor_int",
     "nearest_int",
     "guarded_round",
+    "escalate_precision",
     "round_with_escalation",
     "iroot",
     "rational_pow_exact",

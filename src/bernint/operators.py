@@ -8,9 +8,10 @@ Bernstein basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k):
 * NearestInt: c_k = nearest(f(k/n) C(n,k)) / C(n,k)   (tie policy applies)
 
 so the integer kinds are exactly the polynomials with integer coefficients
-in the scaled basis.  Evaluation has two paths: a stable float path using
-the de Casteljau convex-combination recurrence (compiled kernel when
-available) and an exact rational path for oracle work.  Derivatives of a
+in the scaled basis.  Evaluation has two paths: a float path using the
+linear-time convex-combination recurrence of Wozny & Chudy ("Linear-time
+geometric algorithm for evaluating Bezier curves", CAD 118, 2020), O(n) per
+point, and an exact rational path for oracle work.  Derivatives of a
 model are again models, one degree lower per order, with coefficients
 n!/(n-s)! * (s-th forward difference of the coefficient sequence at unit
 index step); for the classic kind this is the same thing as the usual
@@ -24,11 +25,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from bernint._kernels import decasteljau_batch
 from bernint.exact import (
     DEFAULT_TIE,
     PrecisionExhausted,
@@ -156,22 +156,66 @@ def build_model(
     )
 
 
+def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Evaluate sum_k coeffs[k] C(n,k) x^k (1-x)^(n-k) at each x in [0, 1].
+
+    Wozny-Chudy recurrence: q_k = q_{k-1} + h_k (c_k - q_{k-1}) with
+    h_k = h_{k-1} u / (k/(n-k+1) + h_{k-1} u), h_0 = 1, q_0 = c_0 and
+    u = x/(1-x), so h_k lies in [0, 1], each step is a convex combination
+    and q_n is the value.  Points with x > 1/2 run on 1-x against the
+    reversed coefficients, which keeps u in [0, 1].  The batch is split by
+    side once, left points first, so every step is a fixed handful of
+    in-place ufunc calls with scalar coefficients whichever sides are
+    present (sup_norm's 2-point refine calls straddle x = 1/2 whenever the
+    argmax sits there).
+    """
+    n = coeffs.size - 1
+    right = xs > 0.5
+    t = np.concatenate((xs[~right], 1.0 - xs[right]))
+    m = t.size - np.count_nonzero(right)
+    u = t / (1.0 - t)
+    c = coeffs.tolist()
+    h = np.ones_like(t)
+    q = np.empty_like(t)
+    tmp = np.empty_like(t)
+    q_left, q_right, tmp_left, tmp_right = q[:m], q[m:], tmp[:m], tmp[m:]
+    q_left.fill(c[0])
+    q_right.fill(c[n])
+    for k in range(1, n + 1):
+        h *= u
+        np.add(h, k / (n - k + 1), out=tmp)
+        h /= tmp
+        np.subtract(c[k], q_left, out=tmp_left)
+        np.subtract(c[n - k], q_right, out=tmp_right)
+        tmp *= h
+        q += tmp
+    out = np.empty(xs.shape, dtype=np.float64)
+    out[~right] = q_left
+    out[right] = q_right
+    return out
+
+
 def evaluate(model: BernsteinModel, x):
-    """Stable float evaluation at a point or array of points in [0, 1]."""
+    """Float evaluation at a point or array of points in [0, 1].
+
+    Uses the linear-time recurrence of _bernstein_linear; raises ValueError
+    unless every point is finite and inside [0, 1].
+    """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("evaluate: points must lie in [0, 1]")
-    out = decasteljau_batch(model.float_coeffs, np.ascontiguousarray(xs))
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError("evaluate: points must be finite and lie in [0, 1]")
+    out = _bernstein_linear(model.float_coeffs, xs)
     return float(out[0]) if scalar else out
 
 
-def evaluate_exact(model: BernsteinModel, x) -> Fraction:
-    """Exact rational evaluation at rational x; no rounding anywhere."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError("evaluate_exact: point must lie in [0, 1]")
-    n = model.n
+def _basis_weights(n: int, x: Fraction) -> Iterator[int]:
+    """Yield C(n,k) a^k (b-a)^(n-k) for k = 0..n, where x = a/b in [0, 1].
+
+    Weight k is b^n p_{n,k}(x), the degree-n basis at x over the common
+    denominator b^n.  The weights are produced one at a time, so only the
+    two power tables are held at once.
+    """
     a, b = x.numerator, x.denominator
     c = b - a
     row = binomial_row(n)
@@ -180,12 +224,20 @@ def evaluate_exact(model: BernsteinModel, x) -> Fraction:
     for i in range(1, n + 1):
         pa[i] = pa[i - 1] * a
         pc[i] = pc[i - 1] * c
+    for k in range(n + 1):
+        yield row[k] * pa[k] * pc[n - k]
+
+
+def evaluate_exact(model: BernsteinModel, x) -> Fraction:
+    """Exact rational evaluation at rational x; no rounding anywhere."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError("evaluate_exact: point must lie in [0, 1]")
     acc = Fraction(0)
-    for k, ck in enumerate(model.coeffs):
-        w = row[k] * pa[k] * pc[n - k]
+    for ck, w in zip(model.coeffs, _basis_weights(model.n, x)):
         if w:
             acc += ck * w
-    return acc / b ** n
+    return acc / x.denominator ** model.n
 
 
 def finite_difference(values: Sequence, s: int, step: Union[str, Fraction] = "index") -> DiffTable:
@@ -305,7 +357,6 @@ def proximity_gap_exact(
     if kind is OperatorKind.CLASSIC:
         raise ValueError("proximity_gap_exact: kind must be FloorInt or NearestInt")
     other = build_model(f, n, kind, tie)
-    row = binomial_row(n)
     d_lo = []
     d_hi = []
     for k in range(n + 1):
@@ -322,21 +373,13 @@ def proximity_gap_exact(
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise ValueError("proximity_gap_exact: points must lie in [0, 1]")
-        a, b = x.numerator, x.denominator
-        c = b - a
-        pa = [1] * (n + 1)
-        pc = [1] * (n + 1)
-        for i in range(1, n + 1):
-            pa[i] = pa[i - 1] * a
-            pc[i] = pc[i - 1] * c
         glo = Fraction(0)
         ghi = Fraction(0)
-        for k in range(n + 1):
-            w = row[k] * pa[k] * pc[n - k]
+        for dl, dh, w in zip(d_lo, d_hi, _basis_weights(n, x)):
             if w:
-                glo += d_lo[k] * w
-                ghi += d_hi[k] * w
-        den = Fraction(1, b ** n)
+                glo += dl * w
+                ghi += dh * w
+        den = Fraction(1, x.denominator ** n)
         out.append((glo * den, ghi * den))
     return out
 

@@ -60,6 +60,18 @@ def test_sup_norm_frozen():
     assert float(sup_norm(lambda x: np.full_like(x, 3.0))) == 3.0
 
 
+def test_sup_norm_rejects_non_finite_target():
+    for target in (lambda x: np.where(x > 0.7, np.nan, x),
+                   lambda x: np.where(x < 0.2, np.inf, x)):
+        with pytest.raises(ValueError, match="not finite"):
+            sup_norm(target)
+    # NaN only where the ternary refinement probes, never on the grid
+    grid = grid_points(GridConfig(points=65))
+    spiky = lambda x: np.where(np.isin(x, grid), x * (1.0 - x), np.nan)
+    with pytest.raises(ValueError, match="not finite"):
+        sup_norm(spiky, grid=GridConfig(points=65))
+
+
 def test_sup_norm_refinement_is_monotone():
     f = lambda x: np.abs(np.sin(47.0 * np.pi * x))
     g = GridConfig(points=65, refine=0)

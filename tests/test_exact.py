@@ -32,6 +32,7 @@ def test_binomial_frozen_values():
     assert binomial(0, 0) == 1
     assert binomial_row(0) == (1,)
     assert binomial_row(5) == (1, 5, 10, 10, 5, 1)
+    assert binomial_row.cache_info().maxsize is not None  # rows are not kept forever
 
 
 def test_binomial_row_against_pascal_triangle():
@@ -179,7 +180,7 @@ def test_round_with_escalation_exhausts_on_exact_tie():
     def enclose(bits):
         return F(5, 2) - F(1, 2**bits), F(5, 2) + F(1, 2**bits)
 
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted, match="rounding still ambiguous at 4096 bits"):
         round_with_escalation(enclose, "nearest")
 
 

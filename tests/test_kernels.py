@@ -1,76 +1,103 @@
-"""Evaluation kernel parity: the compiled extension and the numpy fallback
-must agree, and the dispatcher must honor the BERNINT_BACKEND override."""
+"""The float kernel behind ``evaluate``, checked against ``evaluate_exact``.
 
-import os
-import subprocess
-import sys
+Every float result must lie within the a-priori bound
+
+    |evaluate(m, x) - m(x)| <= 4 (n+1) eps sum_k |c_k| C(n,k) x^k (1-x)^(n-k)
+                               + 4 (n+1) eta (1 + max_k |c_k|)
+
+of the exact value at the float point x itself (Fraction(x) is exact), which
+also covers rounding the rational coefficients to floats.  The first term is
+the usual relative bound; it is computed exactly, as evaluate_exact of the
+model with |c_k|.  The second is the gradual-underflow term: a product or
+quotient that lands below the normal range is off by up to eta/2 = 2^-1075
+absolutely, whatever its size, so a value near the subnormal range (e.g.
+coefficients (0, 1.5) at x = 5e-324) cannot meet a purely relative bound.
+It is below 1e-300 for every model here and so only matters there.
+"""
+
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-import bernint._kernels as kernels
-import bernint._kernels_py as kernels_py
+from bernint import (
+    BernsteinModel,
+    OperatorKind,
+    build_model,
+    builtin,
+    derivative_model,
+    evaluate,
+    evaluate_exact,
+)
 
-try:
-    from bernint import _decasteljau as compiled
-except ImportError:  # pure-python install
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="extension not built")
-
-IMPLS = [kernels_py] + ([compiled] if compiled is not None else [])
-
-
-@needs_compiled
-def test_compiled_matches_numpy_fallback():
-    rng = np.random.default_rng(20260814)
-    for n in (0, 1, 2, 5, 17, 64, 256):
-        coeffs = rng.standard_normal(n + 1) * 3.0
-        xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=255)])
-        a = compiled.decasteljau_batch(coeffs, xs)
-        b = kernels_py.decasteljau_batch(coeffs, xs)
-        scale = max(1.0, float(np.abs(coeffs).max()))
-        assert np.max(np.abs(a - b)) <= 1e-13 * scale
+CLASSIC = OperatorKind.CLASSIC
+EPS = F(2) ** -52
+ETA = F(2) ** -1074  # smallest subnormal
+# points where the recurrence is at its edges: both ends, the side switch at
+# 1/2, the smallest subnormal and the float just below 1 (1-x = 2^-53)
+EDGE_POINTS = [0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53]
 
 
-def test_kernels_match_exact_rational_recurrence():
-    # small dyadic inputs keep every float operation exact
-    coeffs = np.array([1.0, -2.0, 0.5, 3.0, -0.25])
-    xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    exact = []
-    for x in [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]:
-        b = [F(c) for c in coeffs.tolist()]
-        while len(b) > 1:
-            b = [(1 - x) * u + x * v for u, v in zip(b, b[1:])]
-        exact.append(float(b[0]))
-    for impl in IMPLS:
-        got = impl.decasteljau_batch(coeffs, xs)
-        assert got.tolist() == exact
+def model_of(coeffs) -> BernsteinModel:
+    return BernsteinModel(kind=CLASSIC, n=len(coeffs) - 1,
+                          coeffs=tuple(F(c) for c in coeffs))
+
+
+def assert_within_bound(model: BernsteinModel, xs) -> None:
+    got = evaluate(model, np.array(xs, dtype=np.float64))
+    assert got.shape == (len(xs),)
+    absolute = BernsteinModel(kind=model.kind, n=model.n,
+                              coeffs=tuple(abs(c) for c in model.coeffs))
+    largest = max(absolute.coeffs)
+    for x, value in zip(xs, got.tolist()):
+        err = abs(F(value) - evaluate_exact(model, F(x)))
+        bound = 4 * (model.n + 1) * (EPS * evaluate_exact(absolute, F(x)) + ETA * (1 + largest))
+        assert err <= bound, f"n={model.n} x={x!r}: error {float(err):.3g} > {float(bound):.3g}"
+
+
+coefficients = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                         allow_infinity=False)
+# tiny points put h and the value itself near the subnormal range
+points = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                   st.floats(min_value=0.0, max_value=1e-150),
+                   st.sampled_from(EDGE_POINTS))
+
+
+@settings(max_examples=150, deadline=None)
+@example(coeffs=[0.0, 1.5], xs=[5e-324])  # exact value 1.5 * 2^-1074 is not a float
+@given(st.lists(coefficients, min_size=1, max_size=65), st.lists(points, min_size=1, max_size=8))
+def test_evaluate_within_error_bound_of_exact(coeffs, xs):
+    assert_within_bound(model_of(coeffs), xs)
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_evaluate_within_error_bound_at_high_degree(n):
+    rng = np.random.default_rng(n)
+    model = model_of(rng.standard_normal(n + 1).tolist())
+    xs = [0.0, 0.5, 1.0, 1.0 - 2.0**-53] + rng.uniform(0.0, 1.0, size=12).tolist()
+    assert_within_bound(model, xs)
+
+
+def test_evaluate_edge_points_on_corpus_and_derivative_models():
+    x2 = builtin("monomial(2)")
+    models = [
+        build_model(x2, 1, CLASSIC),
+        build_model(builtin("holder_interior(1/2)"), 33, OperatorKind.FLOOR_INT),
+        derivative_model(build_model(x2, 2, CLASSIC), 3, allow_degenerate=True),
+    ]
+    slopes = derivative_model(build_model(builtin("abs_shift"), 40, OperatorKind.NEAREST_INT), 1)
+    assert min(slopes.coeffs) < 0 < max(slopes.coeffs)
+    models.append(slopes)
+    assert [m.n for m in models[:3]] == [1, 33, 0]
+    for m in models:
+        assert_within_bound(m, EDGE_POINTS + [0.25, 0.75, 1.0 / 3.0])
+        ends = evaluate(m, np.array([0.0, 1.0])).tolist()
+        assert ends == [float(m.coeffs[0]), float(m.coeffs[-1])]
 
 
 def test_single_coefficient_and_empty_inputs():
-    one = np.array([4.25])
-    xs = np.array([0.0, 0.3, 1.0])
-    for impl in IMPLS:
-        assert impl.decasteljau_batch(one, xs).tolist() == [4.25, 4.25, 4.25]
-        assert impl.decasteljau_batch(one, np.array([])).size == 0
-
-
-def test_dispatcher_reports_backend():
-    assert kernels.BACKEND in ("cython", "numpy")
-    xs = np.linspace(0.0, 1.0, 7)
-    got = kernels.decasteljau_batch(np.array([0.0, 1.0]), xs)  # the identity line
-    assert np.allclose(got, xs)
-
-
-def test_backend_env_override():
-    env = dict(os.environ, BERNINT_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "import bernint._kernels as k; print(k.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+    one = model_of([4.25])
+    assert evaluate(one, np.array([0.0, 0.3, 1.0])).tolist() == [4.25, 4.25, 4.25]
+    assert evaluate(one, np.array([])).size == 0
+    assert evaluate(model_of([1.0, -2.0, 0.5]), np.array([])).size == 0

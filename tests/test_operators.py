@@ -78,6 +78,13 @@ def test_evaluate_scalar_and_array():
         evaluate(m, 1.5)
 
 
+def test_evaluate_rejects_non_finite_points():
+    m = build_model(X2, 4, CLASSIC)
+    for bad in (np.nan, np.inf, -np.inf, np.array([0.25, np.nan, 0.75])):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(m, bad)
+
+
 def test_endpoint_interpolation_all_kinds():
     """Integer endpoint values survive rounding, so every model interpolates."""
     for entry in corpus.entries():
