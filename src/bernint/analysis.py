@@ -34,16 +34,20 @@ from bernint.exact import (
 )
 from bernint.operators import (
     BernsteinModel,
-    HypothesisViolation,
     OperatorKind,
     build_model,
     derivative_model,
     evaluate,
     evaluate_exact,
+    require_integer_endpoints,
 )
 
 # ---------------------------------------------------------------------------
 # grids and sup norms
+
+# Largest sampling grid anywhere: sup-search grids are refused above it and
+# omega1 densifies only up to it (a few MB per array).
+_MAX_GRID_POINTS = (1 << 18) + 1
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,8 @@ class GridConfig:
     refine: int = 30
 
     def __post_init__(self):
-        if self.points < 33:
-            raise ValueError("GridConfig: need at least 33 points")
+        if not 33 <= self.points <= _MAX_GRID_POINTS:
+            raise ValueError(f"GridConfig: points must lie in [33, {_MAX_GRID_POINTS}]")
         if self.refine < 0:
             raise ValueError("GridConfig: refine must be >= 0")
         if self.distribution not in ("clustered", "uniform"):
@@ -110,9 +114,10 @@ def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEsti
     """Estimate sup |F| on a closed subinterval of [0, 1].
 
     Dense-grid maximum followed by ``grid.refine`` rounds of ternary search
-    in the bracket around the argmax; every evaluated point contributes, so
-    the result is a certified lower bound of the true sup.  Raises
-    ValueError if F yields a NaN or an infinity at any evaluated point.
+    in the bracket around the argmax (ending once a round leaves the bracket
+    as it was); every evaluated point contributes, so the result is a
+    certified lower bound of the true sup.  Raises ValueError if F yields a
+    NaN or an infinity at any evaluated point.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
@@ -134,10 +139,10 @@ def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEsti
             best_x, best_v = m1, float(v1)
         if v2 > best_v:
             best_x, best_v = m2, float(v2)
-        if v1 < v2:
-            left = m1
-        else:
-            right = m2
+        bracket = (m1, right) if v1 < v2 else (left, m2)
+        if bracket == (left, right):
+            break
+        left, right = bracket
     return SupEstimate(value=best_v, argmax=best_x, interval=(lo, hi), grid=grid)
 
 
@@ -164,10 +169,9 @@ class ModulusEstimate:
         return float(self.value)
 
 
-# omega1 auto-densifies its uniform grid until the sliding window holds at
-# least this many steps, capped to keep the pair scan bounded.
+# omega1 densifies its uniform grid (up to _MAX_GRID_POINTS) until the
+# sliding window holds at least this many steps.
 _OMEGA1_MIN_WINDOW = 32
-_OMEGA1_MAX_POINTS = (1 << 18) + 1
 
 # top h sample of the omega_phi2 sweep backs off from t by one part in 2^40:
 # still an admissible step (the sup runs over 0 < h <= t), but it keeps the
@@ -196,7 +200,7 @@ def _omega1_grid(t_min: float, interval, points) -> tuple[np.ndarray, float]:
     span = hi - lo
     m = points if points else 4097
     need = int(math.ceil(_OMEGA1_MIN_WINDOW * span / t_min)) + 1
-    m = min(max(m, need), _OMEGA1_MAX_POINTS)
+    m = min(max(m, need), _MAX_GRID_POINTS)
     xs = np.linspace(lo, hi, m)
     return xs, span / (m - 1)
 
@@ -473,18 +477,6 @@ class SaturationReport:
     notes: str
 
 
-def _require_integer_endpoints(f: FunctionSpec):
-    for end in (Fraction(0), Fraction(1)):
-        v = f.eval_exact(end)
-        if v is None:
-            if not f.integer_endpoints:
-                raise HypothesisViolation(
-                    f"{f.name}: endpoint value at {end} not certified integer"
-                )
-        elif v.denominator != 1:
-            raise HypothesisViolation(f"{f.name}: f({end}) = {v} is not an integer")
-
-
 def saturation_probe(
     f: FunctionSpec,
     kind: OperatorKind,
@@ -504,7 +496,7 @@ def saturation_probe(
     """
     if len(n_list) < 2:
         raise ValueError("saturation_probe: need at least two n values")
-    _require_integer_endpoints(f)
+    require_integer_endpoints(f)
     if f.integer_linear:
         reproduced = True
         for n in n_list:

@@ -30,12 +30,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from bernint.exact import binomial_row, rational_pow_bounds, rational_pow_exact
+from bernint.exact import (binomial_row, common_denominator, homogeneous_sum,
+                           rational_pow_bounds, rational_pow_exact)
 
 # Full width of the exclusion window centered on a kink: derivative-based
 # sup searches skip |x - kink| < KINK_WINDOW/2 (the derivative oracle is not
@@ -170,42 +171,34 @@ class CorpusEntry:
 # polynomial machinery
 
 
-def _differentiate(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = tuple(coeffs[i] * i for i in range(1, len(coeffs)))
-    return out if out else (Fraction(0),)
-
-
-def _horner(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSpec:
     coeffs = tuple(Fraction(c) for c in coeffs)
-    chain = [coeffs]  # chain[i] = coefficients of the i-th derivative
+    # chain[i] = (e, D): the i-th derivative is sum_k e[k] x^k / D
+    chain = [common_denominator(coeffs)]
     fchain = [np.array([float(c) for c in coeffs])]
 
     def _order(i: int):
         while len(chain) <= i:
-            chain.append(_differentiate(chain[-1]))
-            fchain.append(np.array([float(c) for c in chain[-1]]))
+            e, d = chain[-1]
+            e = [k * ek for k, ek in enumerate(e)][1:] or [0]
+            chain.append((e, d))
+            fchain.append(np.array([ek / d for ek in e]))  # int / int rounds correctly
         return chain[i], fchain[i]
 
     def value_float(xs):
         return npoly.polyval(xs, fchain[0])
 
     def value_exact(x):
-        return _horner(coeffs, x)
+        return deriv_exact(0, x)
 
     def deriv_float(s, xs):
         _order(s)
         return npoly.polyval(xs, fchain[s])
 
     def deriv_exact(s, x):
-        c, _ = _order(s)
-        return _horner(c, x)
+        (e, d), _ = _order(s)
+        b = x.denominator
+        return Fraction(homogeneous_sum(e, x.numerator, b), d * b ** (len(e) - 1))
 
     f0 = coeffs[0]
     f1 = sum(coeffs, Fraction(0))

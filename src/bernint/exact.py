@@ -6,6 +6,7 @@ are used directly throughout the package.  This module adds the pieces they
 lack:
 
 * cached binomial rows (multiplicative recurrence, exact),
+* homogeneous_sum, the one exact evaluator of Bernstein and power sums,
 * floor and nearest-integer rounding with an explicit tie policy,
 * integer q-th roots and exact/certified rational powers u**(p/q),
 * interval-guarded rounding: round a value known only through an enclosure
@@ -23,9 +24,10 @@ value does too.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 _HALF = Fraction(1, 2)
 
@@ -79,6 +81,26 @@ def binomial(n: int, k: int) -> int:
     return binomial_row(n)[k]
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integers e and the least D > 0 with e[k] / D == values[k] for every k."""
+    values = [Fraction(v) for v in values]
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def homogeneous_sum(e: Sequence[int], p: int, q: int) -> int:
+    """sum_k e[k] p^k q^(m-k), m = len(e) - 1, by Horner on integers.
+
+    A degree-n Bernstein form at x = a/b is homogeneous_sum(e, a, b-a) / b^n
+    with e[k] = c_k C(n,k); a power-basis polynomial is (e, a, b) / b^m.
+    """
+    acc, qj = 0, 1
+    for ek in reversed(e):
+        acc = acc * p + ek * qj
+        qj *= q
+    return acc
+
+
 def floor_int(q) -> int:
     """Largest integer <= q."""
     q = Fraction(q)
@@ -129,42 +151,36 @@ def guarded_round(value, radius, mode: str, policy: TiePolicy = DEFAULT_TIE) -> 
     return a
 
 
-def escalate_precision(
-    attempt: Callable[[int], T],
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> T:
+def escalate_precision(attempt: Callable[[int], T]) -> T:
     """Return ``attempt(bits)`` at the first precision where it decides.
 
     ``attempt`` raises PrecisionInsufficient when its enclosure at ``bits`` is
-    too wide to decide.  Precision doubles from start_bits up to max_bits; at
-    the cap the last PrecisionInsufficient is raised again as
-    PrecisionExhausted with the same message.
+    too wide to decide.  Precision doubles from DEFAULT_START_BITS up to
+    DEFAULT_MAX_BITS; at the cap the last PrecisionInsufficient is raised
+    again as PrecisionExhausted with the same message.
     """
-    bits = start_bits
+    bits = DEFAULT_START_BITS
     while True:
         try:
             return attempt(bits)
         except PrecisionInsufficient as e:
-            if bits >= max_bits:
+            if bits >= DEFAULT_MAX_BITS:
                 raise PrecisionExhausted(str(e)) from None
-            bits = min(2 * bits, max_bits)
+            bits = min(2 * bits, DEFAULT_MAX_BITS)
 
 
 def round_with_escalation(
     enclose: Callable[[int], tuple[Fraction, Fraction]],
     mode: str,
     policy: TiePolicy = DEFAULT_TIE,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> int:
     """Drive guarded_round with ever-tighter enclosures until it resolves.
 
     ``enclose(bits)`` must return a rational interval (lo, hi) containing the
     true value, with width shrinking as ``bits`` grows.  Precision doubles
-    from start_bits up to max_bits; if the rounding is still ambiguous at the
-    cap (e.g. the true value sits exactly on a boundary and the oracle cannot
-    say so), PrecisionExhausted is raised.
+    from DEFAULT_START_BITS up to DEFAULT_MAX_BITS; if the rounding is still
+    ambiguous at the cap (e.g. the true value sits exactly on a boundary and
+    the oracle cannot say so), PrecisionExhausted is raised.
     """
 
     def attempt(bits: int) -> int:
@@ -180,7 +196,7 @@ def round_with_escalation(
                 f"(enclosure [{float(lo)!r}, {float(hi)!r}])"
             ) from None
 
-    return escalate_precision(attempt, start_bits, max_bits)
+    return escalate_precision(attempt)
 
 
 def iroot(a: int, q: int) -> tuple[int, bool]:
@@ -273,6 +289,8 @@ __all__ = [
     "PrecisionExhausted",
     "binomial_row",
     "binomial",
+    "common_denominator",
+    "homogeneous_sum",
     "floor_int",
     "nearest_int",
     "guarded_round",

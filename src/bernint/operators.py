@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,9 @@ from bernint.exact import (
     PrecisionExhausted,
     TiePolicy,
     binomial_row,
+    common_denominator,
     floor_int,
+    homogeneous_sum,
     nearest_int,
     round_with_escalation,
 )
@@ -42,6 +44,11 @@ from bernint.exact import (
 
 class HypothesisViolation(Exception):
     """Input breaks a theorem hypothesis (e.g. non-integer endpoint values)."""
+
+
+# Precision of the node enclosures behind Classic models of irrational-valued
+# functions and behind proximity_gap_exact.
+APPROX_BITS = 192
 
 
 class OperatorKind(enum.Enum):
@@ -77,6 +84,12 @@ class BernsteinModel:
     def float_coeffs(self) -> np.ndarray:
         return np.array([float(c) for c in self.coeffs], dtype=np.float64)
 
+    @cached_property
+    def integer_form(self) -> tuple[list[int], int]:
+        """(e, D) with e[k] / D == c_k C(n,k): the scaled basis over one denominator."""
+        row = binomial_row(self.n)
+        return common_denominator([c * row[k] for k, c in enumerate(self.coeffs)])
+
 
 @dataclass(frozen=True)
 class DiffTable:
@@ -97,14 +110,13 @@ def build_model(
     n: int,
     kind: OperatorKind,
     tie: TiePolicy = DEFAULT_TIE,
-    approx_bits: int = 192,
 ) -> BernsteinModel:
     """Construct the degree-n model of corpus function ``f``.
 
     Integer kinds round f(k/n)*C(n,k) exactly: rational values directly,
     irrational ones through certified enclosures with escalating precision
     (hard PrecisionExhausted naming the node if the cap is hit).  A Classic
-    model of an irrational-valued f stores approx_bits-wide midpoints and is
+    model of an irrational-valued f stores APPROX_BITS-wide midpoints and is
     flagged coeffs_exact=False.
     """
     if n < 1:
@@ -125,7 +137,7 @@ def build_model(
             if v is not None:
                 coeffs.append(v)
             else:
-                lo, hi = f.eval_bounds(node, approx_bits)
+                lo, hi = f.eval_bounds(node, APPROX_BITS)
                 coeffs.append((lo + hi) / 2)
                 exact = False
             continue
@@ -209,35 +221,17 @@ def evaluate(model: BernsteinModel, x):
     return float(out[0]) if scalar else out
 
 
-def _basis_weights(n: int, x: Fraction) -> Iterator[int]:
-    """Yield C(n,k) a^k (b-a)^(n-k) for k = 0..n, where x = a/b in [0, 1].
-
-    Weight k is b^n p_{n,k}(x), the degree-n basis at x over the common
-    denominator b^n.  The weights are produced one at a time, so only the
-    two power tables are held at once.
-    """
-    a, b = x.numerator, x.denominator
-    c = b - a
-    row = binomial_row(n)
-    pa = [1] * (n + 1)
-    pc = [1] * (n + 1)
-    for i in range(1, n + 1):
-        pa[i] = pa[i - 1] * a
-        pc[i] = pc[i - 1] * c
-    for k in range(n + 1):
-        yield row[k] * pa[k] * pc[n - k]
-
-
 def evaluate_exact(model: BernsteinModel, x) -> Fraction:
-    """Exact rational evaluation at rational x; no rounding anywhere."""
+    """Exact rational evaluation at rational x = a/b; no rounding anywhere.
+
+    The value is homogeneous_sum(e, a, b-a) / (D b^n) for (e, D) = integer_form.
+    """
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("evaluate_exact: point must lie in [0, 1]")
-    acc = Fraction(0)
-    for ck, w in zip(model.coeffs, _basis_weights(model.n, x)):
-        if w:
-            acc += ck * w
-    return acc / x.denominator ** model.n
+    e, d = model.integer_form
+    a, b = x.numerator, x.denominator
+    return Fraction(homogeneous_sum(e, a, b - a), d * b ** model.n)
 
 
 def finite_difference(values: Sequence, s: int, step: Union[str, Fraction] = "index") -> DiffTable:
@@ -298,6 +292,21 @@ def derivative_model(
     )
 
 
+def require_integer_endpoints(f) -> None:
+    """Raise HypothesisViolation unless f(0) and f(1) are certified integers."""
+    for end in (Fraction(0), Fraction(1)):
+        v = f.eval_exact(end)
+        if v is None:
+            if not getattr(f, "integer_endpoints", False):
+                raise HypothesisViolation(
+                    f"{getattr(f, 'name', f)}: endpoint value at {end} not certified integer"
+                )
+        elif v.denominator != 1:
+            raise HypothesisViolation(
+                f"{getattr(f, 'name', f)}: f({end}) = {v} is not an integer"
+            )
+
+
 def proximity_gap(
     f,
     n: int,
@@ -312,17 +321,7 @@ def proximity_gap(
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("proximity_gap: kind must be FloorInt or NearestInt")
-    for end in (Fraction(0), Fraction(1)):
-        v = f.eval_exact(end)
-        if v is None:
-            if not getattr(f, "integer_endpoints", False):
-                raise HypothesisViolation(
-                    f"{getattr(f, 'name', f)}: endpoint value at {end} not certified integer"
-                )
-        elif v.denominator != 1:
-            raise HypothesisViolation(
-                f"{getattr(f, 'name', f)}: f({end}) = {v} is not an integer"
-            )
+    require_integer_endpoints(f)
     classic = build_model(f, n, OperatorKind.CLASSIC)
     other = build_model(f, n, kind, tie)
     gap = BernsteinModel(
@@ -344,43 +343,34 @@ def proximity_gap_exact(
     kind: OperatorKind,
     xs: Sequence,
     tie: TiePolicy = DEFAULT_TIE,
-    bits: int = 192,
 ):
     """Certified rational enclosures of (integer model - B_n f)(x) at each x.
 
     Returns a list of Fraction pairs (lo, hi) with lo <= gap(x) <= hi; the
     pair collapses to a point for functions with exact rational node values.
-    The basis weights are nonnegative, so interval endpoints are just the
-    sums against the per-node coefficient enclosures — fully rigorous, which
-    is what lets tests verify the 1/n and 1/(2n) bounds without floats.
+    The basis weights are nonnegative, so lo and hi are the exact values of
+    two gap models, built from the lower and upper ends of APPROX_BITS node
+    enclosures — fully rigorous, which is what lets tests verify the 1/n
+    and 1/(2n) bounds without floats.
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("proximity_gap_exact: kind must be FloorInt or NearestInt")
     other = build_model(f, n, kind, tie)
-    d_lo = []
-    d_hi = []
-    for k in range(n + 1):
+    d_lo, d_hi = [], []
+    for k, c in enumerate(other.coeffs):
         node = Fraction(k, n)
         v = f.eval_exact(node)
-        if v is not None:
-            vlo = vhi = v
-        else:
-            vlo, vhi = f.eval_bounds(node, bits)
-        d_lo.append(other.coeffs[k] - vhi)
-        d_hi.append(other.coeffs[k] - vlo)
+        vlo, vhi = (v, v) if v is not None else f.eval_bounds(node, APPROX_BITS)
+        d_lo.append(c - vhi)
+        d_hi.append(c - vlo)
+    gap_lo = BernsteinModel(kind=kind, n=n, coeffs=tuple(d_lo))
+    gap_hi = BernsteinModel(kind=kind, n=n, coeffs=tuple(d_hi))
     out = []
     for x in xs:
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise ValueError("proximity_gap_exact: points must lie in [0, 1]")
-        glo = Fraction(0)
-        ghi = Fraction(0)
-        for dl, dh, w in zip(d_lo, d_hi, _basis_weights(n, x)):
-            if w:
-                glo += dl * w
-                ghi += dh * w
-        den = Fraction(1, x.denominator ** n)
-        out.append((glo * den, ghi * den))
+        out.append((evaluate_exact(gap_lo, x), evaluate_exact(gap_hi, x)))
     return out
 
 
@@ -394,6 +384,7 @@ __all__ = [
     "evaluate_exact",
     "finite_difference",
     "derivative_model",
+    "require_integer_endpoints",
     "proximity_gap",
     "proximity_gap_exact",
 ]

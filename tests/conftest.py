@@ -4,7 +4,19 @@ The acceptance tests in test_acceptance.py register one line per criterion
 through record_criterion(); the terminal-summary hook prints the collected
 lines after the normal pytest output so the scoreboard survives output
 capture.
+
+The CLI tests also start ``python -m bernint.cli`` in child interpreters; the
+source directory goes on their PYTHONPATH so that a plain checkout (found
+in-process through pyproject's ``pythonpath``) works there too.
 """
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -25,7 +25,7 @@ from bernint import (
     sup_norm,
     voronovskaya_check,
 )
-from bernint.analysis import SaturationVerdict
+from bernint.analysis import _MAX_GRID_POINTS, SaturationVerdict
 
 X2 = builtin("monomial(2)")
 NEAREST = OperatorKind.NEAREST_INT
@@ -70,6 +70,37 @@ def test_sup_norm_rejects_non_finite_target():
     spiky = lambda x: np.where(np.isin(x, grid), x * (1.0 - x), np.nan)
     with pytest.raises(ValueError, match="not finite"):
         sup_norm(spiky, grid=GridConfig(points=65))
+
+
+def test_grid_points_capped():
+    assert GridConfig(points=_MAX_GRID_POINTS).points == _MAX_GRID_POINTS
+    for points in (_MAX_GRID_POINTS + 1, 10**9):
+        with pytest.raises(ValueError, match="points must lie in"):
+            GridConfig(points=points)
+
+
+def test_sup_norm_stops_when_bracket_stalls():
+    calls = []
+
+    def peak(x):  # the grid already attains the maximum 1.0
+        calls.append(np.size(x))
+        return 1.0 - np.abs(x - 0.5)
+
+    def smooth(x):
+        calls.append(np.size(x))
+        return np.abs(np.sin(7.0 * x))
+
+    est30 = sup_norm(peak, grid=GridConfig(points=65, refine=30))
+    calls.clear()
+    est = sup_norm(peak, grid=GridConfig(points=65, refine=10**5))
+    assert (est.value, est.argmax) == (est30.value, est30.argmax)
+    assert est.value == 1.0
+    assert len(calls) < 2000
+    # stopping early returns what running every round would
+    long = sup_norm(smooth, grid=GridConfig(points=65, refine=10**5))
+    assert len(calls) < 4000
+    ref = sup_norm(smooth, grid=GridConfig(points=65, refine=300))
+    assert (long.value, long.argmax) == (ref.value, ref.argmax)
 
 
 def test_sup_norm_refinement_is_monotone():

@@ -4,6 +4,7 @@ and atomic output."""
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,20 @@ def test_list_fns_ok(capsys):
 def test_unknown_function_exits_2(capsys):
     rc, _ = run(["coeffs", "--fn", "nope", "--n", "4"], capsys)
     assert rc == 2
+
+
+def test_grid_above_cap_exits_2_without_allocating(capsys):
+    from bernint.analysis import _MAX_GRID_POINTS
+
+    tracemalloc.start()
+    try:
+        rc = main(["rate", "--fn", "monomial(2)", "--grid", str(_MAX_GRID_POINTS + 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 1 << 20  # one grid array alone would be 2 MB
+    assert "points must lie in" in capsys.readouterr().err
 
 
 def test_missing_required_field_exits_2(capsys):

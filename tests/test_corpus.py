@@ -66,12 +66,18 @@ def test_eval_exact_matches_independent_horner():
         f = builtin(name)
         coeffs = f.poly_coeffs
         assert coeffs is not None
-        for _ in range(100):
-            x = F(rng.randrange(0, 513), 512)
-            acc = F(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            assert f.eval_exact(x) == acc
+        for s in range(4):
+            # s-th derivative: coefficient i of x^(i-s) is c_i i!/(i-s)!
+            deriv = [c * math.perm(i, s) for i, c in enumerate(coeffs)][s:] or [F(0)]
+            for _ in range(100):
+                d = rng.choice((512, 3, 7, 1000))
+                x = F(rng.randrange(0, d + 1), d)
+                acc = F(0)
+                for c in reversed(deriv):
+                    acc = acc * x + c
+                assert f.deriv_exact(s, x) == acc
+                if s == 0:
+                    assert f.eval_exact(x) == acc
 
 
 def test_deriv_float_matches_central_difference():

@@ -20,6 +20,33 @@ from bernint import (
     rational_pow_exact,
     round_with_escalation,
 )
+from bernint.exact import common_denominator, homogeneous_sum
+
+
+# ---------------------------------------------------------------------------
+# the exact evaluator
+
+
+def test_homogeneous_sum_edge_cases():
+    e = [3, -1, 0, 7]
+    assert homogeneous_sum(e, 0, 5) == 3 * 5**3  # p = 0 keeps only e_0 q^m
+    assert homogeneous_sum(e, 2, 0) == 7 * 2**3  # q = 0 keeps only e_m p^m
+    assert homogeneous_sum(e, 0, 0) == 0
+    assert homogeneous_sum([-9], 4, 6) == -9  # one coefficient: degree 0
+    assert homogeneous_sum([], 4, 6) == 0
+    assert homogeneous_sum(e, 2, 3) == 3 * 27 - 1 * 2 * 9 + 0 + 7 * 8
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=30),
+       st.integers(-50, 50), st.integers(-50, 50))
+def test_homogeneous_sum_property(e, p, q):
+    m = len(e) - 1
+    assert homogeneous_sum(e, p, q) == sum(ek * p**k * q ** (m - k) for k, ek in enumerate(e))
+
+
+def test_common_denominator():
+    assert common_denominator([F(1, 2), F(-1, 3), 2, 0]) == ([3, -2, 12, 0], 6)
+    assert common_denominator([F(5)]) == ([5], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Operator construction and evaluation: the classic operator, the two
 integer-coefficient variants, derivative models, and proximity gaps."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bernint.corpus as corpus
 from bernint import (
+    BernsteinModel,
     HypothesisViolation,
     OperatorKind,
     TiePolicy,
@@ -21,7 +24,9 @@ from bernint import (
     finite_difference,
     proximity_gap,
     proximity_gap_exact,
+    saturation_probe,
 )
+from bernint.operators import APPROX_BITS
 
 CLASSIC = OperatorKind.CLASSIC
 FLOOR = OperatorKind.FLOOR_INT
@@ -29,6 +34,13 @@ NEAREST = OperatorKind.NEAREST_INT
 
 X2 = builtin("monomial(2)")
 X3 = builtin("monomial(3)")
+
+
+def bernstein_sum(coeffs, x: F) -> F:
+    """Reference value sum_k c_k C(n,k) x^k (1-x)^(n-k), term by term."""
+    n = len(coeffs) - 1
+    return sum((c * math.comb(n, k) * x**k * (1 - x) ** (n - k)
+                for k, c in enumerate(coeffs)), F(0))
 
 
 def test_classic_coeffs_x2_n2():
@@ -65,6 +77,22 @@ def test_evaluate_exact_frozen():
     assert evaluate_exact(m, F(1, 2)) == F(3, 8)
     mf = build_model(X2, 2, FLOOR)
     assert evaluate_exact(mf, F(1, 2)) == F(1, 4)
+
+
+coefficients = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+unit_points = st.one_of(st.sampled_from([F(0), F(1)]),
+                        st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coefficients, min_size=1, max_size=41), unit_points)
+@example([F(0)], F(1, 3))
+@example([F(-3, 7), F(0), F(5, 6)], F(0))
+@example([F(1, 2), F(-1, 3), F(0), F(7, 5)], F(1))
+def test_evaluate_exact_matches_term_by_term_sum(coeffs, x):
+    # mixed denominators, signs and zeros, n = 0..40, both ends included
+    model = BernsteinModel(kind=OperatorKind.CLASSIC, n=len(coeffs) - 1, coeffs=tuple(coeffs))
+    assert evaluate_exact(model, x) == bernstein_sum(coeffs, x)
 
 
 def test_evaluate_scalar_and_array():
@@ -166,10 +194,27 @@ def test_proximity_gap_exact_brackets_irrational_nodes():
             assert max(abs(lo), abs(hi)) <= F(1, 2 * n) + (hi - lo)
 
 
+def test_proximity_gap_exact_matches_sum_of_node_enclosures():
+    # the gap enclosure is the reference sum against the ends of the
+    # APPROX_BITS node enclosures of the irrational Hoelder values
+    f = builtin("holder_interior(1/2)")
+    xs = [F(0), F(1, 3), F(2, 5), F(1, 2), F(37, 64), F(1)]
+    for kind in (FLOOR, NEAREST):
+        for n in (5, 16):
+            model = build_model(f, n, kind)
+            enclosures = [f.eval_bounds(F(k, n), APPROX_BITS) for k in range(n + 1)]
+            d_lo = [c - vhi for c, (_, vhi) in zip(model.coeffs, enclosures)]
+            d_hi = [c - vlo for c, (vlo, _) in zip(model.coeffs, enclosures)]
+            want = [(bernstein_sum(d_lo, x), bernstein_sum(d_hi, x)) for x in xs]
+            assert proximity_gap_exact(f, n, kind, xs) == want
+
+
 def test_non_integer_endpoint_rejected():
     bad = corpus._polynomial_spec("half_shift", [F(1, 2), F(1)])
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation, match="is not an integer"):
         proximity_gap(bad, 4, FLOOR)
+    with pytest.raises(HypothesisViolation, match="is not an integer"):
+        saturation_probe(bad, FLOOR, 0, [4, 8])
 
 
 # ---------------------------------------------------------------------------
