@@ -35,6 +35,7 @@ from typing import Optional
 
 from bernint import __version__
 from bernint.analysis import (
+    DEFAULT_GRID,
     GridConfig,
     InsufficientData,
     boundary_interpolation_check,  # noqa: F401  (re-exported for API symmetry)
@@ -71,8 +72,8 @@ _DEFAULTS = {
     "n_min": 16,
     "n_max": 512,
     "n_factor": 2.0,
-    "grid": 4097,
-    "refine": 30,
+    "grid": DEFAULT_GRID.points,
+    "refine": DEFAULT_GRID.refine,
     "t": "0.05,0.1,0.2,0.4",
     "out": None,
     "format": "json",
@@ -606,8 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--n-factor", type=float, dest="n_factor", help="geometric step of the n sweep"
     )
-    shared.add_argument("--grid", type=int, help="sup-search grid points (default 4097)")
-    shared.add_argument("--refine", type=int, help="refinement rounds (default 30)")
+    shared.add_argument(
+        "--grid", type=int, help=f"sup-search grid points (default {DEFAULT_GRID.points})"
+    )
+    shared.add_argument(
+        "--refine", type=int, help=f"refinement rounds (default {DEFAULT_GRID.refine})"
+    )
     shared.add_argument("--t", help="comma-separated modulus steps")
     shared.add_argument("--out", help="output path (atomic write); default stdout")
     shared.add_argument("--format", choices=["json", "csv"], help="report format")

@@ -147,8 +147,10 @@ def build_model(
             m = floor_int(scaled) if mode == "floor" else nearest_int(scaled, tie)
         else:
 
+            # the scaled enclosure is C(n,k) times as wide as f's, so ask f
+            # for that many more bits: one attempt decides nearly every node
             def enclose(bits, _node=node, _c=c):
-                lo, hi = f.eval_bounds(_node, bits)
+                lo, hi = f.eval_bounds(_node, bits + _c.bit_length())
                 return lo * _c, hi * _c
 
             try:
@@ -178,7 +180,7 @@ def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     reversed coefficients, which keeps u in [0, 1].  The batch is split by
     side once, left points first, so every step is a fixed handful of
     in-place ufunc calls with scalar coefficients whichever sides are
-    present (sup_norm's 2-point refine calls straddle x = 1/2 whenever the
+    present (sup_norm's small zoom-round calls straddle x = 1/2 whenever the
     argmax sits there).
     """
     n = coeffs.size - 1

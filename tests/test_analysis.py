@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bernint import (
+    DEFAULT_GRID,
     CapabilityError,
     GridConfig,
     InsufficientData,
@@ -65,7 +66,7 @@ def test_sup_norm_rejects_non_finite_target():
                    lambda x: np.where(x < 0.2, np.inf, x)):
         with pytest.raises(ValueError, match="not finite"):
             sup_norm(target)
-    # NaN only where the ternary refinement probes, never on the grid
+    # NaN only where the zoom rounds probe, never on the grid
     grid = grid_points(GridConfig(points=65))
     spiky = lambda x: np.where(np.isin(x, grid), x * (1.0 - x), np.nan)
     with pytest.raises(ValueError, match="not finite"):
@@ -110,6 +111,25 @@ def test_sup_norm_refinement_is_monotone():
     v2 = sup_norm(f, grid=g.refined()).value
     assert v2 >= v1  # nested grid: the estimate can only grow
     assert v2 <= 1.0 + 1e-12  # and stays a lower bound for the true sup
+
+
+def test_sup_norm_zoom_rounds_locate_off_grid_peak():
+    # one kernel call per zoom round, each shrinking the bracket by 2/33
+    peak_x = 1.0 / np.sqrt(7.0)
+    calls = []
+
+    def cusp(x):  # steep enough that float values resolve the final bracket
+        calls.append(np.size(x))
+        return 1.0 - np.abs(x - peak_x)
+
+    est = sup_norm(cusp)
+    assert len(calls) <= 1 + DEFAULT_GRID.refine
+    assert calls[0] == DEFAULT_GRID.points
+    xs = grid_points(DEFAULT_GRID)
+    i = int(np.argmax(1.0 - np.abs(xs - peak_x)))
+    bracket = (xs[i + 1] - xs[i - 1]) * (2.0 / 33.0) ** DEFAULT_GRID.refine
+    assert abs(est.argmax - peak_x) <= bracket
+    assert 1.0 - bracket <= est.value <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,15 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert doc["config"]["n"] == 8 and doc["config"]["kind"] == "floor"
 
 
+def test_grid_defaults_come_from_analysis(capsys):
+    from bernint.analysis import DEFAULT_GRID
+
+    rc, doc = run_json(["coeffs", "--fn", "monomial(2)", "--n", "4"], capsys)
+    assert rc == 0
+    assert doc["config"]["grid_points"] == DEFAULT_GRID.points
+    assert doc["config"]["refine"] == DEFAULT_GRID.refine
+
+
 def test_cli_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"fn": "monomial(2)", "n": 8}))

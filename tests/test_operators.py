@@ -209,6 +209,42 @@ def test_proximity_gap_exact_matches_sum_of_node_enclosures():
             assert proximity_gap_exact(f, n, kind, xs) == want
 
 
+@pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
+def test_integer_kinds_round_each_irrational_node_in_one_attempt(name, monkeypatch):
+    # the node oracle is asked for enough bits to cover the C(n,k) scaling,
+    # so the first enclosure already decides the rounding
+    f = builtin(name)
+    oracle = f.eval_bounds
+    calls = []
+
+    def counting(x, bits):
+        calls.append(F(x))
+        return oracle(x, bits)
+
+    monkeypatch.setattr(f, "eval_bounds", counting)
+    for n in (64, 512):
+        nodes = [F(k, n) for k in range(n + 1)]
+        irrational = [x for x in nodes if f.eval_exact(x) is None]
+        assert irrational  # the test needs irrational nodes to mean anything
+        enclosures = {x: oracle(x, 4096) for x in irrational}
+        for kind in (FLOOR, NEAREST):
+            calls.clear()
+            model = build_model(f, n, kind)
+            assert calls == irrational
+            for k, (x, c) in enumerate(zip(nodes, model.coeffs)):
+                scale = math.comb(n, k)
+                m = c * scale
+                assert m.denominator == 1
+                if x in enclosures:
+                    lo, hi = (v * scale for v in enclosures[x])
+                else:
+                    lo = hi = f.eval_exact(x) * scale
+                if kind is FLOOR:
+                    assert m <= lo and hi < m + 1
+                else:
+                    assert m - F(1, 2) <= lo and hi <= m + F(1, 2)
+
+
 def test_non_integer_endpoint_rejected():
     bad = corpus._polynomial_spec("half_shift", [F(1, 2), F(1)])
     with pytest.raises(HypothesisViolation, match="is not an integer"):
