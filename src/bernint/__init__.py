@@ -32,6 +32,7 @@ from bernint.analysis import (
     omega1,
     omega1_sweep,
     omega_phi2,
+    proximity_gap,
     saturation_probe,
     sup_norm,
     voronovskaya_check,
@@ -42,7 +43,6 @@ from bernint.corpus import (
     FunctionSpec,
     builtin,
     entries,
-    validate,
 )
 from bernint.exact import (
     DEFAULT_TIE,
@@ -69,7 +69,6 @@ from bernint.operators import (
     evaluate,
     evaluate_exact,
     finite_difference,
-    proximity_gap,
     proximity_gap_exact,
 )
 
@@ -82,15 +81,15 @@ __all__ = [
     # operators
     "OperatorKind", "BernsteinModel", "DiffTable", "HypothesisViolation",
     "build_model", "evaluate", "evaluate_exact", "finite_difference",
-    "derivative_model", "proximity_gap", "proximity_gap_exact",
+    "derivative_model", "proximity_gap_exact",
     # corpus
     "FunctionSpec", "CorpusEntry", "CapabilityError", "builtin", "entries",
-    "validate",
     # analysis
     "GridConfig", "DEFAULT_GRID", "grid_points", "SupEstimate", "sup_norm",
     "ModulusKind", "ModulusEstimate", "omega1", "omega1_sweep", "omega_phi2",
     "InsufficientData", "RateFit", "fit_rate", "ErrorPoint", "error_curve",
     "voronovskaya_check", "SaturationVerdict", "SaturationReport",
     "saturation_probe", "boundary_interpolation_check", "converse_experiment",
+    "proximity_gap",
     "HypothesisReport", "hypothesis_check",
 ]

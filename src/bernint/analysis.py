@@ -5,6 +5,8 @@ Everything here is desk-scale numerics with deterministic grids:
 * sup_norm: dense-grid max of |F| plus zoom rounds around the argmax (one
   32-point call per round).  Estimates are honest lower bounds of the true
   sup (only evaluated points count); refining the grid never decreases them.
+* proximity_gap: sup_norm of the gap between an integer kind and B_n f,
+  measured on the exact gap models of operators.gap_models.
 * omega1 / omega_phi2: moduli of smoothness sampled on uniform grids; the
   second-order Ditzian-Totik modulus applies the paper rule "difference = 0
   when a node leaves [0,1]" literally.
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from bernint.operators import (
     derivative_model,
     evaluate,
     evaluate_exact,
+    gap_models,
     require_integer_endpoints,
 )
 
@@ -58,7 +61,7 @@ _REFINE_STEPS = np.arange(1, _REFINE_POINTS + 1) / (_REFINE_POINTS + 1)
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Sup-search grid: M points, endpoint-clustered or uniform, R zoom rounds.
+    """Sup-search grid: M endpoint-clustered points, R zoom rounds.
 
     Each zoom round evaluates _REFINE_POINTS interior points of the bracket
     around the best point found so far (see sup_norm); the default 6 rounds
@@ -66,7 +69,6 @@ class GridConfig:
     """
 
     points: int = 4097
-    distribution: str = "clustered"
     refine: int = 6
 
     def __post_init__(self):
@@ -74,12 +76,10 @@ class GridConfig:
             raise ValueError(f"GridConfig: points must lie in [33, {_MAX_GRID_POINTS}]")
         if self.refine < 0:
             raise ValueError("GridConfig: refine must be >= 0")
-        if self.distribution not in ("clustered", "uniform"):
-            raise ValueError(f"GridConfig: unknown distribution {self.distribution!r}")
 
     def refined(self) -> "GridConfig":
         """The next nesting level: doubled resolution containing all old points."""
-        return GridConfig(2 * self.points - 1, self.distribution, self.refine)
+        return replace(self, points=2 * self.points - 1)
 
 
 DEFAULT_GRID = GridConfig()
@@ -87,8 +87,6 @@ DEFAULT_GRID = GridConfig()
 
 def grid_points(grid: GridConfig, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """The evaluation abscissas of ``grid`` scaled to [lo, hi]."""
-    if grid.distribution == "uniform":
-        return np.linspace(lo, hi, grid.points)
     # arccos-clustered: the error of Bernstein approximants concentrates at
     # the endpoints, so sample densely there
     i = np.arange(grid.points)
@@ -161,6 +159,25 @@ def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEsti
     return SupEstimate(value=best_v, argmax=best_x, interval=(lo, hi), grid=grid)
 
 
+def proximity_gap(
+    f: FunctionSpec,
+    n: int,
+    kind: OperatorKind,
+    grid: GridConfig = DEFAULT_GRID,
+    tie: TiePolicy = DEFAULT_TIE,
+) -> SupEstimate:
+    """Sup-norm estimate of |integer-kind model - B_n f| on [0, 1].
+
+    Requires integer endpoint values f(0), f(1) (hypothesis of the 1/n and
+    1/(2n) proximity bounds).  Measures the midpoint of the two gap_models:
+    c_k - f(k/n), with the enclosure midpoint for an irrational f(k/n).
+    """
+    require_integer_endpoints(f)
+    lo, hi = gap_models(f, n, kind, tie)
+    gap = replace(lo, coeffs=tuple((a + b) / 2 for a, b in zip(lo.coeffs, hi.coeffs)))
+    return sup_norm(lambda xs: evaluate(gap, xs), (0.0, 1.0), grid)
+
+
 # ---------------------------------------------------------------------------
 # moduli of smoothness
 
@@ -213,7 +230,7 @@ def _omega1_window_max(vals: np.ndarray, w: int) -> float:
 def _omega1_grid(t_min: float, interval, points) -> tuple[np.ndarray, float]:
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
-    m = points if points else 4097
+    m = points if points else DEFAULT_GRID.points
     need = int(math.ceil(_OMEGA1_MIN_WINDOW * span / t_min)) + 1
     m = min(max(m, need), _MAX_GRID_POINTS)
     xs = np.linspace(lo, hi, m)
@@ -275,7 +292,7 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
     if not (0.0 < t <= 1.0):
         raise ValueError(f"omega_phi2: need 0 < t <= 1, got {t}")
     fn = _as_eval(f)
-    m = grid.points if grid is not None else 4097
+    m = grid.points if grid is not None else DEFAULT_GRID.points
     xs = np.linspace(0.0, 1.0, m)
     phi = np.sqrt(xs * (1.0 - xs))
     mid = np.asarray(fn(xs), dtype=np.float64)
@@ -419,10 +436,7 @@ def error_curve(
     """
     if s < 0:
         raise ValueError("error_curve: s must be >= 0")
-    if not f.supports(s):
-        raise CapabilityError(
-            f"{f.name}: no derivative oracle of order {s} (s_max={f.s_max})"
-        )
+    f.require(s)
     target = (lambda xs: f.deriv_float(s, xs)) if s else (lambda xs: f.eval_float(xs))
     kink = f.kink if s >= 1 else None
     out = []
@@ -649,10 +663,7 @@ def converse_experiment(
     """Compare the error-decay exponent with modulus-of-smoothness slopes."""
     if s < 1:
         raise ValueError("converse_experiment: s must be >= 1")
-    if not f.supports(s):
-        raise CapabilityError(
-            f"{f.name}: no derivative oracle of order {s} (s_max={f.s_max})"
-        )
+    f.require(s)
     if f.integer_linear:
         return ConverseReport(
             trivial=True,
@@ -763,6 +774,7 @@ def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:
     """
     if s < 0:
         raise ValueError("hypothesis_check: s must be >= 0")
+    f.require(s)
     integrality = []
     needed = [0, 1] if s >= 1 else [0]
     ends: dict[tuple[int, int], Fraction] = {}
@@ -826,6 +838,7 @@ __all__ = [
     "grid_points",
     "SupEstimate",
     "sup_norm",
+    "proximity_gap",
     "ModulusKind",
     "ModulusEstimate",
     "omega1",

@@ -95,7 +95,8 @@ class FunctionSpec:
             return False
         return self.s_max is None or s <= self.s_max
 
-    def _require(self, s: int):
+    def require(self, s: int) -> None:
+        """Raise CapabilityError unless an order-s derivative oracle exists."""
         if not self.supports(s):
             raise CapabilityError(
                 f"{self.name}: no derivative oracle of order {s} (s_max={self.s_max})"
@@ -123,7 +124,7 @@ class FunctionSpec:
 
     def deriv_float(self, s: int, xs):
         """Vectorized float s-th derivative (s=0 is the function itself)."""
-        self._require(s)
+        self.require(s)
         xs = np.asarray(xs, dtype=np.float64)
         if s == 0:
             return self._value_float(xs)
@@ -133,7 +134,7 @@ class FunctionSpec:
 
     def deriv_exact(self, s: int, x) -> Optional[Fraction]:
         """Exact rational s-th derivative at rational x, or None if irrational."""
-        self._require(s)
+        self.require(s)
         x = Fraction(x)
         if s == 0:
             return self.eval_exact(x)
@@ -143,7 +144,7 @@ class FunctionSpec:
 
     def endpoint_deriv(self, i: int) -> tuple[Fraction, Fraction]:
         """Exact (f^(i)(0), f^(i)(1)); CapabilityError when not exactly known."""
-        self._require(i)
+        self.require(i)
         v0 = self.deriv_exact(i, Fraction(0))
         v1 = self.deriv_exact(i, Fraction(1))
         if v0 is None or v1 is None:
@@ -427,17 +428,6 @@ def entries() -> tuple[CorpusEntry, ...]:
     )
 
 
-def validate(spec: FunctionSpec, s: int, n_range):
-    """Hypothesis report for ``spec`` at order ``s`` (delegates to analysis)."""
-    if not spec.supports(s):
-        raise CapabilityError(
-            f"{spec.name}: cannot validate at order {s} (s_max={spec.s_max})"
-        )
-    from bernint.analysis import hypothesis_check
-
-    return hypothesis_check(spec, s, n_range)
-
-
 __all__ = [
     "KINK_WINDOW",
     "CapabilityError",
@@ -445,5 +435,4 @@ __all__ = [
     "CorpusEntry",
     "builtin",
     "entries",
-    "validate",
 ]

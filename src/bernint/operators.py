@@ -17,6 +17,11 @@ n!/(n-s)! * (s-th forward difference of the coefficient sequence at unit
 index step); for the classic kind this is the same thing as the usual
 divided-difference formula with real step 1/n, the prefactor absorbing the
 scaling.
+
+The gap between an integer kind and B_n f is built once, as the pair of
+exact models of gap_models; proximity_gap_exact evaluates that pair, and
+analysis.proximity_gap (above this module, which imports only exact)
+measures it on a grid.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ class HypothesisViolation(Exception):
 
 
 # Precision of the node enclosures behind Classic models of irrational-valued
-# functions and behind proximity_gap_exact.
+# functions and behind gap_models.
 APPROX_BITS = 192
 
 
@@ -309,34 +314,34 @@ def require_integer_endpoints(f) -> None:
             )
 
 
-def proximity_gap(
+def gap_models(
     f,
     n: int,
     kind: OperatorKind,
-    grid=None,
     tie: TiePolicy = DEFAULT_TIE,
-):
-    """Sup-norm estimate of |integer-kind model - classic model| on [0, 1].
+) -> tuple[BernsteinModel, BernsteinModel]:
+    """The gap (integer-kind model - B_n f) as two exact models (gap_lo, gap_hi).
 
-    Requires integer endpoint values f(0), f(1) (hypothesis of the 1/n and
-    1/(2n) proximity bounds).  Returns the analysis.SupEstimate.
+    Coefficient k is c_k minus the upper (gap_lo) or lower (gap_hi) end of
+    f(k/n): its exact value where rational, else its APPROX_BITS enclosure.
+    The basis weights are nonnegative, so gap_lo <= gap <= gap_hi at every
+    point.  When every node value is rational the two models are equal and
+    the same object is returned twice.
     """
     if kind is OperatorKind.CLASSIC:
-        raise ValueError("proximity_gap: kind must be FloorInt or NearestInt")
-    require_integer_endpoints(f)
-    classic = build_model(f, n, OperatorKind.CLASSIC)
-    other = build_model(f, n, kind, tie)
-    gap = BernsteinModel(
-        kind=kind,
-        n=n,
-        coeffs=tuple(a - b for a, b in zip(other.coeffs, classic.coeffs)),
-        tie=other.tie,
-        coeffs_exact=classic.coeffs_exact,
-    )
-    from bernint.analysis import DEFAULT_GRID, sup_norm
-
-    return sup_norm(lambda xs: evaluate(gap, xs), (0.0, 1.0),
-                    DEFAULT_GRID if grid is None else grid)
+        raise ValueError("gap_models: kind must be FloorInt or NearestInt")
+    model = build_model(f, n, kind, tie)
+    d_lo, d_hi = [], []
+    for k, c in enumerate(model.coeffs):
+        node = Fraction(k, n)
+        v = f.eval_exact(node)
+        vlo, vhi = (v, v) if v is not None else f.eval_bounds(node, APPROX_BITS)
+        d_lo.append(c - vhi)
+        d_hi.append(c - vlo)
+    gap_lo = BernsteinModel(kind=kind, n=n, coeffs=tuple(d_lo), tie=model.tie)
+    if d_lo == d_hi:
+        return gap_lo, gap_lo
+    return gap_lo, BernsteinModel(kind=kind, n=n, coeffs=tuple(d_hi), tie=model.tie)
 
 
 def proximity_gap_exact(
@@ -348,31 +353,20 @@ def proximity_gap_exact(
 ):
     """Certified rational enclosures of (integer model - B_n f)(x) at each x.
 
-    Returns a list of Fraction pairs (lo, hi) with lo <= gap(x) <= hi; the
-    pair collapses to a point for functions with exact rational node values.
-    The basis weights are nonnegative, so lo and hi are the exact values of
-    two gap models, built from the lower and upper ends of APPROX_BITS node
-    enclosures — fully rigorous, which is what lets tests verify the 1/n
-    and 1/(2n) bounds without floats.
+    Returns a list of Fraction pairs (lo, hi) with lo <= gap(x) <= hi: the
+    exact values of the two gap_models, so the pair collapses to a point
+    (one exact evaluation) for functions with exact rational node values.
+    Fully rigorous, which is what lets tests verify the 1/n and 1/(2n)
+    bounds without floats.
     """
-    if kind is OperatorKind.CLASSIC:
-        raise ValueError("proximity_gap_exact: kind must be FloorInt or NearestInt")
-    other = build_model(f, n, kind, tie)
-    d_lo, d_hi = [], []
-    for k, c in enumerate(other.coeffs):
-        node = Fraction(k, n)
-        v = f.eval_exact(node)
-        vlo, vhi = (v, v) if v is not None else f.eval_bounds(node, APPROX_BITS)
-        d_lo.append(c - vhi)
-        d_hi.append(c - vlo)
-    gap_lo = BernsteinModel(kind=kind, n=n, coeffs=tuple(d_lo))
-    gap_hi = BernsteinModel(kind=kind, n=n, coeffs=tuple(d_hi))
+    gap_lo, gap_hi = gap_models(f, n, kind, tie)
     out = []
     for x in xs:
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise ValueError("proximity_gap_exact: points must lie in [0, 1]")
-        out.append((evaluate_exact(gap_lo, x), evaluate_exact(gap_hi, x)))
+        lo = evaluate_exact(gap_lo, x)
+        out.append((lo, lo if gap_hi is gap_lo else evaluate_exact(gap_hi, x)))
     return out
 
 
@@ -387,6 +381,6 @@ __all__ = [
     "finite_difference",
     "derivative_model",
     "require_integer_endpoints",
-    "proximity_gap",
+    "gap_models",
     "proximity_gap_exact",
 ]

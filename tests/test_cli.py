@@ -64,6 +64,54 @@ def test_capability_error_exits_2(capsys):
     assert rc == 2
 
 
+def test_n_factor_too_close_to_one_exits_2_at_once():
+    # about 2e11 steps to get from 16 to 20; the sweep is refused up front
+    cmd = [
+        sys.executable, "-m", "bernint.cli", "verify", "--fn", "monomial(2)",
+        "--n-min", "16", "--n-max", "20", "--n-factor", "1.000000000001",
+    ]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 2
+    assert "config field 'n_factor'" in res.stderr
+
+
+@pytest.mark.parametrize("factor", ["inf", "nan", "1"])
+def test_n_factor_must_be_finite_and_above_one(factor, capsys):
+    rc = main(["coeffs", "--fn", "monomial(2)", "--n", "4", "--n-factor", factor])
+    assert rc == 2
+    assert "config field 'n_factor'" in capsys.readouterr().err
+
+
+# tuple(range(16, 113)) is the dense head of the 1.01 sweep; the tail skips
+_SWEEP_1_01 = tuple(range(16, 113)) + (
+    114, 115, 116, 117, 118, 119, 121, 122, 123, 124, 126, 127, 128, 129, 131,
+    132, 133, 135, 136, 137, 139, 140, 141, 143, 144, 146, 147, 149, 150, 152,
+    153, 155, 156, 158, 159, 161, 163, 164, 166, 167, 169, 171, 173, 174, 176,
+    178, 180, 181, 183, 185, 187, 189, 191, 193, 194, 196, 198, 200, 202, 204,
+    206, 208, 211, 213, 215, 217, 219, 221, 224, 226, 228, 230, 233, 235, 237,
+    240, 242, 244, 247, 249, 252, 254, 257, 259, 262, 265, 267, 270, 273, 275,
+    278, 281, 284, 287, 289, 292, 295, 298, 301, 304, 307, 310, 313, 317, 320,
+    323, 326, 329, 333, 336, 339, 343, 346, 350, 353, 357, 360, 364, 368, 371,
+    375, 379, 383, 386, 390, 394, 398, 402, 406, 410, 414, 418, 423, 427, 431,
+    435, 440, 444, 449, 453, 458, 462, 467, 471, 476, 481, 486, 491, 495, 500,
+    505, 510,
+)
+
+
+@pytest.mark.parametrize("factor, want", [
+    ("1.5", (16, 24, 36, 54, 81, 122, 182, 273, 410)),
+    ("1.01", _SWEEP_1_01),
+])
+def test_accepted_n_factor_keeps_its_sweep(factor, want, capsys):
+    rc, doc = run_json(
+        ["coeffs", "--fn", "monomial(2)", "--n", "4",
+         "--n-min", "16", "--n-max", "512", "--n-factor", factor],
+        capsys,
+    )
+    assert rc == 0
+    assert tuple(doc["config"]["n_list"]) == want
+
+
 def test_malformed_x_exits_2(capsys):
     rc, _ = run(["eval", "--fn", "monomial(2)", "--n", "4", "--x", "1/0"], capsys)
     assert rc == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bernint.corpus as corpus
+import bernint.operators as operators
 from bernint import (
     BernsteinModel,
     HypothesisViolation,
@@ -25,8 +26,9 @@ from bernint import (
     proximity_gap,
     proximity_gap_exact,
     saturation_probe,
+    sup_norm,
 )
-from bernint.operators import APPROX_BITS
+from bernint.operators import APPROX_BITS, gap_models
 
 CLASSIC = OperatorKind.CLASSIC
 FLOOR = OperatorKind.FLOOR_INT
@@ -207,6 +209,59 @@ def test_proximity_gap_exact_matches_sum_of_node_enclosures():
             d_hi = [c - vlo for c, (vlo, _) in zip(model.coeffs, enclosures)]
             want = [(bernstein_sum(d_lo, x), bernstein_sum(d_hi, x)) for x in xs]
             assert proximity_gap_exact(f, n, kind, xs) == want
+
+
+def test_gap_models_share_one_model_when_node_values_are_rational():
+    for kind in (FLOOR, NEAREST):
+        gap_lo, gap_hi = gap_models(X3, 9, kind)
+        assert gap_hi is gap_lo
+        model = build_model(X3, 9, kind)
+        assert gap_lo.coeffs == tuple(
+            c - X3.eval_exact(F(k, 9)) for k, c in enumerate(model.coeffs)
+        )
+
+
+def test_gap_models_enclose_irrational_node_values():
+    f = builtin("holder_interior(1/2)")
+    for kind in (FLOOR, NEAREST):
+        gap_lo, gap_hi = gap_models(f, 9, kind)
+        assert gap_hi is not gap_lo
+        assert all(a <= b for a, b in zip(gap_lo.coeffs, gap_hi.coeffs))
+        assert any(a < b for a, b in zip(gap_lo.coeffs, gap_hi.coeffs))
+    with pytest.raises(ValueError, match="FloorInt or NearestInt"):
+        gap_models(f, 9, CLASSIC)
+
+
+def test_proximity_gap_exact_evaluates_one_model_when_rational(monkeypatch):
+    calls = []
+
+    def counting(model, x):
+        calls.append(x)
+        return evaluate_exact(model, x)
+
+    monkeypatch.setattr(operators, "evaluate_exact", counting)
+    xs = [F(k, 7) for k in range(8)]
+    pairs = proximity_gap_exact(builtin("monomial(5)"), 32, NEAREST, xs)
+    assert len(calls) == len(xs)
+    assert all(lo == hi for lo, hi in pairs)
+
+
+@pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
+def test_proximity_gap_measures_integer_minus_classic(name):
+    # the grid gap is the integer model minus the classic one, which stores
+    # the same enclosure midpoints the gap models are centred on
+    f = builtin(name)
+    for kind in (FLOOR, NEAREST):
+        for n in (3, 17, 64):
+            other = build_model(f, n, kind)
+            classic = build_model(f, n, CLASSIC)
+            diff = BernsteinModel(
+                kind=kind, n=n,
+                coeffs=tuple(a - b for a, b in zip(other.coeffs, classic.coeffs)),
+            )
+            want = sup_norm(lambda xs: evaluate(diff, xs))
+            got = proximity_gap(f, n, kind)
+            assert (got.value, got.argmax) == (want.value, want.argmax)
 
 
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
