@@ -61,14 +61,12 @@ from bernint.exact import (
 )
 from bernint.operators import (
     BernsteinModel,
-    DiffTable,
     HypothesisViolation,
     OperatorKind,
     build_model,
     derivative_model,
     evaluate,
     evaluate_exact,
-    finite_difference,
     proximity_gap_exact,
 )
 
@@ -79,9 +77,9 @@ __all__ = [
     "binomial", "binomial_row", "floor_int", "nearest_int", "guarded_round",
     "round_with_escalation", "iroot", "rational_pow_exact", "rational_pow_bounds",
     # operators
-    "OperatorKind", "BernsteinModel", "DiffTable", "HypothesisViolation",
-    "build_model", "evaluate", "evaluate_exact", "finite_difference",
-    "derivative_model", "proximity_gap_exact",
+    "OperatorKind", "BernsteinModel", "HypothesisViolation",
+    "build_model", "evaluate", "evaluate_exact", "derivative_model",
+    "proximity_gap_exact",
     # corpus
     "FunctionSpec", "CorpusEntry", "CapabilityError", "builtin", "entries",
     # analysis

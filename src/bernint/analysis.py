@@ -174,7 +174,14 @@ def proximity_gap(
     """
     require_integer_endpoints(f)
     lo, hi = gap_models(f, n, kind, tie)
-    gap = replace(lo, coeffs=tuple((a + b) / 2 for a, b in zip(lo.coeffs, hi.coeffs)))
+    gap = lo
+    if hi is not lo:  # (e/D + e'/D') / 2 on the integer forms
+        d, d2 = lo.denominator, hi.denominator
+        gap = replace(
+            lo,
+            scaled=tuple(a * d2 + b * d for a, b in zip(lo.scaled, hi.scaled)),
+            denominator=2 * d * d2,
+        )
     return sup_norm(lambda xs: evaluate(gap, xs), (0.0, 1.0), grid)
 
 

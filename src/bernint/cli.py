@@ -360,6 +360,7 @@ def _cmd_coeffs(cfg: RunConfig):
 
     model = build_model(f, cfg.n, cfg.kind, cfg.tie)
     row_c = binomial_row(cfg.n)
+    scaled, _ = model.integer_form  # an integer kind's rounded integers, over D = 1
     rows, table = [], []
     for k in range(cfg.n + 1):
         node = Fraction(k, cfg.n)
@@ -371,11 +372,7 @@ def _cmd_coeffs(cfg: RunConfig):
             raw_str = _f17(float(f.eval_float([float(node)])[0]) * row_c[k])
             raw_exact = False
         coeff = model.coeffs[k]
-        rounded = (
-            None
-            if cfg.kind is OperatorKind.CLASSIC
-            else str(int(coeff * row_c[k]))
-        )
+        rounded = None if cfg.kind is OperatorKind.CLASSIC else str(scaled[k])
         rows.append(
             {
                 "k": k,

@@ -20,9 +20,14 @@ holder_interior(g)       |2x - 1|^g + p x + q for non-integer g in (0,2):
                          rescaling the argument keeps the smoothness class
                          and makes the endpoints integers.)
 
-Values of the Hoelder entries at rational points are usually irrational;
-eval_bounds returns rigorous enclosures built from integer root extraction,
-which is what the integer-coefficient rounding in operators relies on.
+Every built-in entry also has a scaled_round oracle: the exact floor or
+nearest integer of C(n,k) f(k/n), computed on integers alone (integer root
+extraction for the Hoelder entries, one divmod for the rest).  This is what
+the integer-coefficient models in operators are built from.  Values of the
+Hoelder entries at rational points are usually irrational; eval_bounds
+returns rigorous enclosures of them, which the proximity gaps and the
+Classic models use, and which operators falls back to for a spec built
+without scaled_round.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from bernint.exact import (binomial_row, common_denominator, homogeneous_sum,
-                           rational_pow_bounds, rational_pow_exact)
+from bernint.exact import (DEFAULT_TIE, TiePolicy, binomial_row, common_denominator,
+                           homogeneous_sum, iroot, rational_pow_bounds,
+                           rational_pow_exact, round_ratio)
 
 # Full width of the exclusion window centered on a kink: derivative-based
 # sup searches skip |x - kink| < KINK_WINDOW/2 (the derivative oracle is not
@@ -72,6 +78,7 @@ class FunctionSpec:
         deriv_float: Optional[Callable] = None,
         deriv_exact: Optional[Callable] = None,
         poly_coeffs: Optional[tuple] = None,
+        scaled_round: Optional[Callable] = None,
     ):
         self.name = name
         self.s_max = s_max
@@ -85,6 +92,7 @@ class FunctionSpec:
         self._value_bounds = value_bounds
         self._deriv_float = deriv_float
         self._deriv_exact = deriv_exact
+        self._scaled_round = scaled_round
 
     def __repr__(self):
         return f"FunctionSpec({self.name!r})"
@@ -121,6 +129,20 @@ class FunctionSpec:
         if v is None:
             raise CapabilityError(f"{self.name}: no certified enclosure oracle")
         return v, v
+
+    def scaled_round(
+        self, k: int, n: int, mode: str, tie: TiePolicy = DEFAULT_TIE
+    ) -> Optional[int]:
+        """floor ("floor") or nearest integer ("nearest") of C(n,k) f(k/n), exactly.
+
+        None when the spec has no integer rounding oracle.
+        """
+        if not 0 <= k <= n or n < 1:
+            raise ValueError(f"{self.name}: scaled_round needs 0 <= k <= n and n >= 1, "
+                             f"got k={k}, n={n}")
+        if self._scaled_round is None:
+            return None
+        return self._scaled_round(k, n, mode, tie)
 
     def deriv_float(self, s: int, xs):
         """Vectorized float s-th derivative (s=0 is the function itself)."""
@@ -201,6 +223,11 @@ def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSp
         b = x.denominator
         return Fraction(homogeneous_sum(e, x.numerator, b), d * b ** (len(e) - 1))
 
+    def scaled_round(k, n, mode, tie):
+        e, d = chain[0]
+        num = homogeneous_sum(e, k, n) * binomial_row(n)[k]
+        return round_ratio(num, d * n ** (len(e) - 1), mode, tie)
+
     f0 = coeffs[0]
     f1 = sum(coeffs, Fraction(0))
     trimmed = list(coeffs)
@@ -219,6 +246,7 @@ def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSp
         deriv_float=deriv_float,
         deriv_exact=deriv_exact,
         poly_coeffs=coeffs,
+        scaled_round=scaled_round,
     )
 
 
@@ -280,6 +308,9 @@ def _make_abs_shift() -> FunctionSpec:
     def value_float(xs):
         return np.abs(2.0 * xs - 1.0)
 
+    def scaled_round(k, n, mode, tie):
+        return round_ratio(abs(2 * k - n) * binomial_row(n)[k], n, mode, tie)
+
     return FunctionSpec(
         "abs_shift",
         s_max=0,
@@ -288,6 +319,7 @@ def _make_abs_shift() -> FunctionSpec:
         doc="f(x) = |2x - 1|; Lipschitz with a kink at 1/2, integer endpoints",
         value_float=value_float,
         value_exact=value_exact,
+        scaled_round=scaled_round,
     )
 
 
@@ -297,6 +329,7 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
         raise LookupError("holder_interior: exponent must be non-integer in (0, 2)")
     gm1 = gamma - 1
     gf = float(gamma)
+    a, b = gamma.numerator, gamma.denominator
 
     def value_exact(x):
         pw = rational_pow_exact(abs(2 * x - 1), gamma.numerator, gamma.denominator)
@@ -311,6 +344,20 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
 
     def value_float(xs):
         return np.abs(2.0 * xs - 1.0) ** gf + p * xs + q
+
+    def scaled_round(k, n, mode, tie):
+        c = binomial_row(n)[k]
+        # 2n C |2k/n - 1|^(a/b) is the b-th root of x / n^a, and s its floor
+        x = (2 * n * c) ** b * abs(2 * k - n) ** a
+        na = n ** a
+        s, _ = iroot(x // na, b)
+        num = s + 2 * c * (p * k + q * n)  # floor of 2n C f(k/n)
+        if s ** b * na == x:  # 2n C f(k/n) == num exactly
+            return round_ratio(num, 2 * n, mode, tie)
+        # C f(k/n) lies strictly inside (num, num + 1) / 2n, an interval no
+        # floor or nearest boundary (a multiple of 1/2n) falls in, so its
+        # midpoint rounds the same way and is never a tie
+        return round_ratio(2 * num + 1, 4 * n, mode, tie)
 
     def deriv_float(s, xs):
         u = 2.0 * xs - 1.0
@@ -338,6 +385,7 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
         value_bounds=value_bounds,
         deriv_float=deriv_float if s_max >= 1 else None,
         deriv_exact=deriv_exact if s_max >= 1 else None,
+        scaled_round=scaled_round,
     )
 
 

@@ -7,7 +7,8 @@ lack:
 
 * cached binomial rows (multiplicative recurrence, exact),
 * homogeneous_sum, the one exact evaluator of Bernstein and power sums,
-* floor and nearest-integer rounding with an explicit tie policy,
+* round_ratio, floor and nearest-integer rounding of an integer ratio with
+  an explicit tie policy (floor_int and nearest_int wrap it for rationals),
 * integer q-th roots and exact/certified rational powers u**(p/q),
 * interval-guarded rounding: round a value known only through an enclosure
   [v-eps, v+eps], escalating the working precision until the answer is
@@ -28,8 +29,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
-
-_HALF = Fraction(1, 2)
 
 DEFAULT_START_BITS = 128
 DEFAULT_MAX_BITS = 4096
@@ -101,29 +100,41 @@ def homogeneous_sum(e: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
+def round_ratio(num: int, den: int, mode: str, policy: TiePolicy = DEFAULT_TIE) -> int:
+    """floor(num/den) (mode "floor") or the integer nearest to it ("nearest").
+
+    Integers only, den > 0: one divmod, and num/den is an exact half-integer
+    tie exactly when twice the remainder equals den; only then does
+    ``policy`` decide.
+    """
+    q, r = divmod(num, den)
+    if mode == "floor":
+        return q
+    if mode != "nearest":
+        raise ValueError(f"round_ratio: unknown mode {mode!r}")
+    if 2 * r != den:
+        return q if 2 * r < den else q + 1
+    # exact tie: num/den == q + 1/2
+    if policy is TiePolicy.HALF_UP:
+        return q + 1
+    if policy is TiePolicy.HALF_DOWN:
+        return q
+    if policy is TiePolicy.HALF_AWAY_FROM_ZERO:
+        return q + 1 if q >= 0 else q
+    # HALF_TO_EVEN
+    return q if q % 2 == 0 else q + 1
+
+
 def floor_int(q) -> int:
     """Largest integer <= q."""
     q = Fraction(q)
-    return q.numerator // q.denominator
+    return round_ratio(q.numerator, q.denominator, "floor")
 
 
 def nearest_int(q, policy: TiePolicy = DEFAULT_TIE) -> int:
     """Integer nearest to q; exact halves resolved by ``policy``."""
     q = Fraction(q)
-    lo = q.numerator // q.denominator
-    frac = q - lo
-    if frac < _HALF:
-        return lo
-    if frac > _HALF:
-        return lo + 1
-    if policy is TiePolicy.HALF_UP:
-        return lo + 1
-    if policy is TiePolicy.HALF_DOWN:
-        return lo
-    if policy is TiePolicy.HALF_AWAY_FROM_ZERO:
-        return lo + 1 if q > 0 else lo
-    # HALF_TO_EVEN
-    return lo if lo % 2 == 0 else lo + 1
+    return round_ratio(q.numerator, q.denominator, "nearest", policy)
 
 
 def guarded_round(value, radius, mode: str, policy: TiePolicy = DEFAULT_TIE) -> int:
@@ -137,13 +148,8 @@ def guarded_round(value, radius, mode: str, policy: TiePolicy = DEFAULT_TIE) -> 
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("guarded_round: radius must be >= 0")
-    lo, hi = value - radius, value + radius
-    if mode == "floor":
-        a, b = floor_int(lo), floor_int(hi)
-    elif mode == "nearest":
-        a, b = nearest_int(lo, policy), nearest_int(hi, policy)
-    else:
-        raise ValueError(f"guarded_round: unknown mode {mode!r}")
+    a, b = (round_ratio(v.numerator, v.denominator, mode, policy)
+            for v in (value - radius, value + radius))
     if a != b:
         raise PrecisionInsufficient(
             f"enclosure of width {float(2 * radius):.3g} straddles a {mode} boundary"
@@ -291,6 +297,7 @@ __all__ = [
     "binomial",
     "common_denominator",
     "homogeneous_sum",
+    "round_ratio",
     "floor_int",
     "nearest_int",
     "guarded_round",

@@ -8,18 +8,26 @@ Bernstein basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k):
 * NearestInt: c_k = nearest(f(k/n) C(n,k)) / C(n,k)   (tie policy applies)
 
 so the integer kinds are exactly the polynomials with integer coefficients
-in the scaled basis.  Evaluation has two paths: a float path using the
-linear-time convex-combination recurrence of Wozny & Chudy ("Linear-time
-geometric algorithm for evaluating Bezier curves", CAD 118, 2020), O(n) per
-point, and an exact rational path for oracle work.  Derivatives of a
-model are again models, one degree lower per order, with coefficients
-n!/(n-s)! * (s-th forward difference of the coefficient sequence at unit
-index step); for the classic kind this is the same thing as the usual
-divided-difference formula with real step 1/n, the prefactor absorbing the
-scaling.
+in the scaled basis x^k (1-x)^(n-k).  A model stores that scaled form as
+its data: integers e_k over one denominator D > 0, e_k / D = c_k C(n,k),
+in lowest terms.  The integer kinds have D = 1 and e_k the rounded
+integers, which the corpus oracle FunctionSpec.scaled_round computes on
+integers alone; the c_k are a view derived on demand.
+
+Evaluation has two paths: a float path using the linear-time
+convex-combination recurrence of Wozny & Chudy ("Linear-time geometric
+algorithm for evaluating Bezier curves", CAD 118, 2020), O(n) per point,
+and an exact path, homogeneous_sum over (e, D).  Derivatives of a model are
+again models on the same denominator, one degree lower per order:
+differentiating sum_k e_k x^k (1-x)^(m-k) gives the scaled integers
+e'_j = (j+1) e_{j+1} - (m-j) e_j.  After s steps coefficient k is
+n!/(n-s)! times the s-th forward difference of the c_k at unit index step;
+for the classic kind this is the usual divided-difference formula with real
+step 1/n, the prefactor absorbing the scaling.
 
 The gap between an integer kind and B_n f is built once, as the pair of
-exact models of gap_models; proximity_gap_exact evaluates that pair, and
+exact models of gap_models (for a polynomial f, integers m_k D_f n^deg -
+N_k C(n,k) over D_f n^deg); proximity_gap_exact evaluates that pair, and
 analysis.proximity_gap (above this module, which imports only exact)
 measures it on a grid.
 """
@@ -27,10 +35,11 @@ measures it on a grid.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +49,8 @@ from bernint.exact import (
     TiePolicy,
     binomial_row,
     common_denominator,
-    floor_int,
     homogeneous_sum,
-    nearest_int,
+    round_ratio,
     round_with_escalation,
 )
 
@@ -64,8 +72,13 @@ class OperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BernsteinModel:
-    """Degree-n polynomial in Bernstein form with exact rational coefficients.
+    """Degree-n polynomial in Bernstein form, stored as scaled integers.
 
+    ``scaled`` holds n + 1 ints e_k and ``denominator`` an int D > 0 with
+    e_k / D == c_k C(n,k), kept in lowest terms (D is the least such
+    denominator); build_model's integer kinds have D = 1, so e_k is the
+    rounded integer itself.  ``coeffs`` (the c_k as Fractions) and
+    ``float_coeffs`` are views derived from (e, D) on first use.
     ``tie`` records the tie policy for NearestInt models (None otherwise).
     ``coeffs_exact`` is False only when a Classic model of a function without
     exact rational values stores certified high-precision midpoints instead.
@@ -74,40 +87,87 @@ class BernsteinModel:
 
     kind: OperatorKind
     n: int
-    coeffs: tuple
+    scaled: tuple
+    denominator: int = 1
     tie: Optional[TiePolicy] = None
     coeffs_exact: bool = True
     derivative_order: int = 0
 
     def __post_init__(self):
-        if len(self.coeffs) != self.n + 1:
+        if len(self.scaled) != self.n + 1:
             raise ValueError(
-                f"coefficient count {len(self.coeffs)} != degree {self.n} + 1"
+                f"coefficient count {len(self.scaled)} != degree {self.n} + 1"
             )
+        if not (isinstance(self.denominator, int) and self.denominator > 0):
+            raise ValueError(f"denominator must be an int > 0, got {self.denominator!r}")
+        if not all(isinstance(e, int) for e in self.scaled):
+            raise ValueError("scaled coefficients must be ints")
+        g = math.gcd(self.denominator, *self.scaled)
+        if g > 1:  # lowest terms, so that == compares values
+            object.__setattr__(self, "scaled", tuple(e // g for e in self.scaled))
+            object.__setattr__(self, "denominator", self.denominator // g)
+
+    @classmethod
+    def from_coeffs(cls, kind: OperatorKind, n: int, coeffs: Sequence, **fields):
+        """The model with rational Bernstein coefficients c_0, ..., c_n."""
+        row = binomial_row(max(len(coeffs) - 1, 0))  # a wrong length fails in __post_init__
+        scaled, d = common_denominator([Fraction(c) * b for c, b in zip(coeffs, row)])
+        return cls(kind=kind, n=n, scaled=tuple(scaled), denominator=d, **fields)
+
+    @property
+    def integer_form(self) -> tuple[tuple, int]:
+        """(e, D) with e[k] / D == c_k C(n,k): the stored data."""
+        return self.scaled, self.denominator
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        d = self.denominator
+        return tuple(Fraction(e, d * b) for e, b in zip(self.scaled, binomial_row(self.n)))
 
     @cached_property
     def float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs], dtype=np.float64)
+        d = self.denominator
+        # int / int rounds correctly, as float(Fraction) does
+        return np.array(
+            [e / (d * b) for e, b in zip(self.scaled, binomial_row(self.n))],
+            dtype=np.float64,
+        )
 
-    @cached_property
-    def integer_form(self) -> tuple[list[int], int]:
-        """(e, D) with e[k] / D == c_k C(n,k): the scaled basis over one denominator."""
-        row = binomial_row(self.n)
-        return common_denominator([c * row[k] for k, c in enumerate(self.coeffs)])
+
+def _node_values(f, n: int) -> Optional[tuple[list[int], int]]:
+    """(N, D) with N[k] / D == f(k/n) for a polynomial f, else None."""
+    coeffs = getattr(f, "poly_coeffs", None)
+    if coeffs is None:
+        return None
+    p, d = common_denominator(coeffs)
+    return [homogeneous_sum(p, k, n) for k in range(n + 1)], d * n ** (len(p) - 1)
 
 
-@dataclass(frozen=True)
-class DiffTable:
-    """Forward finite differences of a sequence.
+def _round_node(f, n: int, k: int, c: int, mode: str, tie: TiePolicy) -> int:
+    """Fallback for a spec without scaled_round: round f(k/n) * c, c = C(n,k).
 
-    ``step`` describes the abscissa spacing the differences refer to: the
-    string "index" for unit index step on coefficient sequences, or an exact
-    Fraction (e.g. 1/n) for real-step differences of function samples.
+    Rational node values round directly; irrational ones through certified
+    enclosures with escalating precision (hard PrecisionExhausted naming the
+    node if the cap is hit).
     """
+    node = Fraction(k, n)
+    v = f.eval_exact(node)
+    if v is not None:
+        return round_ratio(v.numerator * c, v.denominator, mode, tie)
 
-    order: int
-    step: Union[str, Fraction]
-    values: tuple
+    # the scaled enclosure is C(n,k) times as wide as f's, so ask f for that
+    # many more bits: one attempt decides nearly every node
+    def enclose(bits):
+        lo, hi = f.eval_bounds(node, bits + c.bit_length())
+        return lo * c, hi * c
+
+    try:
+        return round_with_escalation(enclose, mode, tie)
+    except PrecisionExhausted as e:
+        raise PrecisionExhausted(
+            f"build_model({getattr(f, 'name', f)!r}, n={n}): "
+            f"cannot round coefficient at node k={k}: {e}"
+        ) from None
 
 
 def build_model(
@@ -118,60 +178,41 @@ def build_model(
 ) -> BernsteinModel:
     """Construct the degree-n model of corpus function ``f``.
 
-    Integer kinds round f(k/n)*C(n,k) exactly: rational values directly,
-    irrational ones through certified enclosures with escalating precision
-    (hard PrecisionExhausted naming the node if the cap is hit).  A Classic
-    model of an irrational-valued f stores APPROX_BITS-wide midpoints and is
-    flagged coeffs_exact=False.
+    Integer kinds store e_k = round(f(k/n) C(n,k)) over D = 1, each from the
+    exact integer oracle f.scaled_round, or, for a spec without one, from
+    f's exact value or certified enclosures (_round_node).  A Classic model
+    of a polynomial stores N_k C(n,k) over D_f n^deg, where N_k / (D_f n^deg)
+    = f(k/n); of any other f it stores the node values, with APPROX_BITS-wide
+    midpoints for irrational ones, flagged coeffs_exact=False.
     """
     if n < 1:
         raise ValueError("build_model: n must be >= 1")
-    if kind is OperatorKind.NEAREST_INT:
-        mode = "nearest"
-    elif kind is OperatorKind.FLOOR_INT:
-        mode = "floor"
-    else:
-        mode = None
     row = binomial_row(n)
-    coeffs = []
-    exact = True
-    for k in range(n + 1):
-        node = Fraction(k, n)
-        v = f.eval_exact(node)
-        if mode is None:
-            if v is not None:
-                coeffs.append(v)
-            else:
+    if kind is OperatorKind.CLASSIC:
+        nodes = _node_values(f, n)
+        if nodes is not None:
+            values, d = nodes
+            scaled = tuple(v * c for v, c in zip(values, row))
+            return BernsteinModel(kind=kind, n=n, scaled=scaled, denominator=d)
+        coeffs, exact = [], True
+        for k in range(n + 1):
+            node = Fraction(k, n)
+            v = f.eval_exact(node)
+            if v is None:
                 lo, hi = f.eval_bounds(node, APPROX_BITS)
-                coeffs.append((lo + hi) / 2)
-                exact = False
-            continue
-        c = row[k]
-        if v is not None:
-            scaled = v * c
-            m = floor_int(scaled) if mode == "floor" else nearest_int(scaled, tie)
-        else:
-
-            # the scaled enclosure is C(n,k) times as wide as f's, so ask f
-            # for that many more bits: one attempt decides nearly every node
-            def enclose(bits, _node=node, _c=c):
-                lo, hi = f.eval_bounds(_node, bits + _c.bit_length())
-                return lo * _c, hi * _c
-
-            try:
-                m = round_with_escalation(enclose, mode, tie)
-            except PrecisionExhausted as e:
-                raise PrecisionExhausted(
-                    f"build_model({getattr(f, 'name', f)!r}, n={n}): "
-                    f"cannot round coefficient at node k={k}: {e}"
-                ) from None
-        coeffs.append(Fraction(m, c))
+                v, exact = (lo + hi) / 2, False
+            coeffs.append(v)
+        return BernsteinModel.from_coeffs(kind, n, coeffs, coeffs_exact=exact)
+    mode = "nearest" if kind is OperatorKind.NEAREST_INT else "floor"
+    scaled = []
+    for k, c in enumerate(row):
+        m = f.scaled_round(k, n, mode, tie)
+        scaled.append(_round_node(f, n, k, c, mode, tie) if m is None else m)
     return BernsteinModel(
         kind=kind,
         n=n,
-        coeffs=tuple(coeffs),
+        scaled=tuple(scaled),
         tie=tie if kind is OperatorKind.NEAREST_INT else None,
-        coeffs_exact=exact,
     )
 
 
@@ -241,62 +282,37 @@ def evaluate_exact(model: BernsteinModel, x) -> Fraction:
     return Fraction(homogeneous_sum(e, a, b - a), d * b ** model.n)
 
 
-def finite_difference(values: Sequence, s: int, step: Union[str, Fraction] = "index") -> DiffTable:
-    """Forward differences: entry k is sum_i (-1)^i C(s,i) values[k+s-i]."""
-    if s < 1:
-        raise ValueError("finite_difference: order must be >= 1")
-    vals = [Fraction(v) for v in values]
-    if len(vals) < s + 1:
-        raise ValueError(
-            f"finite_difference: need at least {s + 1} values, got {len(vals)}"
-        )
-    srow = binomial_row(s)
-    out = []
-    for k in range(len(vals) - s):
-        acc = Fraction(0)
-        for i in range(s + 1):
-            term = srow[i] * vals[k + s - i]
-            acc = acc + term if i % 2 == 0 else acc - term
-        out.append(acc)
-    return DiffTable(order=s, step=step, values=tuple(out))
-
-
 def derivative_model(
     model: BernsteinModel, s: int, allow_degenerate: bool = False
 ) -> BernsteinModel:
-    """The s-th derivative as a degree n-s Bernstein model.
+    """The s-th derivative as a degree n-s Bernstein model on the same denominator.
 
-    Coefficient k equals n!/(n-s)! * (s-th unit-index forward difference of
-    the model coefficients at k).  s > n is an error unless allow_degenerate,
-    in which case the identically-zero model is returned (harness use).
+    Each step maps the scaled integers e_0..e_m to
+    e'_j = (j+1) e_{j+1} - (m-j) e_j, the derivative of sum_k e_k x^k (1-x)^(m-k);
+    after s steps coefficient k equals n!/(n-s)! * (s-th unit-index forward
+    difference of the model coefficients at k).  s > n is an error unless
+    allow_degenerate, in which case the identically-zero model is returned
+    (harness use).
     """
     if s < 1:
         raise ValueError("derivative_model: order must be >= 1")
+    fields = dict(
+        kind=model.kind,
+        tie=model.tie,
+        coeffs_exact=model.coeffs_exact,
+        derivative_order=model.derivative_order + s,
+    )
     if s > model.n:
         if not allow_degenerate:
             raise ValueError(
                 f"derivative_model: order {s} exceeds degree {model.n}"
             )
-        return BernsteinModel(
-            kind=model.kind,
-            n=0,
-            coeffs=(Fraction(0),),
-            tie=model.tie,
-            coeffs_exact=model.coeffs_exact,
-            derivative_order=model.derivative_order + s,
-        )
-    diffs = finite_difference(model.coeffs, s).values
-    scale = 1
-    for i in range(s):
-        scale *= model.n - i
-    return BernsteinModel(
-        kind=model.kind,
-        n=model.n - s,
-        coeffs=tuple(d * scale for d in diffs),
-        tie=model.tie,
-        coeffs_exact=model.coeffs_exact,
-        derivative_order=model.derivative_order + s,
-    )
+        return BernsteinModel(n=0, scaled=(0,), **fields)
+    e, m = model.scaled, model.n
+    for _ in range(s):
+        e = [(j + 1) * e[j + 1] - (m - j) * e[j] for j in range(m)]
+        m -= 1
+    return BernsteinModel(n=m, scaled=tuple(e), denominator=model.denominator, **fields)
 
 
 def require_integer_endpoints(f) -> None:
@@ -323,25 +339,38 @@ def gap_models(
     """The gap (integer-kind model - B_n f) as two exact models (gap_lo, gap_hi).
 
     Coefficient k is c_k minus the upper (gap_lo) or lower (gap_hi) end of
-    f(k/n): its exact value where rational, else its APPROX_BITS enclosure.
-    The basis weights are nonnegative, so gap_lo <= gap <= gap_hi at every
-    point.  When every node value is rational the two models are equal and
-    the same object is returned twice.
+    f(k/n): its exact value where rational (on integers for a polynomial f),
+    else its APPROX_BITS enclosure.  The basis weights are nonnegative, so
+    gap_lo <= gap <= gap_hi at every point.  When every node value is
+    rational the two models are equal and the same object is returned twice.
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_models: kind must be FloorInt or NearestInt")
     model = build_model(f, n, kind, tie)
-    d_lo, d_hi = [], []
-    for k, c in enumerate(model.coeffs):
+    row = binomial_row(n)
+    nodes = _node_values(f, n)
+    if nodes is not None:
+        values, d = nodes
+        scaled = tuple(m * d - v * c for m, v, c in zip(model.scaled, values, row))
+        gap = BernsteinModel(kind=kind, n=n, scaled=scaled, denominator=d, tie=model.tie)
+        return gap, gap
+    # scaled gap m_k - f(k/n) C(n,k), against each end of f(k/n)
+    s_lo, s_hi = [], []
+    for k, (m, c) in enumerate(zip(model.scaled, row)):
         node = Fraction(k, n)
         v = f.eval_exact(node)
         vlo, vhi = (v, v) if v is not None else f.eval_bounds(node, APPROX_BITS)
-        d_lo.append(c - vhi)
-        d_hi.append(c - vlo)
-    gap_lo = BernsteinModel(kind=kind, n=n, coeffs=tuple(d_lo), tie=model.tie)
-    if d_lo == d_hi:
+        s_lo.append(m - vhi * c)
+        s_hi.append(m - vlo * c)
+
+    def gap_model(values):
+        scaled, d = common_denominator(values)
+        return BernsteinModel(kind=kind, n=n, scaled=tuple(scaled), denominator=d, tie=model.tie)
+
+    gap_lo = gap_model(s_lo)
+    if s_lo == s_hi:
         return gap_lo, gap_lo
-    return gap_lo, BernsteinModel(kind=kind, n=n, coeffs=tuple(d_hi), tie=model.tie)
+    return gap_lo, gap_model(s_hi)
 
 
 def proximity_gap_exact(
@@ -374,11 +403,9 @@ __all__ = [
     "HypothesisViolation",
     "OperatorKind",
     "BernsteinModel",
-    "DiffTable",
     "build_model",
     "evaluate",
     "evaluate_exact",
-    "finite_difference",
     "derivative_model",
     "require_integer_endpoints",
     "gap_models",

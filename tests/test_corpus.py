@@ -7,7 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from bernint import CapabilityError, builtin, entries, hypothesis_check
+from bernint import (CapabilityError, OperatorKind, TiePolicy, build_model, builtin,
+                     entries, hypothesis_check)
+from bernint.exact import round_ratio
 import bernint.corpus as corpus
 
 
@@ -98,6 +100,49 @@ def test_higher_deriv_oracles_are_consistent():
             for x in (0.25, 0.6):
                 want = (f.deriv_float(i - 1, x + h) - f.deriv_float(i - 1, x - h)) / (2 * h)
                 assert abs(f.deriv_float(i, x) - want) <= 1e-5 * max(1.0, abs(want))
+
+
+def test_scaled_round_matches_exact_node_values():
+    # every rational node value v rounds as round_ratio of v * C(n,k)
+    specs = [e.spec for e in entries()] + [builtin("holder_interior(3/2,2,-1)"),
+                                           builtin("poly_boundary_flat(2,-3,1)")]
+    for f in specs:
+        for n in (1, 2, 7, 16, 33):
+            for k in range(n + 1):
+                v = f.eval_exact(F(k, n))
+                if v is None:
+                    continue
+                num, den = v.numerator * math.comb(n, k), v.denominator
+                assert f.scaled_round(k, n, "floor") == round_ratio(num, den, "floor")
+                for tie in TiePolicy:
+                    assert f.scaled_round(k, n, "nearest", tie) == round_ratio(
+                        num, den, "nearest", tie)
+
+
+def test_scaled_round_rejects_nodes_off_the_grid():
+    for f in (builtin("monomial(2)"), builtin("abs_shift"), builtin("holder_interior(1/2)")):
+        for k, n in ((-1, 4), (5, 4), (0, 0)):
+            with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
+                f.scaled_round(k, n, "floor")
+
+
+def test_holder_exact_ties_round_by_policy():
+    # C(32,k) |2k/32 - 1|^(3/2) is an exact half-integer at k = 7, 15, 17, 25
+    f = builtin("holder_interior(3/2)")
+    assert f.eval_exact(F(7, 32)) * math.comb(32, 7) == F(2839941, 2)
+    assert f.eval_exact(F(15, 32)) * math.comb(32, 15) == F(17678835, 2)
+    want = {
+        TiePolicy.HALF_UP: [1419971, 8839418],
+        TiePolicy.HALF_DOWN: [1419970, 8839417],
+        TiePolicy.HALF_AWAY_FROM_ZERO: [1419971, 8839418],
+        TiePolicy.HALF_TO_EVEN: [1419970, 8839418],
+    }
+    for tie, rounded in want.items():
+        assert [f.scaled_round(k, 32, "nearest", tie) for k in (7, 15)] == rounded
+        assert [f.scaled_round(k, 32, "nearest", tie) for k in (25, 17)] == rounded
+        model = build_model(f, 32, OperatorKind.NEAREST_INT, tie)
+        assert [model.scaled[k] for k in (7, 15)] == rounded
+        assert [f.scaled_round(k, 32, "floor", tie) for k in (7, 15)] == [1419970, 8839417]
 
 
 def test_builtin_unknown_or_malformed():

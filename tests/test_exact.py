@@ -20,7 +20,7 @@ from bernint import (
     rational_pow_exact,
     round_with_escalation,
 )
-from bernint.exact import common_denominator, homogeneous_sum
+from bernint.exact import common_denominator, homogeneous_sum, round_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,32 @@ def test_nearest_ties(q, policy, expected):
 def test_nearest_default_policy_is_half_away():
     assert nearest_int(F(5, 2)) == 3
     assert nearest_int(F(-5, 2)) == -3
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_round_ratio_edge_cases(policy):
+    for num in (-3, 0, 5):  # den = 1: every integer rounds to itself
+        assert round_ratio(num, 1, "floor") == num
+        assert round_ratio(num, 1, "nearest", policy) == num
+    # negative numerators: floor goes toward -inf, nearest to the nearer integer
+    assert round_ratio(-7, 2, "floor") == -4
+    assert round_ratio(-1, 3, "floor") == -1
+    assert round_ratio(-7, 3, "nearest", policy) == -2
+    assert round_ratio(-8, 3, "nearest", policy) == -3
+    # exact ties, reduced or not, settle as nearest_int settles them
+    for num, den in ((5, 2), (-5, 2), (1, 2), (-1, 2), (15, 6), (-21, 14),
+                     (35 * 10**39, 10**40)):
+        assert round_ratio(num, den, "nearest", policy) == nearest_int(F(num, den), policy)
+    with pytest.raises(ValueError, match="unknown mode"):
+        round_ratio(1, 2, "ceil", policy)
+
+
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**6), st.integers(1, 50),
+       st.sampled_from(list(TiePolicy)))
+def test_round_ratio_ignores_common_factors(num, den, t, policy):
+    # floor_int and nearest_int round the reduced fraction
+    assert round_ratio(num * t, den * t, "floor") == floor_int(F(num, den))
+    assert round_ratio(num * t, den * t, "nearest", policy) == nearest_int(F(num, den), policy)
 
 
 rationals = st.fractions(

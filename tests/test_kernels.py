@@ -40,15 +40,13 @@ EDGE_POINTS = [0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53]
 
 
 def model_of(coeffs) -> BernsteinModel:
-    return BernsteinModel(kind=CLASSIC, n=len(coeffs) - 1,
-                          coeffs=tuple(F(c) for c in coeffs))
+    return BernsteinModel.from_coeffs(CLASSIC, len(coeffs) - 1, [F(c) for c in coeffs])
 
 
 def assert_within_bound(model: BernsteinModel, xs) -> None:
     got = evaluate(model, np.array(xs, dtype=np.float64))
     assert got.shape == (len(xs),)
-    absolute = BernsteinModel(kind=model.kind, n=model.n,
-                              coeffs=tuple(abs(c) for c in model.coeffs))
+    absolute = BernsteinModel.from_coeffs(model.kind, model.n, [abs(c) for c in model.coeffs])
     largest = max(absolute.coeffs)
     for x, value in zip(xs, got.tolist()):
         err = abs(F(value) - evaluate_exact(model, F(x)))

@@ -13,8 +13,10 @@ import bernint.corpus as corpus
 import bernint.operators as operators
 from bernint import (
     BernsteinModel,
+    FunctionSpec,
     HypothesisViolation,
     OperatorKind,
+    PrecisionExhausted,
     TiePolicy,
     binomial,
     build_model,
@@ -22,10 +24,10 @@ from bernint import (
     derivative_model,
     evaluate,
     evaluate_exact,
-    finite_difference,
     proximity_gap,
     proximity_gap_exact,
     saturation_probe,
+    round_with_escalation,
     sup_norm,
 )
 from bernint.operators import APPROX_BITS, gap_models
@@ -93,7 +95,7 @@ unit_points = st.one_of(st.sampled_from([F(0), F(1)]),
 @example([F(1, 2), F(-1, 3), F(0), F(7, 5)], F(1))
 def test_evaluate_exact_matches_term_by_term_sum(coeffs, x):
     # mixed denominators, signs and zeros, n = 0..40, both ends included
-    model = BernsteinModel(kind=OperatorKind.CLASSIC, n=len(coeffs) - 1, coeffs=tuple(coeffs))
+    model = BernsteinModel.from_coeffs(OperatorKind.CLASSIC, len(coeffs) - 1, coeffs)
     assert evaluate_exact(model, x) == bernstein_sum(coeffs, x)
 
 
@@ -255,9 +257,8 @@ def test_proximity_gap_measures_integer_minus_classic(name):
         for n in (3, 17, 64):
             other = build_model(f, n, kind)
             classic = build_model(f, n, CLASSIC)
-            diff = BernsteinModel(
-                kind=kind, n=n,
-                coeffs=tuple(a - b for a, b in zip(other.coeffs, classic.coeffs)),
+            diff = BernsteinModel.from_coeffs(
+                kind, n, [a - b for a, b in zip(other.coeffs, classic.coeffs)]
             )
             want = sup_norm(lambda xs: evaluate(diff, xs))
             got = proximity_gap(f, n, kind)
@@ -266,8 +267,8 @@ def test_proximity_gap_measures_integer_minus_classic(name):
 
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
 def test_integer_kinds_round_each_irrational_node_in_one_attempt(name, monkeypatch):
-    # the node oracle is asked for enough bits to cover the C(n,k) scaling,
-    # so the first enclosure already decides the rounding
+    # scaled_round rounds every node on integers, so build_model asks for no
+    # enclosure at all; the rounded integers are still certified below
     f = builtin(name)
     oracle = f.eval_bounds
     calls = []
@@ -285,7 +286,7 @@ def test_integer_kinds_round_each_irrational_node_in_one_attempt(name, monkeypat
         for kind in (FLOOR, NEAREST):
             calls.clear()
             model = build_model(f, n, kind)
-            assert calls == irrational
+            assert calls == []
             for k, (x, c) in enumerate(zip(nodes, model.coeffs)):
                 scale = math.comb(n, k)
                 m = c * scale
@@ -300,6 +301,89 @@ def test_integer_kinds_round_each_irrational_node_in_one_attempt(name, monkeypat
                     assert m - F(1, 2) <= lo and hi <= m + F(1, 2)
 
 
+HOLDER_SPECS = ["holder_interior(1/2)", "holder_interior(3/2)",
+                "holder_interior(3/2,2,-1)", "holder_interior(1/3,-1,2)"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(HOLDER_SPECS), st.integers(1, 128), st.sampled_from(list(TiePolicy)))
+@example("holder_interior(3/2)", 32, TiePolicy.HALF_TO_EVEN)  # exact ties at k = 7, 15, 17, 25
+@example("holder_interior(3/2,2,-1)", 128, TiePolicy.HALF_DOWN)
+def test_integer_models_match_escalated_rounding_of_fine_enclosures(name, n, tie):
+    f = builtin(name)
+    scaled = [(lo * math.comb(n, k), hi * math.comb(n, k))
+              for k, (lo, hi) in enumerate(f.eval_bounds(F(k, n), 4096) for k in range(n + 1))]
+    for kind, mode in ((FLOOR, "floor"), (NEAREST, "nearest")):
+        want = [round_with_escalation(lambda bits, b=b: b, mode, tie) for b in scaled]
+        e, d = build_model(f, n, kind, tie).integer_form
+        assert (list(e), d) == (want, 1)
+
+
+def test_spec_without_scaled_round_falls_back_to_enclosures():
+    ref = builtin("holder_interior(1/2)")
+    calls = []
+
+    def bounds(x, bits):
+        calls.append(x)
+        return ref.eval_bounds(x, bits)
+
+    bare = FunctionSpec("bare", s_max=0, integer_endpoints=True, value_float=ref.eval_float,
+                        value_exact=ref.eval_exact, value_bounds=bounds)
+    assert bare.scaled_round(1, 4, "floor") is None
+    for kind in (FLOOR, NEAREST):
+        for n in (7, 64):
+            calls.clear()
+            assert build_model(bare, n, kind).coeffs == build_model(ref, n, kind).coeffs
+            assert calls  # irrational nodes went through the enclosures
+
+    # an enclosure that always straddles the tie 1/2 exhausts the precision cap
+    half = FunctionSpec("half", s_max=0, integer_endpoints=False,
+                        value_float=lambda xs: 0.5 + 0.0 * xs,
+                        value_bounds=lambda x, bits: (F(1, 2) - F(1, 2**bits),
+                                                      F(1, 2) + F(1, 2**bits)))
+    with pytest.raises(PrecisionExhausted, match=(
+            r"^build_model\('half', n=1\): cannot round coefficient at node k=0: "
+            r"rounding still ambiguous at 4096 bits \(enclosure \[")):
+        build_model(half, 1, NEAREST)
+
+
+def test_model_rejects_malformed_integer_form():
+    for bad in (
+        dict(n=2, scaled=(0, 1)),  # n + 1 coefficients needed
+        dict(n=1, scaled=(0, 1, 2)),
+        dict(n=1, scaled=(0, 1), denominator=0),
+        dict(n=1, scaled=(0, 1), denominator=-3),
+        dict(n=1, scaled=(0, 1), denominator=2.0),
+        dict(n=1, scaled=(0, 1), denominator=F(2)),
+        dict(n=1, scaled=(0, F(1, 2))),
+        dict(n=1, scaled=(0, 1.0)),
+    ):
+        with pytest.raises(ValueError):
+            BernsteinModel(kind=CLASSIC, **bad)
+    with pytest.raises(ValueError, match="coefficient count"):
+        BernsteinModel.from_coeffs(CLASSIC, 3, [F(1), F(2)])
+
+
+def test_model_data_is_kept_in_lowest_terms():
+    # x^2 at n = 4 is built over D_f n^deg = 16 and stored over 4
+    m = build_model(X2, 4, CLASSIC)
+    assert m.integer_form == ((0, 1, 6, 9, 4), 4)
+    assert m == BernsteinModel.from_coeffs(CLASSIC, 4, m.coeffs)
+    zero = BernsteinModel(kind=CLASSIC, n=1, scaled=(0, 0), denominator=6)
+    assert zero.integer_form == ((0, 0), 1)
+
+
+def test_integer_kinds_carry_denominator_one():
+    for entry in corpus.entries():
+        f = entry.spec
+        for kind in (FLOOR, NEAREST):
+            for n in (1, 9, 64):
+                m = build_model(f, n, kind)
+                assert m.denominator == 1
+                assert m.coeffs == tuple(F(e, math.comb(n, k)) for k, e in enumerate(m.scaled))
+                assert derivative_model(m, 1).denominator == 1
+
+
 def test_non_integer_endpoint_rejected():
     bad = corpus._polynomial_spec("half_shift", [F(1, 2), F(1)])
     with pytest.raises(HypothesisViolation, match="is not an integer"):
@@ -309,24 +393,7 @@ def test_non_integer_endpoint_rejected():
 
 
 # ---------------------------------------------------------------------------
-# finite differences and derivative models
-
-
-def test_finite_difference_frozen():
-    dt = finite_difference([0, 1, 4], 2)
-    assert tuple(dt.values) == (2,)
-    assert dt.order == 2 and dt.step == "index"
-    mf = build_model(X2, 2, FLOOR)
-    assert tuple(finite_difference(mf.coeffs, 1).values) == (F(0), F(1))
-
-
-def test_finite_difference_matches_iterated_differences():
-    rng = random.Random(7)
-    vals = [F(rng.randrange(-50, 50), rng.randrange(1, 9)) for _ in range(12)]
-    work = list(vals)
-    for s in range(1, 5):
-        work = [b - a for a, b in zip(work, work[1:])]
-        assert tuple(finite_difference(vals, s).values) == tuple(work)
+# derivative models
 
 
 def test_derivative_model_frozen_x2():
@@ -366,6 +433,18 @@ def test_derivative_model_matches_scaled_samples():
         for _ in range(s):
             samples = [b - a for a, b in zip(samples, samples[1:])]
         assert dm.coeffs == tuple(scale * v for v in samples)
+
+
+def test_integer_derivative_matches_differences_on_inexact_classic_model():
+    # a Classic Hoelder model stores enclosure midpoints: coeffs_exact is False
+    m = build_model(builtin("holder_interior(1/2)"), 12, CLASSIC)
+    assert not m.coeffs_exact
+    diffs = list(m.coeffs)
+    for s in (1, 2, 3):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        dm = derivative_model(m, s)
+        assert dm.coeffs == tuple(math.perm(12, s) * d for d in diffs)
+        assert not dm.coeffs_exact and m.denominator % dm.denominator == 0
 
 
 def test_derivative_model_endpoint_values_are_coeffs():
