@@ -26,8 +26,8 @@ from bernint import (
     evaluate_exact,
     proximity_gap,
     proximity_gap_exact,
-    saturation_probe,
     round_with_escalation,
+    saturation_probe,
     sup_norm,
 )
 from bernint.operators import APPROX_BITS, gap_models
@@ -311,8 +311,10 @@ HOLDER_SPECS = ["holder_interior(1/2)", "holder_interior(3/2)",
 @example("holder_interior(3/2,2,-1)", 128, TiePolicy.HALF_DOWN)
 def test_integer_models_match_escalated_rounding_of_fine_enclosures(name, n, tie):
     f = builtin(name)
-    scaled = [(lo * math.comb(n, k), hi * math.comb(n, k))
-              for k, (lo, hi) in enumerate(f.eval_bounds(F(k, n), 4096) for k in range(n + 1))]
+    scaled = []  # the 4096-bit enclosure of C(n,k) f(k/n) at every node
+    for k in range(n + 1):
+        lo, hi = f.eval_bounds(F(k, n), 4096)
+        scaled.append((lo * math.comb(n, k), hi * math.comb(n, k)))
     for kind, mode in ((FLOOR, "floor"), (NEAREST, "nearest")):
         want = [round_with_escalation(lambda bits, b=b: b, mode, tie) for b in scaled]
         e, d = build_model(f, n, kind, tie).integer_form
