@@ -7,9 +7,12 @@ Everything here is desk-scale numerics with deterministic grids:
   sup (only evaluated points count); refining the grid never decreases them.
 * proximity_gap: sup_norm of the gap between an integer kind and B_n f,
   measured on the exact gap models of operators.gap_models.
-* omega1 / omega_phi2: moduli of smoothness sampled on uniform grids; the
+* omega1 / omega_phi2: moduli of smoothness sampled on uniform grids.  omega1
+  takes the largest max - min over sliding windows, with running maxima and
+  minima built by doubling (O(m log w) for m points and w steps); the
   second-order Ditzian-Totik modulus applies the paper rule "difference = 0
-  when a node leaves [0,1]" literally.
+  when a node leaves [0,1]" literally.  Both raise ValueError, as sup_norm
+  does, when the target is NaN or infinite at a sampled point.
 * fit_rate: least-squares slope of log error against log n, with exact zeros
   excluded (they signal the trivial class, not a rate).
 * experiment procedures (error_curve, voronovskaya_check, saturation_probe,
@@ -52,9 +55,12 @@ from bernint.operators import (
 # omega1 densifies only up to it (a few MB per array).
 _MAX_GRID_POINTS = (1 << 18) + 1
 
-# Points per sup_norm zoom round.  A kernel call this small costs about as
-# much as a 2-point one (its per-degree-step overhead dominates), so one round
-# shrinks the bracket by 2/33 for the price of a single small call.
+# Points per sup_norm zoom round; a round shrinks the bracket by 2/33.  Kernel
+# calls this narrow run as (degree x points) tables, whose cost grows with the
+# width: at n = 512 on a 2-CPU x86-64 host a 16-point call takes 0.17 ms, a
+# 32-point one 0.30 ms and a 64-point one 0.52 ms.  So 8-16 points would
+# shrink the bracket slightly faster per millisecond; 32 stays because the
+# reported estimates depend on which points the rounds probe.
 _REFINE_POINTS = 32
 _REFINE_STEPS = np.arange(1, _REFINE_POINTS + 1) / (_REFINE_POINTS + 1)
 
@@ -111,11 +117,11 @@ def _as_eval(F) -> Callable:
     return F.eval_float if hasattr(F, "eval_float") else F
 
 
-def _abs_finite(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """|fn(xs)| as floats; ValueError if any value is NaN or infinite."""
-    vals = np.abs(np.asarray(fn(xs), dtype=np.float64))
+def _finite_values(fn: Callable, xs: np.ndarray, who: str) -> np.ndarray:
+    """fn(xs) as floats; ValueError naming ``who`` if any is NaN or infinite."""
+    vals = np.asarray(fn(xs), dtype=np.float64)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("sup_norm: target is not finite at some point")
+        raise ValueError(f"{who}: target is not finite at some point")
     return vals
 
 
@@ -136,7 +142,7 @@ def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEsti
         raise ValueError(f"sup_norm: bad interval {interval}")
     fn = _as_eval(F)
     xs = grid_points(grid, lo, hi)
-    vals = _abs_finite(fn, xs)
+    vals = np.abs(_finite_values(fn, xs, "sup_norm"))
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     left = float(xs[i - 1]) if i > 0 else float(xs[i])
@@ -145,7 +151,7 @@ def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEsti
         if right - left <= 0.0:
             break
         inner = left + (right - left) * _REFINE_STEPS
-        vals = _abs_finite(fn, inner)
+        vals = np.abs(_finite_values(fn, inner, "sup_norm"))
         j = int(np.argmax(vals))
         if vals[j] > best_v:
             best_x, best_v = float(inner[j]), float(vals[j])
@@ -221,17 +227,29 @@ _H_SPAN = 100.0
 
 
 def _omega1_window_max(vals: np.ndarray, w: int) -> float:
+    """max |vals[i] - vals[j]| over |i - j| <= w, in O(m log w).
+
+    That is the largest max - min over windows of w + 1 consecutive values.
+    Running maxima and minima double their window up to the largest power of
+    two p <= w + 1 (a sparse table); a window of w + 1 is the union of the
+    p-windows at its two ends.  Rounding is monotone, so fl(max - min) is the
+    largest fl(|vals[i] - vals[j]|) of its window: the value is bit for bit
+    that of the scan over every offset d <= w.
+    """
     if w <= 0:
         return 0.0
-    m = len(vals)
-    if w >= m - 1:
-        return float(vals.max() - vals.min())
-    best = 0.0
-    for d in range(1, w + 1):
-        diff = float(np.max(np.abs(vals[d:] - vals[:-d])))
-        if diff > best:
-            best = diff
-    return best
+    size = min(w + 1, len(vals))
+    hi = lo = vals
+    p = 1
+    while 2 * p <= size:
+        hi = np.maximum(hi[:-p], hi[p:])
+        lo = np.minimum(lo[:-p], lo[p:])
+        p *= 2
+    shift = size - p
+    top = np.maximum(hi[:hi.size - shift], hi[shift:])
+    bottom = np.minimum(lo[:lo.size - shift], lo[shift:])
+    # 0.0, not -0.0, when every window holds equal values of mixed sign
+    return max(0.0, float(np.max(top - bottom)))
 
 
 def _omega1_grid(t_min: float, interval, points) -> tuple[np.ndarray, float]:
@@ -248,7 +266,8 @@ def omega1(F, t: float, interval=(0.0, 1.0), points: Optional[int] = None) -> Mo
     """First modulus of continuity sup_{|x-y|<=t} |F(x)-F(y)| on an interval.
 
     Sliding-window scan over a uniform grid dense enough that the window
-    holds at least 32 steps; lower-bound semantics as everywhere.
+    holds at least 32 steps; lower-bound semantics as everywhere.  Raises
+    ValueError if F yields a NaN or an infinity at a grid point.
     """
     return omega1_sweep(F, [t], interval, points)[0]
 
@@ -267,7 +286,7 @@ def omega1_sweep(
             raise ValueError(f"omega1: need 0 < t <= interval length, got t={t}")
     fn = _as_eval(F)
     xs, step = _omega1_grid(min(ts), interval, points)
-    vals = np.asarray(fn(xs), dtype=np.float64)
+    vals = _finite_values(fn, xs, "omega1")
     kind = (
         ModulusKind.OMEGA1
         if (lo, hi) == (0.0, 1.0)
@@ -293,7 +312,8 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
 
     sup over 64 log-spaced h in (t/100, t] and a uniform x grid of
     |f(x + h phi(x)) - 2 f(x) + f(x - h phi(x))|, the difference taken as 0
-    whenever a node leaves [0, 1] (the paper's "0, otherwise" rule).
+    whenever a node leaves [0, 1] (the paper's "0, otherwise" rule).  Raises
+    ValueError if f yields a NaN or an infinity at any evaluated point.
     """
     t = float(t)
     if not (0.0 < t <= 1.0):
@@ -302,7 +322,7 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
     m = grid.points if grid is not None else DEFAULT_GRID.points
     xs = np.linspace(0.0, 1.0, m)
     phi = np.sqrt(xs * (1.0 - xs))
-    mid = np.asarray(fn(xs), dtype=np.float64)
+    mid = _finite_values(fn, xs, "omega_phi2")
     hs = np.geomspace(t / _H_SPAN, t, _H_COUNT)
     hs[-1] = t * _H_BACKOFF
     best = 0.0
@@ -311,8 +331,8 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
         xp = xs + offset
         xm = xs - offset
         feasible = (xm >= 0.0) & (xp <= 1.0)
-        vp = np.asarray(fn(np.clip(xp, 0.0, 1.0)), dtype=np.float64)
-        vm = np.asarray(fn(np.clip(xm, 0.0, 1.0)), dtype=np.float64)
+        vp = _finite_values(fn, np.clip(xp, 0.0, 1.0), "omega_phi2")
+        vm = _finite_values(fn, np.clip(xm, 0.0, 1.0), "omega_phi2")
         d = np.where(feasible, np.abs(vp - 2.0 * mid + vm), 0.0)
         hmax = float(d.max())
         if hmax > best:

@@ -16,6 +16,7 @@ from bernint import (
     builtin,
     converse_experiment,
     error_curve,
+    evaluate,
     fit_rate,
     grid_points,
     hypothesis_check,
@@ -26,7 +27,8 @@ from bernint import (
     sup_norm,
     voronovskaya_check,
 )
-from bernint.analysis import _MAX_GRID_POINTS, SaturationVerdict
+from bernint.analysis import _MAX_GRID_POINTS, SaturationVerdict, _omega1_window_max
+from bernint.operators import gap_models
 
 X2 = builtin("monomial(2)")
 NEAREST = OperatorKind.NEAREST_INT
@@ -105,12 +107,19 @@ def test_sup_norm_stops_when_bracket_stalls():
 
 
 def test_sup_norm_refinement_is_monotone():
-    f = lambda x: np.abs(np.sin(47.0 * np.pi * x))
+    # a kernel target holds this too: the value at a point does not depend
+    # on the batch it is evaluated in; its sup is at most max |c_k|
+    gap = gap_models(X2, 16, FLOOR)[0]
+    targets = [
+        (lambda x: np.abs(np.sin(47.0 * np.pi * x)), 1.0),
+        (lambda x: evaluate(gap, x), float(max(abs(c) for c in gap.coeffs))),
+    ]
     g = GridConfig(points=65, refine=0)
-    v1 = sup_norm(f, grid=g).value
-    v2 = sup_norm(f, grid=g.refined()).value
-    assert v2 >= v1  # nested grid: the estimate can only grow
-    assert v2 <= 1.0 + 1e-12  # and stays a lower bound for the true sup
+    for f, sup in targets:
+        v1 = sup_norm(f, grid=g).value
+        v2 = sup_norm(f, grid=g.refined()).value
+        assert v2 >= v1  # nested grid: the estimate can only grow
+        assert v2 <= sup * (1.0 + 1e-12)  # and stays a lower bound for the true sup
 
 
 def test_sup_norm_zoom_rounds_locate_off_grid_peak():
@@ -167,6 +176,49 @@ def test_omega1_subadditive_on_shared_grid():
     w1 = omega1(f, 0.125, points=4097).value
     w2 = omega1(f, 0.25, points=4097).value
     assert w2 <= 2.0 * w1 + 1e-12
+
+
+def _window_max_by_offsets(vals, w):
+    """The O(m w) scan over every offset d <= w that _omega1_window_max replaced."""
+    if w <= 0:
+        return 0.0
+    m = len(vals)
+    if w >= m - 1:
+        return float(vals.max() - vals.min())
+    best = 0.0
+    for d in range(1, w + 1):
+        diff = float(np.max(np.abs(vals[d:] - vals[:-d])))
+        if diff > best:
+            best = diff
+    return best
+
+
+def test_omega1_window_max_matches_offset_scan():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3, 4, 7, 16, 33, 100):
+        arrays = [
+            rng.standard_normal(m),
+            np.cumsum(rng.standard_normal(m)),  # walks: the max sits at long offsets
+            np.cumsum(rng.uniform(0.0, 1.0, m)) * 1e-3,
+            rng.integers(-2, 3, m).astype(np.float64),  # ties everywhere
+            np.sin(np.linspace(0.0, 7.0, m)) + 1e16,  # differences that round
+        ]
+        for vals in arrays:
+            for w in range(m + 2):
+                assert _omega1_window_max(vals, w) == _window_max_by_offsets(vals, w), (m, w)
+
+
+def test_moduli_reject_non_finite_target():
+    moduli = (
+        lambda F: omega1(F, 0.1),
+        lambda F: omega1_sweep(F, [0.05, 0.1]),
+        lambda F: omega_phi2(F, 0.1),
+    )
+    for bad in (np.nan, np.inf, -np.inf):
+        target = lambda x, bad=bad: np.where(x > 0.5, bad, x)
+        for modulus in moduli:
+            with pytest.raises(ValueError, match="not finite"):
+                modulus(target)
 
 
 def test_omega1_sweep_is_monotone():

@@ -12,7 +12,7 @@ model with |c_k|.  The second is the gradual-underflow term: a product or
 quotient that lands below the normal range is off by up to eta/2 = 2^-1075
 absolutely, whatever its size, so a value near the subnormal range (e.g.
 coefficients (0, 1.5) at x = 5e-324) cannot meet a purely relative bound.
-It is below 1e-300 for every model here and so only matters there.
+Next to the first term it is negligible except for such values.
 """
 
 from fractions import Fraction as F
@@ -30,11 +30,12 @@ from bernint import (
     evaluate,
     evaluate_exact,
 )
+from bernint.operators import _TABLE_POINTS
 
 CLASSIC = OperatorKind.CLASSIC
 EPS = F(2) ** -52
 ETA = F(2) ** -1074  # smallest subnormal
-# points where the recurrence is at its edges: both ends, the side switch at
+# points where the kernel is at its edges: both ends, the side switch at
 # 1/2, the smallest subnormal and the float just below 1 (1-x = 2^-53)
 EDGE_POINTS = [0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53]
 
@@ -69,12 +70,45 @@ def test_evaluate_within_error_bound_of_exact(coeffs, xs):
     assert_within_bound(model_of(coeffs), xs)
 
 
-@pytest.mark.parametrize("n", [128, 256, 512])
-def test_evaluate_within_error_bound_at_high_degree(n):
+# from n = 1030 on, C(n, n/2) and the weight sums pass the float range
+@pytest.mark.parametrize("n, scale", [
+    pytest.param(n, 1.0, id=str(n)) for n in (128, 256, 512, 1024, 2048)
+] + [pytest.param(2048, 1e300, id="2048-huge")])
+def test_evaluate_within_error_bound_at_high_degree(n, scale):
     rng = np.random.default_rng(n)
-    model = model_of(rng.standard_normal(n + 1).tolist())
-    xs = [0.0, 0.5, 1.0, 1.0 - 2.0**-53] + rng.uniform(0.0, 1.0, size=12).tolist()
+    model = model_of((scale * rng.standard_normal(n + 1)).tolist())
+    # an exact value at a random float costs about 0.2 s at n = 2048
+    samples = 12 if n <= 512 else 3
+    xs = [0.0, 0.5, 1.0, 1.0 - 2.0**-53] + rng.uniform(0.0, 1.0, size=samples).tolist()
+    assert np.all(np.isfinite(evaluate(model, np.array(xs))))
     assert_within_bound(model, xs)
+
+
+# widths on both sides of the kernel's table/loop threshold
+WIDTHS = [1, 2, 31, _TABLE_POINTS, _TABLE_POINTS + 1, 2 * _TABLE_POINTS + 7]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@example(coeffs=np.random.default_rng(512).standard_normal(513).tolist(),
+         width=WIDTHS[-1], seed=0, cuts=[1, _TABLE_POINTS])
+@given(st.lists(coefficients, min_size=1, max_size=65), st.sampled_from(WIDTHS),
+       st.integers(0, 2**32 - 1), st.lists(st.integers(0, 2 * _TABLE_POINTS + 7), max_size=3))
+def test_evaluate_does_not_depend_on_the_batch(coeffs, width, seed, cuts):
+    # one fixed float sequence per point, whichever loop order its batch takes
+    model = model_of(coeffs)
+    rng = np.random.default_rng(seed)
+    near_half = 0.5 + rng.uniform(-1e-3, 1e-3, width)  # both sides of x = 1/2
+    xs = np.where(rng.random(width) < 0.5, near_half, rng.uniform(0.0, 1.0, width))
+    xs[: len(EDGE_POINTS)] = EDGE_POINTS[:width]
+    got = evaluate(model, xs)
+    assert _bits(got) == _bits([evaluate(model, float(x)) for x in xs])
+    bounds = [0, *sorted(min(c, width) for c in cuts), width]
+    pieces = [evaluate(model, xs[i:j]) for i, j in zip(bounds, bounds[1:])]
+    assert _bits(got) == _bits(np.concatenate(pieces))
 
 
 def test_evaluate_edge_points_on_corpus_and_derivative_models():
