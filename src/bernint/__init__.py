@@ -49,7 +49,6 @@ from bernint.exact import (
     PrecisionExhausted,
     PrecisionInsufficient,
     TiePolicy,
-    binomial,
     binomial_row,
     floor_int,
     guarded_round,
@@ -74,7 +73,7 @@ __all__ = [
     "__version__",
     # exact
     "TiePolicy", "DEFAULT_TIE", "PrecisionInsufficient", "PrecisionExhausted",
-    "binomial", "binomial_row", "floor_int", "nearest_int", "guarded_round",
+    "binomial_row", "floor_int", "nearest_int", "guarded_round",
     "round_with_escalation", "iroot", "rational_pow_exact", "rational_pow_bounds",
     # operators
     "OperatorKind", "BernsteinModel", "HypothesisViolation",

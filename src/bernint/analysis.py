@@ -1,18 +1,22 @@
 """Sup-norm estimation, moduli of smoothness, rate fitting and experiments.
 
-Everything here is desk-scale numerics with deterministic grids:
+Everything here is desk-scale numerics with deterministic grids, and every
+sup norm and modulus is taken over the whole of [0, 1], where the paper's
+proximity bounds, saturation and moduli live:
 
-* sup_norm: dense-grid max of |F| plus zoom rounds around the argmax (one
-  32-point call per round).  Estimates are honest lower bounds of the true
-  sup (only evaluated points count); refining the grid never decreases them.
+* sup_norm: dense-grid max of |F| on [0, 1] plus zoom rounds around the
+  argmax (one 32-point call per round).  Estimates are honest lower bounds
+  of the true sup (only evaluated points count); refining the grid never
+  decreases them.
 * proximity_gap: sup_norm of the gap between an integer kind and B_n f,
   measured on the exact gap models of operators.gap_models.
-* omega1 / omega_phi2: moduli of smoothness sampled on uniform grids.  omega1
-  takes the largest max - min over sliding windows, with running maxima and
-  minima built by doubling (O(m log w) for m points and w steps); the
-  second-order Ditzian-Totik modulus applies the paper rule "difference = 0
-  when a node leaves [0,1]" literally.  Both raise ValueError, as sup_norm
-  does, when the target is NaN or infinite at a sampled point.
+* omega1 / omega_phi2: moduli of smoothness on [0, 1], sampled on uniform
+  grids.  omega1 takes the largest max - min over sliding windows, with
+  running maxima and minima built by doubling (O(m log w) for m points and
+  w steps); the second-order Ditzian-Totik modulus applies the paper rule
+  "difference = 0 when a node leaves [0,1]" literally.  Both raise
+  ValueError, as sup_norm does, when the target is NaN or infinite at a
+  sampled point.
 * fit_rate: least-squares slope of log error against log n, with exact zeros
   excluded (they signal the trivial class, not a rate).
 * experiment procedures (error_curve, voronovskaya_check, saturation_probe,
@@ -83,21 +87,16 @@ class GridConfig:
         if self.refine < 0:
             raise ValueError("GridConfig: refine must be >= 0")
 
-    def refined(self) -> "GridConfig":
-        """The next nesting level: doubled resolution containing all old points."""
-        return replace(self, points=2 * self.points - 1)
-
 
 DEFAULT_GRID = GridConfig()
 
 
-def grid_points(grid: GridConfig, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """The evaluation abscissas of ``grid`` scaled to [lo, hi]."""
+def grid_points(grid: GridConfig) -> np.ndarray:
+    """The evaluation abscissas of ``grid`` on [0, 1]."""
     # arccos-clustered: the error of Bernstein approximants concentrates at
     # the endpoints, so sample densely there
     i = np.arange(grid.points)
-    base = (1.0 - np.cos(np.pi * i / (grid.points - 1))) / 2.0
-    return lo + (hi - lo) * base
+    return (1.0 - np.cos(np.pi * i / (grid.points - 1))) / 2.0
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,6 @@ class SupEstimate:
 
     value: float
     argmax: float
-    interval: tuple
-    grid: GridConfig
 
     def __float__(self):
         return float(self.value)
@@ -125,8 +122,8 @@ def _finite_values(fn: Callable, xs: np.ndarray, who: str) -> np.ndarray:
     return vals
 
 
-def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEstimate:
-    """Estimate sup |F| on a closed subinterval of [0, 1].
+def sup_norm(F, grid: GridConfig = DEFAULT_GRID) -> SupEstimate:
+    """Estimate sup |F| on [0, 1].
 
     Dense-grid maximum followed by ``grid.refine`` zoom rounds: each round
     evaluates _REFINE_POINTS equally spaced interior points of the bracket
@@ -137,11 +134,8 @@ def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEsti
     is a lower bound of the true sup.  Raises ValueError if F yields a NaN or
     an infinity at any evaluated point.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"sup_norm: bad interval {interval}")
     fn = _as_eval(F)
-    xs = grid_points(grid, lo, hi)
+    xs = grid_points(grid)
     vals = np.abs(_finite_values(fn, xs, "sup_norm"))
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
@@ -162,7 +156,7 @@ def sup_norm(F, interval=(0.0, 1.0), grid: GridConfig = DEFAULT_GRID) -> SupEsti
         if bracket == (left, right):
             break
         left, right = bracket
-    return SupEstimate(value=best_v, argmax=best_x, interval=(lo, hi), grid=grid)
+    return SupEstimate(value=best_v, argmax=best_x)
 
 
 def proximity_gap(
@@ -188,7 +182,7 @@ def proximity_gap(
             scaled=tuple(a * d2 + b * d for a, b in zip(lo.scaled, hi.scaled)),
             denominator=2 * d * d2,
         )
-    return sup_norm(lambda xs: evaluate(gap, xs), (0.0, 1.0), grid)
+    return sup_norm(lambda xs: evaluate(gap, xs), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +191,6 @@ def proximity_gap(
 
 class ModulusKind(enum.Enum):
     OMEGA1 = "omega1"
-    OMEGA1_INTERVAL = "omega1_interval"
     OMEGA_PHI2 = "omega_phi2"
 
 
@@ -206,7 +199,6 @@ class ModulusEstimate:
     t: float
     value: float
     kind: ModulusKind
-    interval: tuple
     points: int
     h_points: int = 0
 
@@ -252,59 +244,38 @@ def _omega1_window_max(vals: np.ndarray, w: int) -> float:
     return max(0.0, float(np.max(top - bottom)))
 
 
-def _omega1_grid(t_min: float, interval, points) -> tuple[np.ndarray, float]:
-    lo, hi = float(interval[0]), float(interval[1])
-    span = hi - lo
-    m = points if points else DEFAULT_GRID.points
-    need = int(math.ceil(_OMEGA1_MIN_WINDOW * span / t_min)) + 1
-    m = min(max(m, need), _MAX_GRID_POINTS)
-    xs = np.linspace(lo, hi, m)
-    return xs, span / (m - 1)
-
-
-def omega1(F, t: float, interval=(0.0, 1.0), points: Optional[int] = None) -> ModulusEstimate:
-    """First modulus of continuity sup_{|x-y|<=t} |F(x)-F(y)| on an interval.
+def omega1(F, t: float, points: Optional[int] = None) -> ModulusEstimate:
+    """First modulus of continuity sup_{|x-y|<=t} |F(x)-F(y)| on [0, 1].
 
     Sliding-window scan over a uniform grid dense enough that the window
     holds at least 32 steps; lower-bound semantics as everywhere.  Raises
     ValueError if F yields a NaN or an infinity at a grid point.
     """
-    return omega1_sweep(F, [t], interval, points)[0]
+    return omega1_sweep(F, [t], points)[0]
 
 
 def omega1_sweep(
-    F, ts: Sequence[float], interval=(0.0, 1.0), points: Optional[int] = None
+    F, ts: Sequence[float], points: Optional[int] = None
 ) -> list[ModulusEstimate]:
     """omega1 at several t on one shared grid (makes monotonicity exact)."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"omega1: bad interval {interval}")
-    span = hi - lo
     ts = [float(t) for t in ts]
     for t in ts:
-        if not (0.0 < t <= span + 1e-12):
-            raise ValueError(f"omega1: need 0 < t <= interval length, got t={t}")
-    fn = _as_eval(F)
-    xs, step = _omega1_grid(min(ts), interval, points)
-    vals = _finite_values(fn, xs, "omega1")
-    kind = (
-        ModulusKind.OMEGA1
-        if (lo, hi) == (0.0, 1.0)
-        else ModulusKind.OMEGA1_INTERVAL
-    )
-    out = []
-    for t in ts:
-        w = int(math.floor(t / step + 1e-9))
-        out.append(
-            ModulusEstimate(
-                t=t,
-                value=_omega1_window_max(vals, w),
-                kind=kind,
-                interval=(lo, hi),
-                points=len(xs),
-            )
+        if not (0.0 < t <= 1.0):
+            raise ValueError(f"omega1: need 0 < t <= 1, got t={t}")
+    need = int(math.ceil(_OMEGA1_MIN_WINDOW / min(ts))) + 1
+    m = min(max(points or DEFAULT_GRID.points, need), _MAX_GRID_POINTS)
+    xs = np.linspace(0.0, 1.0, m)
+    step = 1.0 / (m - 1)
+    vals = _finite_values(_as_eval(F), xs, "omega1")
+    return [
+        ModulusEstimate(
+            t=t,
+            value=_omega1_window_max(vals, int(math.floor(t / step + 1e-9))),
+            kind=ModulusKind.OMEGA1,
+            points=m,
         )
-    return out
+        for t in ts
+    ]
 
 
 def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimate:
@@ -347,7 +318,6 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
         t=t,
         value=best,
         kind=ModulusKind.OMEGA_PHI2,
-        interval=(0.0, 1.0),
         points=m,
         h_points=_H_COUNT,
     )
@@ -470,7 +440,7 @@ def error_curve(
     for n in n_list:
         model = build_model(f, n, kind, tie)
         dmodel = derivative_model(model, s, allow_degenerate=True) if s else model
-        est = sup_norm(_masked_difference(dmodel, target, kink), (0.0, 1.0), grid)
+        est = sup_norm(_masked_difference(dmodel, target, kink), grid)
         out.append(ErrorPoint(n=int(n), error=est.value, argmax=est.argmax))
     return out
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
@@ -48,7 +49,7 @@ from bernint.analysis import (
     voronovskaya_check,
 )
 from bernint.corpus import CapabilityError, builtin, entries
-from bernint.exact import PrecisionExhausted, TiePolicy
+from bernint.exact import PrecisionExhausted, TiePolicy, binomial_row
 from bernint.operators import (
     HypothesisViolation,
     OperatorKind,
@@ -182,6 +183,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("tie", f"must be one of {sorted(_TIES)}")
     if merged["format"] not in ("json", "csv"):
         raise ConfigError("format", "must be json or csv")
+    for key in ("s", "n", "n_min", "n_max", "grid", "refine"):
+        v = merged[key]
+        if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+            raise ConfigError(key, f"must be an integer, got {json.dumps(v)}")
+    if not isinstance(merged["strict"], bool):
+        raise ConfigError("strict", "must be true or false")
     try:
         s = int(merged["s"])
     except (TypeError, ValueError):
@@ -239,7 +246,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         t_list=t_list,
         out=merged["out"],
         format=merged["format"],
-        strict=bool(merged["strict"]),
+        strict=merged["strict"],
     )
 
 
@@ -249,6 +256,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _f17(v) -> str:
     return format(float(v), ".17g")
+
+
+def _f17_exact(q: Fraction) -> str:
+    """q rounded to 17 significant digits in _f17's form, at any magnitude."""
+    v = decimal.Context(prec=17).divide(q.numerator, q.denominator)
+    return format(v, ".17g")
 
 
 def _frac(q: Fraction) -> str:
@@ -273,11 +286,24 @@ def _render_csv(report: dict, header: list, rows: list) -> str:
     return buf.getvalue()
 
 
+def _table(rows: list) -> tuple[list, list]:
+    """CSV header and rows of a non-empty list of row dicts with equal keys."""
+    return list(rows[0]), [list(row.values()) for row in rows]
+
+
 def _atomic_write(path: str, text: str):
+    """Write text to path through a temp file in the same directory.
+
+    The file gets the mode a plain open() would give it (0o666 less the
+    umask), not mkstemp's 0o600.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bernint-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -295,7 +321,10 @@ def _emit(cfg: RunConfig, report: dict, header: list, rows: list):
         else _render_csv(report, header, rows)
     )
     if cfg.out:
-        _atomic_write(cfg.out, text)
+        try:
+            _atomic_write(cfg.out, text)
+        except OSError as e:
+            raise ConfigError("out", f"cannot write {cfg.out}: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -328,7 +357,7 @@ def _cmd_list_fns(cfg: RunConfig):
                 "kink": spec.kink,
                 "verify_s": entry.verify_s,
                 "experiments": list(entry.experiments),
-                "doc": entry.doc,
+                "doc": spec.doc,
             }
         )
         table.append(
@@ -340,7 +369,7 @@ def _cmd_list_fns(cfg: RunConfig):
                 "" if spec.kink is None else spec.kink,
                 entry.verify_s,
                 "+".join(entry.experiments),
-                entry.doc,
+                spec.doc,
             ]
         )
     report = _base_report(cfg)
@@ -356,43 +385,40 @@ def _cmd_coeffs(cfg: RunConfig):
     f = _need_fn(cfg)
     if cfg.n is None:
         raise ConfigError("n", "coeffs requires --n")
-    from bernint.exact import binomial_row
-
     model = build_model(f, cfg.n, cfg.kind, cfg.tie)
     row_c = binomial_row(cfg.n)
     scaled, _ = model.integer_form  # an integer kind's rounded integers, over D = 1
-    rows, table = [], []
+    rows = []
     for k in range(cfg.n + 1):
         node = Fraction(k, cfg.n)
         raw = f.eval_exact(node)
         if raw is not None:
-            raw_scaled = raw * row_c[k]
-            raw_str, raw_exact = _frac(raw_scaled), True
+            raw_str, raw_exact = _frac(raw * row_c[k]), True
         else:
-            raw_str = _f17(float(f.eval_float([float(node)])[0]) * row_c[k])
+            v = float(f.eval_float([float(node)])[0])
+            try:
+                raw = v * row_c[k]
+            except OverflowError:  # C(n, k) itself is past the float range
+                raw = math.inf
+            raw_str = _f17_exact(Fraction(v) * row_c[k]) if math.isinf(raw) else _f17(raw)
             raw_exact = False
         coeff = model.coeffs[k]
-        rounded = None if cfg.kind is OperatorKind.CLASSIC else str(scaled[k])
         rows.append(
             {
                 "k": k,
                 "node": _frac(node),
                 "raw": raw_str,
                 "raw_exact": raw_exact,
-                "rounded": rounded,
+                "rounded": None if cfg.kind is OperatorKind.CLASSIC else str(scaled[k]),
                 "coeff": _frac(coeff),
                 "coeff_float": float(coeff),
             }
-        )
-        table.append(
-            [k, _frac(node), raw_str, raw_exact, rounded, _frac(coeff), float(coeff)]
         )
     report = _base_report(cfg)
     report["n"] = cfg.n
     report["coeffs_exact"] = model.coeffs_exact
     report["rows"] = rows
-    header = ["k", "node", "raw", "raw_exact", "rounded", "coeff", "coeff_float"]
-    return report, header, table, False
+    return report, *_table(rows), False
 
 
 def _cmd_eval(cfg: RunConfig):
@@ -406,26 +432,24 @@ def _cmd_eval(cfg: RunConfig):
         if cfg.s > cfg.n:
             raise ConfigError("s", f"derivative order {cfg.s} exceeds degree {cfg.n}")
         model = derivative_model(model, cfg.s)
-    rows, table = [], []
+    rows = []
     for literal in cfg.x:
         xq = Fraction(literal)
         val = evaluate(model, float(xq))
         exact = _frac(evaluate_exact(model, xq)) if model.coeffs_exact else None
         rows.append({"x": literal, "value": val, "exact": exact})
-        table.append([literal, val, exact])
     report = _base_report(cfg)
     report["rows"] = rows
-    return report, ["x", "value", "exact"], table, False
+    return report, *_table(rows), False
 
 
 def _cmd_error(cfg: RunConfig):
     f = _need_fn(cfg)
     curve = error_curve(f, cfg.kind, cfg.s, cfg.n_list, cfg.grid, cfg.tie)
     rows = [{"n": p.n, "error": p.error, "argmax": p.argmax} for p in curve]
-    table = [[p.n, p.error, p.argmax] for p in curve]
     report = _base_report(cfg)
     report["rows"] = rows
-    return report, ["n", "error", "argmax"], table, False
+    return report, *_table(rows), False
 
 
 def _cmd_rate(cfg: RunConfig):
@@ -474,10 +498,9 @@ def _cmd_modulus(cfg: RunConfig):
         {"t": t, "omega1": a.value, "omega_phi2": b.value}
         for t, a, b in zip(cfg.t_list, w1, w2)
     ]
-    table = [[t, a.value, b.value] for t, a, b in zip(cfg.t_list, w1, w2)]
     report = _base_report(cfg)
     report["rows"] = rows
-    return report, ["t", "omega1", "omega_phi2"], table, False
+    return report, *_table(rows), False
 
 
 def _cmd_saturation(cfg: RunConfig):
@@ -485,17 +508,15 @@ def _cmd_saturation(cfg: RunConfig):
     rep = saturation_probe(f, cfg.kind, cfg.s, cfg.n_list, cfg.grid, cfg.tie)
     report = _base_report(cfg)
     report["verdict"] = rep.verdict.value
-    report["rows"] = [{"n": n, "n_error": v} for n, v in rep.rows]
-    report["band_ratio"] = (
-        None if rep.band_ratio is None or rep.band_ratio != rep.band_ratio
-        else (rep.band_ratio if rep.band_ratio != float("inf") else None)
-    )
+    rows = [{"n": n, "n_error": v} for n, v in rep.rows]
+    report["rows"] = rows
+    finite = rep.band_ratio is not None and math.isfinite(rep.band_ratio)
+    report["band_ratio"] = rep.band_ratio if finite else None
     report["bounded"] = rep.bounded
     report["vanishing"] = rep.vanishing
     report["inconsistent"] = rep.inconsistent
     report["notes"] = rep.notes
-    table = [[n, v] for n, v in rep.rows]
-    return report, ["n", "n_error"], table, rep.inconsistent
+    return report, *_table(rows), rep.inconsistent
 
 
 def _cmd_converse(cfg: RunConfig):

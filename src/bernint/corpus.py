@@ -178,14 +178,13 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """A FunctionSpec bundled with its documentation and intended experiments.
+    """A FunctionSpec (whose ``doc`` describes it) and its intended experiments.
 
     ``verify_s`` is the derivative order the entry declares for hypothesis
     checking; every built-in entry passes hypothesis_check at that order.
     """
 
     spec: FunctionSpec
-    doc: str
     experiments: tuple[str, ...]
     verify_s: int
 
@@ -458,10 +457,7 @@ def entries() -> tuple[CorpusEntry, ...]:
     """The default corpus roster with intended experiments."""
 
     def E(name, experiments, verify_s):
-        spec = builtin(name)
-        return CorpusEntry(
-            spec=spec, doc=spec.doc, experiments=tuple(experiments), verify_s=verify_s
-        )
+        return CorpusEntry(builtin(name), tuple(experiments), verify_s)
 
     return (
         E("integer_linear(3,2)", ["saturation", "verify"], 1),

@@ -10,10 +10,10 @@ lack:
 * round_ratio, floor and nearest-integer rounding of an integer ratio with
   an explicit tie policy (floor_int and nearest_int wrap it for rationals),
 * integer q-th roots and exact/certified rational powers u**(p/q),
-* interval-guarded rounding: round a value known only through an enclosure
-  [v-eps, v+eps], escalating the working precision until the answer is
-  provably unambiguous (escalate_precision is the one doubling loop, shared
-  with the certified comparisons in analysis).
+* interval-guarded rounding: guarded_round rounds a value known only
+  through an enclosure [lo, hi], and round_with_escalation tightens the
+  enclosure until the answer is provably unambiguous (escalate_precision is
+  the one doubling loop, shared with the certified comparisons in analysis).
 
 The guarded rounding is what lets non-polynomial corpus functions (whose
 values at the Bernstein nodes are usually irrational) be rounded *correctly*,
@@ -73,13 +73,6 @@ def binomial_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for 0 <= k <= n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial: need 0 <= k <= n, got n={n}, k={k}")
-    return binomial_row(n)[k]
-
-
 def common_denominator(values) -> tuple[list[int], int]:
     """Integers e and the least D > 0 with e[k] / D == values[k] for every k."""
     values = [Fraction(v) for v in values]
@@ -137,22 +130,20 @@ def nearest_int(q, policy: TiePolicy = DEFAULT_TIE) -> int:
     return round_ratio(q.numerator, q.denominator, "nearest", policy)
 
 
-def guarded_round(value, radius, mode: str, policy: TiePolicy = DEFAULT_TIE) -> int:
-    """Round a value known only to lie in [value-radius, value+radius].
+def guarded_round(lo, hi, mode: str, policy: TiePolicy = DEFAULT_TIE) -> int:
+    """Round a value known only to lie in the enclosure [lo, hi].
 
     mode is "floor" or "nearest".  Both roundings are monotone step
     functions, so endpoint agreement certifies the result; disagreement
     raises PrecisionInsufficient.
     """
-    value = Fraction(value)
-    radius = Fraction(radius)
-    if radius < 0:
-        raise ValueError("guarded_round: radius must be >= 0")
-    a, b = (round_ratio(v.numerator, v.denominator, mode, policy)
-            for v in (value - radius, value + radius))
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("guarded_round: enclosure has lo > hi")
+    a, b = (round_ratio(v.numerator, v.denominator, mode, policy) for v in (lo, hi))
     if a != b:
         raise PrecisionInsufficient(
-            f"enclosure of width {float(2 * radius):.3g} straddles a {mode} boundary"
+            f"enclosure of width {float(hi - lo):.3g} straddles a {mode} boundary"
         )
     return a
 
@@ -186,16 +177,14 @@ def round_with_escalation(
     true value, with width shrinking as ``bits`` grows.  Precision doubles
     from DEFAULT_START_BITS up to DEFAULT_MAX_BITS; if the rounding is still
     ambiguous at the cap (e.g. the true value sits exactly on a boundary and
-    the oracle cannot say so), PrecisionExhausted is raised.
+    the oracle cannot say so), PrecisionExhausted is raised.  An enclosure
+    with lo > hi raises ValueError.
     """
 
     def attempt(bits: int) -> int:
         lo, hi = enclose(bits)
-        if lo > hi:
-            raise ValueError("round_with_escalation: enclosure has lo > hi")
-        mid = (lo + hi) / 2
         try:
-            return guarded_round(mid, (hi - lo) / 2, mode, policy)
+            return guarded_round(lo, hi, mode, policy)
         except PrecisionInsufficient:
             raise PrecisionInsufficient(
                 f"rounding still ambiguous at {bits} bits "
@@ -294,7 +283,6 @@ __all__ = [
     "PrecisionInsufficient",
     "PrecisionExhausted",
     "binomial_row",
-    "binomial",
     "common_denominator",
     "homogeneous_sum",
     "round_ratio",

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, config precedence, report formats,
 and atomic output."""
 
+import csv
 import json
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -331,3 +335,142 @@ def test_two_runs_are_byte_identical(tmp_path):
         assert res.returncode == 0, res.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_out_file_gets_the_umask_mode(tmp_path):
+    out = tmp_path / "r.json"
+    old = os.umask(0o022)
+    try:
+        rc = main(["coeffs", "--fn", "monomial(2)", "--n", "4", "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+def test_unwritable_out_exits_2_and_leaves_no_temp_file(where, tmp_path, capsys):
+    if where == "missing-dir":
+        out = tmp_path / "missing" / "r.json"
+    else:
+        out = tmp_path / "taken"
+        out.mkdir()
+    rc = main(["coeffs", "--fn", "monomial(2)", "--n", "4", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"bernint: config field 'out': cannot write {out}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if where == "missing-dir" else ["taken"]
+    )
+
+
+# ---------------------------------------------------------------------------
+# config value types
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"strict": "false"}, "strict"),
+        ({"strict": 1}, "strict"),
+        ({"strict": None}, "strict"),
+        ({"s": 1.9}, "s"),
+        ({"s": True}, "s"),
+        ({"n": 4.5}, "n"),
+        ({"n": True}, "n"),
+        ({"n_min": 16.5}, "n_min"),
+        ({"n_min": True}, "n_min"),
+        ({"n_max": 64.5}, "n_max"),
+        ({"grid": 4097.9}, "grid"),
+        ({"refine": 2.5}, "refine"),
+        ({"refine": float("inf")}, "refine"),
+        ({"grid": float("nan")}, "grid"),
+        # integral values are accepted, whatever their JSON spelling
+        ({"n": 4.0, "grid": 4097.0, "refine": 6.0, "s": 0.0, "strict": False}, None),
+        ({"n_min": 2.0, "n_max": 8.0, "strict": True}, None),
+    ],
+)
+def test_config_file_values_are_not_coerced(values, field, tmp_path, capsys):
+    def report(cfg_values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"fn": "monomial(2)", "n": 4, **cfg_values}))
+        rc = main(["coeffs", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    rc, out, err = report(values)
+    if field is not None:
+        assert rc == 2 and out == ""
+        assert f"bernint: config field '{field}': must be" in err
+        return
+    integral = {k: v if isinstance(v, bool) else int(v) for k, v in values.items()}
+    assert (rc, out) == report(integral)[:2]
+    assert rc == 0
+
+
+# ---------------------------------------------------------------------------
+# coeffs past the float range
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        # C(1100, 550) is about 1e330: C(n, k) itself is past the float range
+        ("holder_interior(1/2)", 1100),
+        # C(1029, 514) is about 1.4e308, and f(k/n) * C(n, k) overflows to inf
+        ("holder_interior(1/2,5,0)", 1029),
+    ],
+)
+def test_coeffs_raw_past_the_float_range_is_exact(name, n, capsys):
+    from math import comb
+
+    from bernint import builtin
+
+    f = builtin(name)
+    rc, doc = run_json(["coeffs", "--fn", name, "--n", str(n)], capsys)
+    assert rc == 0
+    overflowed = 0
+    for row in doc["rows"]:
+        k = row["k"]
+        if row["raw_exact"]:
+            want = f.eval_exact(Fraction(k, n)) * comb(n, k)
+            assert Fraction(row["raw"]) == want
+            continue
+        want = Fraction(float(f.eval_float([k / n])[0])) * comb(n, k)
+        got = Fraction(row["raw"])
+        assert abs(got - want) <= abs(want) * Fraction(1, 10**15), k
+        overflowed += abs(want) > sys.float_info.max
+    assert overflowed > 10
+
+
+# ---------------------------------------------------------------------------
+# one row list per report: CSV and JSON agree
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--fn", "holder_interior(1/2)", "--n", "6"],
+        ["eval", "--fn", "holder_interior(1/2)", "--n", "6", "--x", "0,1/3,0.7,1"],
+        ["error", "--fn", "monomial(2)", "--kind", "floor", "--n-max", "64"],
+        ["modulus", "--fn", "abs_shift", "--t", "0.1,0.2"],
+        ["saturation", "--fn", "monomial(3)", "--n-max", "64"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_table_is_the_json_rows(argv, capsys):
+    rc, doc = run_json(argv, capsys)
+    assert rc == 0
+    rc, out = run(argv + ["--format", "csv"], capsys)
+    assert rc == 0
+    table = list(csv.reader(l for l in out.splitlines() if not l.startswith("#")))
+    rows = doc["rows"]
+    assert sorted(table[0]) == list(rows[0])  # JSON keys are sorted
+    assert table[1:] == [[_csv_cell(row[key]) for key in table[0]] for row in rows]

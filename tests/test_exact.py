@@ -10,7 +10,6 @@ from bernint import (
     PrecisionExhausted,
     PrecisionInsufficient,
     TiePolicy,
-    binomial,
     binomial_row,
     floor_int,
     guarded_round,
@@ -54,9 +53,8 @@ def test_common_denominator():
 
 
 def test_binomial_frozen_values():
-    assert binomial(4, 2) == 6
-    assert binomial(30, 15) == 155117520
-    assert binomial(0, 0) == 1
+    assert binomial_row(4)[2] == 6
+    assert binomial_row(30)[15] == 155117520
     assert binomial_row(0) == (1,)
     assert binomial_row(5) == (1, 5, 10, 10, 5, 1)
     assert binomial_row.cache_info().maxsize is not None  # rows are not kept forever
@@ -72,9 +70,8 @@ def test_binomial_row_against_pascal_triangle():
 
 def test_binomial_out_of_range():
     with pytest.raises(ValueError):
-        binomial(5, 6)
-    with pytest.raises(ValueError):
-        binomial(5, -1)
+        binomial_row(-1)
+    assert len(binomial_row(5)) == 6  # no C(5, 6) entry to index
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +173,25 @@ def test_rational_field_laws(a, b, c):
 
 
 def test_guarded_round_frozen():
-    assert guarded_round(2.4999, 1e-8, "nearest") == 2
-    assert guarded_round(0.9999999, 1e-10, "floor") == 0
-    assert guarded_round(F(10, 4), F(1, 100), "floor") == 2
+    assert guarded_round(2.49989999, 2.49990001, "nearest") == 2
+    assert guarded_round(0.9999998999, 0.9999999001, "floor") == 0
+    assert guarded_round(F(249, 100), F(251, 100), "floor") == 2
+    assert guarded_round(F(5, 2), F(5, 2), "nearest") == 3  # a point: the tie policy
+    assert guarded_round(-2, -2, "floor") == -2
 
 
 def test_guarded_round_straddle_raises():
     with pytest.raises(PrecisionInsufficient):
-        guarded_round(2.5, 1e-9, "nearest")
+        guarded_round(2.5 - 1e-9, 2.5 + 1e-9, "nearest")
     with pytest.raises(PrecisionInsufficient):
-        guarded_round(F(3), F(1, 10**9), "floor")  # integer straddles a floor step
+        guarded_round(3 - F(1, 10**9), 3 + F(1, 10**9), "floor")  # straddles a floor step
+
+
+def test_guarded_round_rejects_reversed_enclosure():
+    with pytest.raises(ValueError, match="lo > hi"):
+        guarded_round(F(1, 3), F(1, 4), "floor")
+    with pytest.raises(ValueError, match="lo > hi"):
+        round_with_escalation(lambda bits: (F(1), F(0)), "nearest")
 
 
 @given(rationals)
@@ -195,7 +201,7 @@ def test_guarded_round_agrees_with_exact_when_certified(q):
     gap = F(1, 2) - dist
     if gap <= 0:
         return  # exact tie: no radius can certify
-    r = guarded_round(q, gap / 2, "nearest")
+    r = guarded_round(q - gap / 2, q + gap / 2, "nearest")
     assert r == nearest_int(q)
 
 
@@ -210,13 +216,13 @@ def test_guarded_round_matches_exact_rounding_on_corpus_weights():
         f = builtin(name)
         for n in (5, 12, 31):
             for k in range(n + 1):
-                w = f.eval_exact(F(k, n)) * binomial(n, k)
+                w = f.eval_exact(F(k, n)) * binomial_row(n)[k]
                 fl = floor_int(w)
                 if w - fl > rad and (fl + 1) - w > rad:
-                    assert guarded_round(w, rad, "floor") == fl
+                    assert guarded_round(w - rad, w + rad, "floor") == fl
                 tie_dist = abs(abs(w - nearest_int(w)) - F(1, 2))
                 if tie_dist > rad:
-                    assert guarded_round(w, rad, "nearest") == nearest_int(w)
+                    assert guarded_round(w - rad, w + rad, "nearest") == nearest_int(w)
 
 
 def test_round_with_escalation_decides_after_refinement():

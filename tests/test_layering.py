@@ -1,9 +1,10 @@
 """Module layering: each bernint module imports only from modules to its
 left in exact -> corpus -> operators -> analysis -> cli, function bodies
 included.  The package itself re-exports everything up to analysis, so only
-cli may import it."""
+cli may import it.  Every name a module exports in __all__ exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,12 @@ def test_imports_only_point_left(module):
         if name.split(".")[0] == "bernint" and RANK[name] > own
     ]
     assert upward == [], f"bernint.{module} imports upward: {upward}"
+
+
+@pytest.mark.parametrize("module", ["bernint"] + [f"bernint.{m}" for m in LAYERS])
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", ())
+    assert len(exported) == len(set(exported)), f"{module}.__all__ repeats a name"
+    missing = [name for name in exported if not hasattr(mod, name)]
+    assert missing == [], f"{module}.__all__ names missing attributes: {missing}"

@@ -18,7 +18,7 @@ from bernint import (
     OperatorKind,
     PrecisionExhausted,
     TiePolicy,
-    binomial,
+    binomial_row,
     build_model,
     builtin,
     derivative_model,
@@ -73,7 +73,7 @@ def test_integer_variant_weighted_coeffs_are_integers():
         for n in (3, 7, 20):
             m = build_model(X3, n, kind)
             for k, c in enumerate(m.coeffs):
-                assert (c * binomial(n, k)).denominator == 1
+                assert (c * binomial_row(n)[k]).denominator == 1
 
 
 def test_evaluate_exact_frozen():
