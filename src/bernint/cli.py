@@ -177,6 +177,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if cli_val is not None:
             merged[key] = cli_val
 
+    # fn and out may be null; a list or dict would not even hash for the
+    # membership tests below
+    for key in ("fn", "out", "kind", "tie", "format"):
+        v = merged[key]
+        if not (isinstance(v, str) or (v is None and key in ("fn", "out"))):
+            raise ConfigError(key, f"must be a string, got {json.dumps(v)}")
     if merged["kind"] not in _KINDS:
         raise ConfigError("kind", f"must be one of {sorted(_KINDS)}")
     if merged["tie"] not in _TIES:

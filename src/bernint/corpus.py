@@ -20,14 +20,19 @@ holder_interior(g)       |2x - 1|^g + p x + q for non-integer g in (0,2):
                          rescaling the argument keeps the smoothness class
                          and makes the endpoints integers.)
 
-Every built-in entry also has a scaled_round oracle: the exact floor or
-nearest integer of C(n,k) f(k/n), computed on integers alone (integer root
-extraction for the Hoelder entries, one divmod for the rest).  This is what
-the integer-coefficient models in operators are built from.  Values of the
-Hoelder entries at rational points are usually irrational; eval_bounds
-returns rigorous enclosures of them, which the proximity gaps and the
-Classic models use, and which operators falls back to for a spec built
-without scaled_round.
+Every built-in entry also has a node bracket oracle, scaled_bracket(k, n,
+bits): integers (num, den, exact) with num/den <= C(n,k) f(k/n) <
+(num + 1)/den, equality exactly when ``exact``, and den depending on
+(n, bits) alone.  The polynomials and abs_shift give their exact value (one
+Horner sum, or |2k - n| C(n,k) over n); the Hoelder entries give den =
+n 2^bits and an integer root, so their bracket is 2^-bits / n wide.  The
+rounding oracle scaled_round, the exact floor or nearest integer of
+C(n,k) f(k/n), is derived from the bracket at bits = 1, and operators
+builds the integer-coefficient models, the exact Classic models and the
+gap models from these brackets.  Values of the Hoelder entries at rational
+points are usually irrational; eval_bounds returns rigorous enclosures of
+them, which their Classic models use, and which operators falls back to for
+a spec built without scaled_bracket.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from numpy.polynomial import polynomial as npoly
 
 from bernint.exact import (DEFAULT_TIE, TiePolicy, binomial_row, common_denominator,
                            homogeneous_sum, iroot, rational_pow_bounds,
-                           rational_pow_exact, round_ratio)
+                           rational_pow_exact, round_bracket)
 
 # Full width of the exclusion window centered on a kink: derivative-based
 # sup searches skip |x - kink| < KINK_WINDOW/2 (the derivative oracle is not
@@ -78,7 +83,7 @@ class FunctionSpec:
         deriv_float: Optional[Callable] = None,
         deriv_exact: Optional[Callable] = None,
         poly_coeffs: Optional[tuple] = None,
-        scaled_round: Optional[Callable] = None,
+        scaled_bracket: Optional[Callable] = None,
     ):
         self.name = name
         self.s_max = s_max
@@ -92,7 +97,7 @@ class FunctionSpec:
         self._value_bounds = value_bounds
         self._deriv_float = deriv_float
         self._deriv_exact = deriv_exact
-        self._scaled_round = scaled_round
+        self._scaled_bracket = scaled_bracket
 
     def __repr__(self):
         return f"FunctionSpec({self.name!r})"
@@ -130,19 +135,50 @@ class FunctionSpec:
             raise CapabilityError(f"{self.name}: no certified enclosure oracle")
         return v, v
 
+    def scaled_bracket(self, k: int, n: int, bits: int) -> Optional[tuple[int, int, bool]]:
+        """Integer bracket (num, den, exact) of C(n,k) f(k/n).
+
+        num/den <= C(n,k) f(k/n) < (num + 1)/den, with equality exactly when
+        ``exact`` is True.  den depends only on (n, bits), and is even
+        whenever a bracket is inexact; bits >= 1 sets the width of inexact
+        brackets.  None when the spec has no bracket oracle.
+        """
+        self._check_node(k, n, bits)
+        if self._scaled_bracket is None:
+            return None
+        return self._scaled_bracket(k, n, bits)
+
+    def scaled_bracket_row(self, n: int, bits: int) -> Optional[list[tuple[int, int, bool]]]:
+        """[scaled_bracket(k, n, bits) for k = 0..n], one oracle call per node.
+
+        All n + 1 brackets share one den.  None when the spec has no bracket
+        oracle.
+        """
+        self._check_node(0, n, bits)
+        oracle = self._scaled_bracket
+        if oracle is None:
+            return None
+        return [oracle(k, n, bits) for k in range(n + 1)]
+
+    def _check_node(self, k: int, n: int, bits: int) -> None:
+        if not 0 <= k <= n or n < 1:
+            raise ValueError(f"{self.name}: a node needs 0 <= k <= n and n >= 1, "
+                             f"got k={k}, n={n}")
+        if bits < 1:
+            raise ValueError(f"{self.name}: a bracket needs bits >= 1, got {bits}")
+
     def scaled_round(
         self, k: int, n: int, mode: str, tie: TiePolicy = DEFAULT_TIE
     ) -> Optional[int]:
         """floor ("floor") or nearest integer ("nearest") of C(n,k) f(k/n), exactly.
 
-        None when the spec has no integer rounding oracle.
+        Rounds the bracket at bits = 1 (exact.round_bracket).  None when the
+        spec has no bracket oracle.
         """
-        if not 0 <= k <= n or n < 1:
-            raise ValueError(f"{self.name}: scaled_round needs 0 <= k <= n and n >= 1, "
-                             f"got k={k}, n={n}")
-        if self._scaled_round is None:
+        bracket = self.scaled_bracket(k, n, 1)
+        if bracket is None:
             return None
-        return self._scaled_round(k, n, mode, tie)
+        return round_bracket(*bracket, mode, tie)
 
     def deriv_float(self, s: int, xs):
         """Vectorized float s-th derivative (s=0 is the function itself)."""
@@ -222,10 +258,17 @@ def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSp
         b = x.denominator
         return Fraction(homogeneous_sum(e, x.numerator, b), d * b ** (len(e) - 1))
 
-    def scaled_round(k, n, mode, tie):
-        e, d = chain[0]
-        num = homogeneous_sum(e, k, n) * binomial_row(n)[k]
-        return round_ratio(num, d * n ** (len(e) - 1), mode, tie)
+    e0, d0 = chain[0]
+    deg = len(e0) - 1
+    rows = {}  # n -> (binomial_row(n), D_f n^deg), for the last n asked for
+
+    def scaled_bracket(k, n, bits):
+        row_den = rows.get(n)
+        if row_den is None:
+            rows.clear()
+            row_den = rows[n] = (binomial_row(n), d0 * n ** deg)
+        row, den = row_den
+        return homogeneous_sum(e0, k, n) * row[k], den, True
 
     f0 = coeffs[0]
     f1 = sum(coeffs, Fraction(0))
@@ -245,7 +288,7 @@ def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSp
         deriv_float=deriv_float,
         deriv_exact=deriv_exact,
         poly_coeffs=coeffs,
-        scaled_round=scaled_round,
+        scaled_bracket=scaled_bracket,
     )
 
 
@@ -307,8 +350,8 @@ def _make_abs_shift() -> FunctionSpec:
     def value_float(xs):
         return np.abs(2.0 * xs - 1.0)
 
-    def scaled_round(k, n, mode, tie):
-        return round_ratio(abs(2 * k - n) * binomial_row(n)[k], n, mode, tie)
+    def scaled_bracket(k, n, bits):
+        return abs(2 * k - n) * binomial_row(n)[k], n, True
 
     return FunctionSpec(
         "abs_shift",
@@ -318,7 +361,7 @@ def _make_abs_shift() -> FunctionSpec:
         doc="f(x) = |2x - 1|; Lipschitz with a kink at 1/2, integer endpoints",
         value_float=value_float,
         value_exact=value_exact,
-        scaled_round=scaled_round,
+        scaled_bracket=scaled_bracket,
     )
 
 
@@ -344,19 +387,15 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
     def value_float(xs):
         return np.abs(2.0 * xs - 1.0) ** gf + p * xs + q
 
-    def scaled_round(k, n, mode, tie):
+    def scaled_bracket(k, n, bits):
         c = binomial_row(n)[k]
-        # 2n C |2k/n - 1|^(a/b) is the b-th root of x / n^a, and s its floor
-        x = (2 * n * c) ** b * abs(2 * k - n) ** a
+        den = n << bits
+        # den C |2k/n - 1|^(a/b) is the b-th root of x / n^a, and s its floor
+        x = (den * c) ** b * abs(2 * k - n) ** a
         na = n ** a
         s, _ = iroot(x // na, b)
-        num = s + 2 * c * (p * k + q * n)  # floor of 2n C f(k/n)
-        if s ** b * na == x:  # 2n C f(k/n) == num exactly
-            return round_ratio(num, 2 * n, mode, tie)
-        # C f(k/n) lies strictly inside (num, num + 1) / 2n, an interval no
-        # floor or nearest boundary (a multiple of 1/2n) falls in, so its
-        # midpoint rounds the same way and is never a tie
-        return round_ratio(2 * num + 1, 4 * n, mode, tie)
+        # the floor of den C f(k/n), equal to it when the root is exact
+        return s + (c << bits) * (p * k + q * n), den, s ** b * na == x
 
     def deriv_float(s, xs):
         u = 2.0 * xs - 1.0
@@ -384,7 +423,7 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
         value_bounds=value_bounds,
         deriv_float=deriv_float if s_max >= 1 else None,
         deriv_exact=deriv_exact if s_max >= 1 else None,
-        scaled_round=scaled_round,
+        scaled_bracket=scaled_bracket,
     )
 
 

@@ -9,6 +9,8 @@ lack:
 * homogeneous_sum, the one exact evaluator of Bernstein and power sums,
 * round_ratio, floor and nearest-integer rounding of an integer ratio with
   an explicit tie policy (floor_int and nearest_int wrap it for rationals),
+  and round_bracket, the same rounding of a value known through an integer
+  bracket num/den <= v < (num + 1)/den,
 * integer q-th roots and exact/certified rational powers u**(p/q),
 * interval-guarded rounding: guarded_round rounds a value known only
   through an enclosure [lo, hi], and round_with_escalation tightens the
@@ -118,6 +120,23 @@ def round_ratio(num: int, den: int, mode: str, policy: TiePolicy = DEFAULT_TIE) 
     return q if q % 2 == 0 else q + 1
 
 
+def round_bracket(
+    num: int, den: int, exact: bool, mode: str, policy: TiePolicy = DEFAULT_TIE
+) -> int:
+    """Round a value v known through the bracket num/den <= v < (num + 1)/den.
+
+    ``exact`` says v == num/den, which round_ratio then rounds.  Otherwise v
+    lies strictly inside (num, num + 1)/den.  For an even den no floor or
+    nearest boundary (a multiple of 1/2) falls inside that open interval, so
+    v rounds as its midpoint (2 num + 1)/(2 den) does, which is never a tie.
+    """
+    if exact:
+        return round_ratio(num, den, mode, policy)
+    if den % 2:
+        raise ValueError("round_bracket: an inexact bracket needs an even denominator")
+    return round_ratio(2 * num + 1, 2 * den, mode, policy)
+
+
 def floor_int(q) -> int:
     """Largest integer <= q."""
     q = Fraction(q)
@@ -197,12 +216,21 @@ def round_with_escalation(
 def iroot(a: int, q: int) -> tuple[int, bool]:
     """Integer q-th root: largest r with r**q <= a, plus exactness flag.
 
-    Newton iteration on integers; exact for any size of a.
+    math.isqrt for q = 2, Newton iteration on integers otherwise; exact for
+    any size of a.
     """
     if a < 0:
         raise ValueError("iroot: a must be >= 0")
     if q < 1:
         raise ValueError("iroot: q must be >= 1")
+    if q == 2:
+        r = math.isqrt(a)
+        return r, r * r == a
+    return _iroot_newton(a, q)
+
+
+def _iroot_newton(a: int, q: int) -> tuple[int, bool]:
+    """iroot(a, q) by integer Newton iteration, for any a >= 0 and q >= 1."""
     if a in (0, 1) or q == 1:
         return a, True
     # initial guess from bit length, then integer Newton steps
@@ -286,6 +314,7 @@ __all__ = [
     "common_denominator",
     "homogeneous_sum",
     "round_ratio",
+    "round_bracket",
     "floor_int",
     "nearest_int",
     "guarded_round",

@@ -10,9 +10,11 @@ Bernstein basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k):
 so the integer kinds are exactly the polynomials with integer coefficients
 in the scaled basis x^k (1-x)^(n-k).  A model stores that scaled form as
 its data: integers e_k over one denominator D > 0, e_k / D = c_k C(n,k),
-in lowest terms.  The integer kinds have D = 1 and e_k the rounded
-integers, which the corpus oracle FunctionSpec.scaled_round computes on
-integers alone; the c_k are a view derived on demand.
+in lowest terms; the c_k are a view derived on demand.  Models are built
+from the corpus node brackets FunctionSpec.scaled_bracket, integers with
+num_k/den <= C(n,k) f(k/n) < (num_k + 1)/den.  The integer kinds have D = 1
+and e_k the rounded integers (FunctionSpec.scaled_round); a Classic model
+whose brackets are all exact stores num_k over den.
 
 Evaluation has two paths: a float path, O(n) per point, using the ratio
 form sum_k c_k w_k / sum_k w_k with weights w_k = C(n,k) u^k, u = x/(1-x),
@@ -26,10 +28,10 @@ for the classic kind this is the usual divided-difference formula with real
 step 1/n, the prefactor absorbing the scaling.
 
 The gap between an integer kind and B_n f is built once, as the pair of
-exact models of gap_models (for a polynomial f, integers m_k D_f n^deg -
-N_k C(n,k) over D_f n^deg); proximity_gap_exact evaluates that pair, and
-analysis.proximity_gap (above this module, which imports only exact)
-measures it on a grid.
+exact models of gap_models: integers m_k den - num_k over den from one
+APPROX_BITS bracket per node, less 1 at the inexact nodes for the lower
+model.  proximity_gap_exact evaluates that pair, and analysis.proximity_gap
+(above this module, which imports only exact) measures it on a grid.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from bernint.exact import (
     binomial_row,
     common_denominator,
     homogeneous_sum,
+    round_bracket,
     round_ratio,
     round_with_escalation,
 )
@@ -60,7 +63,7 @@ class HypothesisViolation(Exception):
 
 
 # Precision of the node enclosures behind Classic models of irrational-valued
-# functions and behind gap_models.
+# functions, and of the node brackets behind gap_models.
 APPROX_BITS = 192
 
 
@@ -134,17 +137,8 @@ class BernsteinModel:
         )
 
 
-def _node_values(f, n: int) -> Optional[tuple[list[int], int]]:
-    """(N, D) with N[k] / D == f(k/n) for a polynomial f, else None."""
-    coeffs = getattr(f, "poly_coeffs", None)
-    if coeffs is None:
-        return None
-    p, d = common_denominator(coeffs)
-    return [homogeneous_sum(p, k, n) for k in range(n + 1)], d * n ** (len(p) - 1)
-
-
 def _round_node(f, n: int, k: int, c: int, mode: str, tie: TiePolicy) -> int:
-    """Fallback for a spec without scaled_round: round f(k/n) * c, c = C(n,k).
+    """Fallback for a spec without scaled_bracket: round f(k/n) * c, c = C(n,k).
 
     Rational node values round directly; irrational ones through certified
     enclosures with escalating precision (hard PrecisionExhausted naming the
@@ -178,22 +172,24 @@ def build_model(
 ) -> BernsteinModel:
     """Construct the degree-n model of corpus function ``f``.
 
-    Integer kinds store e_k = round(f(k/n) C(n,k)) over D = 1, each from the
-    exact integer oracle f.scaled_round, or, for a spec without one, from
-    f's exact value or certified enclosures (_round_node).  A Classic model
-    of a polynomial stores N_k C(n,k) over D_f n^deg, where N_k / (D_f n^deg)
-    = f(k/n); of any other f it stores the node values, with APPROX_BITS-wide
-    midpoints for irrational ones, flagged coeffs_exact=False.
+    The model comes from f's node brackets at bits = 1
+    (f.scaled_bracket_row).  Integer kinds store e_k = round(f(k/n) C(n,k))
+    over D = 1, each rounded from its bracket (exact.round_bracket, as
+    f.scaled_round does).  A Classic model whose brackets are all exact
+    stores num_k over den (N_k C(n,k) over D_f n^deg for a polynomial f).
+    Otherwise a Classic model stores the node values, with APPROX_BITS-wide
+    midpoints for irrational ones, flagged coeffs_exact=False; and a spec
+    without brackets rounds from its exact values or certified enclosures
+    (_round_node).
     """
     if n < 1:
         raise ValueError("build_model: n must be >= 1")
-    row = binomial_row(n)
+    brackets = f.scaled_bracket_row(n, 1)
     if kind is OperatorKind.CLASSIC:
-        nodes = _node_values(f, n)
-        if nodes is not None:
-            values, d = nodes
-            scaled = tuple(v * c for v, c in zip(values, row))
-            return BernsteinModel(kind=kind, n=n, scaled=scaled, denominator=d)
+        if brackets is not None:
+            nums, dens, exacts = zip(*brackets)
+            if all(exacts):
+                return BernsteinModel(kind=kind, n=n, scaled=nums, denominator=dens[0])
         coeffs, exact = [], True
         for k in range(n + 1):
             node = Fraction(k, n)
@@ -204,10 +200,10 @@ def build_model(
             coeffs.append(v)
         return BernsteinModel.from_coeffs(kind, n, coeffs, coeffs_exact=exact)
     mode = "nearest" if kind is OperatorKind.NEAREST_INT else "floor"
-    scaled = []
-    for k, c in enumerate(row):
-        m = f.scaled_round(k, n, mode, tie)
-        scaled.append(_round_node(f, n, k, c, mode, tie) if m is None else m)
+    if brackets is not None:
+        scaled = [round_bracket(num, den, exact, mode, tie) for num, den, exact in brackets]
+    else:
+        scaled = [_round_node(f, n, k, c, mode, tie) for k, c in enumerate(binomial_row(n))]
     return BernsteinModel(
         kind=kind,
         n=n,
@@ -332,10 +328,10 @@ def evaluate_exact(model: BernsteinModel, x) -> Fraction:
     The value is homogeneous_sum(e, a, b-a) / (D b^n) for (e, D) = integer_form.
     """
     x = Fraction(x)
-    if not 0 <= x <= 1:
+    a, b = x.numerator, x.denominator
+    if not 0 <= a <= b:  # 0 <= x <= 1 on integers, as b > 0
         raise ValueError("evaluate_exact: point must lie in [0, 1]")
     e, d = model.integer_form
-    a, b = x.numerator, x.denominator
     return Fraction(homogeneous_sum(e, a, b - a), d * b ** model.n)
 
 
@@ -395,25 +391,39 @@ def gap_models(
 ) -> tuple[BernsteinModel, BernsteinModel]:
     """The gap (integer-kind model - B_n f) as two exact models (gap_lo, gap_hi).
 
-    Coefficient k is c_k minus the upper (gap_lo) or lower (gap_hi) end of
-    f(k/n): its exact value where rational (on integers for a polynomial f),
-    else its APPROX_BITS enclosure.  The basis weights are nonnegative, so
-    gap_lo <= gap <= gap_hi at every point.  When every node value is
-    rational the two models are equal and the same object is returned twice.
+    One bracket call per node, f.scaled_bracket_row(n, APPROX_BITS)[k] =
+    (num_k, den, exact_k), gives the rounded integer m_k (exact.round_bracket)
+    and the scaled gap m_k - C(n,k) f(k/n), which lies in
+    (m_k den - num_k - 1, m_k den - num_k] / den, at the right end exactly
+    when exact_k.  gap_hi has the integers m_k den - num_k over den, and
+    gap_lo the same less 1 at every inexact node.  The basis weights are
+    nonnegative, so gap_lo <= gap <= gap_hi at every point, and
+    gap_hi - gap_lo <= 2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.
+    When every bracket is exact the same model is returned twice.
+
+    A spec without scaled_bracket is enclosed through build_model and f's
+    node values: coefficient k is c_k minus the upper (gap_lo) or lower
+    (gap_hi) end of f(k/n), its exact value where rational, else its
+    APPROX_BITS enclosure.
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_models: kind must be FloorInt or NearestInt")
-    model = build_model(f, n, kind, tie)
-    row = binomial_row(n)
-    nodes = _node_values(f, n)
-    if nodes is not None:
-        values, d = nodes
-        scaled = tuple(m * d - v * c for m, v, c in zip(model.scaled, values, row))
-        gap = BernsteinModel(kind=kind, n=n, scaled=scaled, denominator=d, tie=model.tie)
-        return gap, gap
+    mode = "nearest" if kind is OperatorKind.NEAREST_INT else "floor"
+    fields = dict(kind=kind, n=n, tie=tie if kind is OperatorKind.NEAREST_INT else None)
+    brackets = f.scaled_bracket_row(n, APPROX_BITS)
+    if brackets is not None:
+        den = brackets[0][1]
+        s_hi = [round_bracket(num, den, exact, mode, tie) * den - num
+                for num, _, exact in brackets]
+        gap_hi = BernsteinModel(scaled=tuple(s_hi), denominator=den, **fields)
+        if all(exact for _, _, exact in brackets):
+            return gap_hi, gap_hi
+        s_lo = tuple(e if exact else e - 1 for e, (_, _, exact) in zip(s_hi, brackets))
+        return BernsteinModel(scaled=s_lo, denominator=den, **fields), gap_hi
     # scaled gap m_k - f(k/n) C(n,k), against each end of f(k/n)
+    model = build_model(f, n, kind, tie)
     s_lo, s_hi = [], []
-    for k, (m, c) in enumerate(zip(model.scaled, row)):
+    for k, (m, c) in enumerate(zip(model.scaled, binomial_row(n))):
         node = Fraction(k, n)
         v = f.eval_exact(node)
         vlo, vhi = (v, v) if v is not None else f.eval_bounds(node, APPROX_BITS)
@@ -422,7 +432,7 @@ def gap_models(
 
     def gap_model(values):
         scaled, d = common_denominator(values)
-        return BernsteinModel(kind=kind, n=n, scaled=tuple(scaled), denominator=d, tie=model.tie)
+        return BernsteinModel(scaled=tuple(scaled), denominator=d, **fields)
 
     gap_lo = gap_model(s_lo)
     if s_lo == s_hi:
@@ -440,19 +450,30 @@ def proximity_gap_exact(
     """Certified rational enclosures of (integer model - B_n f)(x) at each x.
 
     Returns a list of Fraction pairs (lo, hi) with lo <= gap(x) <= hi: the
-    exact values of the two gap_models, so the pair collapses to a point
-    (one exact evaluation) for functions with exact rational node values.
-    Fully rigorous, which is what lets tests verify the 1/n and 1/(2n)
-    bounds without floats.
+    exact values of the two gap_models.  lo is one exact evaluation of
+    gap_lo, and hi adds the value of gap_hi - gap_lo, whose scaled
+    coefficients are 0 or 1 over den for a spec with scaled_bracket, so its
+    Horner sum multiplies no wide coefficients; when the two models are one,
+    hi is lo.  Fully
+    rigorous, which is what lets tests verify the 1/n and 1/(2n) bounds
+    without floats.
     """
     gap_lo, gap_hi = gap_models(f, n, kind, tie)
+    width = None
+    if gap_hi is not gap_lo:
+        (e_lo, d_lo), (e_hi, d_hi) = gap_lo.integer_form, gap_hi.integer_form
+        d = math.lcm(d_lo, d_hi)
+        width = BernsteinModel(
+            kind=kind, n=n, denominator=d,
+            scaled=tuple(b * (d // d_hi) - a * (d // d_lo) for a, b in zip(e_lo, e_hi)),
+        )
     out = []
     for x in xs:
         x = Fraction(x)
-        if not 0 <= x <= 1:
+        if not 0 <= x.numerator <= x.denominator:
             raise ValueError("proximity_gap_exact: points must lie in [0, 1]")
         lo = evaluate_exact(gap_lo, x)
-        out.append((lo, lo if gap_hi is gap_lo else evaluate_exact(gap_hi, x)))
+        out.append((lo, lo if width is None else lo + evaluate_exact(width, x)))
     return out
 
 

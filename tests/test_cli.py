@@ -409,6 +409,36 @@ def test_config_file_values_are_not_coerced(values, field, tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (["floor"], "kind"),
+        (None, "kind"),
+        (["x"], "tie"),
+        ({"half": "up"}, "tie"),
+        (["csv"], "format"),
+        (3, "format"),
+        (5, "out"),
+        (["report.json"], "out"),
+        (False, "out"),
+        (5, "fn"),
+        (["monomial(2)"], "fn"),
+    ],
+)
+def test_config_string_fields_refuse_other_types(value, field, tmp_path, capsys):
+    # a list used to crash the membership tests, and a number the path
+    # handling, with exit 3 and a traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fn": "monomial(2)", "n": 3, field: value}))
+    rc = main(["coeffs", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert f"bernint: config field '{field}': must be a string, got {json.dumps(value)}" \
+        in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # ---------------------------------------------------------------------------
 # coeffs past the float range
 

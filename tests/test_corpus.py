@@ -9,7 +9,7 @@ import pytest
 
 from bernint import (CapabilityError, OperatorKind, TiePolicy, build_model, builtin,
                      entries, hypothesis_check)
-from bernint.exact import round_ratio
+from bernint.exact import round_bracket, round_ratio
 import bernint.corpus as corpus
 
 
@@ -124,6 +124,54 @@ def test_scaled_round_rejects_nodes_off_the_grid():
         for k, n in ((-1, 4), (5, 4), (0, 0)):
             with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
                 f.scaled_round(k, n, "floor")
+            with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
+                f.scaled_bracket(k, n, 64)
+        with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
+            f.scaled_bracket_row(0, 64)
+        for bits in (0, -3):
+            with pytest.raises(ValueError, match="bits >= 1"):
+                f.scaled_bracket(1, 4, bits)
+            with pytest.raises(ValueError, match="bits >= 1"):
+                f.scaled_bracket_row(4, bits)
+
+
+BRACKET_SPECS = [e.spec.name for e in entries()] + [
+    "holder_interior(3/2,2,-1)", "holder_interior(1/3,-1,2)", "poly_boundary_flat(2,-3,1)",
+    "integer_linear(-2,3)"]
+
+
+@pytest.mark.parametrize("name", BRACKET_SPECS)
+def test_scaled_bracket_holds_the_scaled_node_value(name):
+    # num/den <= C(n,k) f(k/n) < (num + 1)/den against an independent 4096-bit
+    # enclosure; exact exactly at the rational nodes; one den per (n, bits)
+    f = builtin(name)
+    for n in (1, 2, 3, 7, 16, 33, 64, 128):
+        enclosures = [f.eval_bounds(F(k, n), 4096) for k in range(n + 1)]
+        for bits in (1, 64, 192):
+            row = f.scaled_bracket_row(n, bits)
+            assert len({den for _, den, _ in row}) == 1
+            for k, ((num, den, exact), (lo, hi)) in enumerate(zip(row, enclosures)):
+                assert f.scaled_bracket(k, n, bits) == (num, den, exact)
+                c = math.comb(n, k)
+                assert F(num, den) <= c * lo and c * hi < F(num + 1, den)
+                assert exact == (f.eval_exact(F(k, n)) is not None)
+                if exact:
+                    assert F(num, den) == c * lo == c * hi
+                else:
+                    assert den % 2 == 0 and 2 ** bits * n <= den
+
+
+def test_scaled_round_rounds_the_bracket():
+    # nearest and floor of C(n,k) f(k/n) from the bracket at bits = 1, which
+    # agree with the bracket at every other precision
+    for name in ("holder_interior(1/2)", "holder_interior(3/2,2,-1)", "abs_shift"):
+        f = builtin(name)
+        for n in (5, 32, 99):
+            for k in range(n + 1):
+                fine = f.scaled_bracket(k, n, 192)
+                for mode in ("floor", "nearest"):
+                    for tie in TiePolicy:
+                        assert f.scaled_round(k, n, mode, tie) == round_bracket(*fine, mode, tie)
 
 
 def test_holder_exact_ties_round_by_policy():

@@ -1,6 +1,7 @@
 """Exact integer/rational arithmetic: binomials, directed rounding, certified
 rounding under uncertainty, and rational powers."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,8 @@ from bernint import (
     rational_pow_exact,
     round_with_escalation,
 )
-from bernint.exact import common_denominator, homogeneous_sum, round_ratio
+from bernint.exact import (_iroot_newton, common_denominator, homogeneous_sum,
+                           round_bracket, round_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,37 @@ def test_iroot_bound_property(a, q):
     r, exact = iroot(a, q)
     assert r**q <= a < (r + 1) ** q
     assert exact == (r**q == a)
+
+
+def test_iroot_square_root_matches_newton():
+    # q = 2 takes math.isqrt; it must agree with the Newton path bit for bit,
+    # perfect squares and their neighbours included, up to 10^4 bits
+    rng = random.Random(2)
+    cases = [0, 1, 2, 3, 4, 8, 9, 15, 16, 17]
+    for _ in range(300):
+        bits = rng.randrange(1, 10_001)
+        r = rng.getrandbits(bits // 2 + 1)
+        cases += [rng.getrandbits(bits), r * r - 1, r * r, r * r + 1, (r + 1) ** 2 - 1]
+    for a in cases:
+        if a >= 0:
+            assert iroot(a, 2) == _iroot_newton(a, 2)
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**6).map(lambda d: 2 * d),
+       st.fractions(0, 1).filter(lambda t: 0 < t < 1), st.sampled_from(list(TiePolicy)))
+def test_round_bracket_rounds_every_value_inside_the_bracket(num, den, t, policy):
+    # an inexact bracket over an even den holds values strictly inside
+    # (num, num + 1)/den, and every one of them rounds to the same integer
+    v = (num + t) / den
+    assert round_bracket(num, den, False, "floor") == floor_int(v)
+    assert round_bracket(num, den, False, "nearest", policy) == nearest_int(v, policy)
+    assert round_bracket(num, den, True, "nearest", policy) == nearest_int(F(num, den), policy)
+
+
+def test_round_bracket_needs_an_even_denominator_when_inexact():
+    assert round_bracket(7, 3, True, "floor") == 2
+    with pytest.raises(ValueError, match="even denominator"):
+        round_bracket(7, 3, False, "floor")
 
 
 @given(rationals, rationals, rationals)

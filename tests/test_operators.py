@@ -99,6 +99,17 @@ def test_evaluate_exact_matches_term_by_term_sum(coeffs, x):
     assert evaluate_exact(model, x) == bernstein_sum(coeffs, x)
 
 
+def test_exact_paths_reject_points_outside_the_unit_interval():
+    m = build_model(X2, 4, NEAREST)
+    for bad in (F(-1, 3), F(4, 3), -1, 2, "7/6", F(-1, 10**30)):
+        with pytest.raises(ValueError, match=r"evaluate_exact: point must lie in \[0, 1\]"):
+            evaluate_exact(m, bad)
+        with pytest.raises(ValueError, match=r"proximity_gap_exact: points must lie in \[0, 1\]"):
+            proximity_gap_exact(X2, 4, NEAREST, [F(1, 2), bad])
+    for good in (0, 1, "1/3", F(10**30 - 1, 10**30)):
+        assert evaluate_exact(m, good) == bernstein_sum(m.coeffs, F(good))
+
+
 def test_evaluate_scalar_and_array():
     m = build_model(X2, 4, CLASSIC)
     v = evaluate(m, 0.5)
@@ -198,19 +209,51 @@ def test_proximity_gap_exact_brackets_irrational_nodes():
             assert max(abs(lo), abs(hi)) <= F(1, 2 * n) + (hi - lo)
 
 
+def bracket_ends(f, n, k):
+    """The ends of the APPROX_BITS integer bracket of C(n,k) f(k/n), from a
+    4096-bit enclosure: (floor(den C lo), that + 1 unless exact) / den."""
+    den, c = n << APPROX_BITS, math.comb(n, k)
+    lo, hi = f.eval_bounds(F(k, n), 4096)
+    num = math.floor(den * c * lo)
+    assert num == math.floor(den * c * hi)  # the enclosure decides the bracket
+    exact = lo == hi and den * c * lo == num
+    return F(num, den), F(num + (0 if exact else 1), den)
+
+
 def test_proximity_gap_exact_matches_sum_of_node_enclosures():
     # the gap enclosure is the reference sum against the ends of the
-    # APPROX_BITS node enclosures of the irrational Hoelder values
-    f = builtin("holder_interior(1/2)")
+    # APPROX_BITS node brackets, derived here from 4096-bit enclosures
     xs = [F(0), F(1, 3), F(2, 5), F(1, 2), F(37, 64), F(1)]
+    for name in ("holder_interior(1/2)", "holder_interior(3/2,2,-1)"):
+        f = builtin(name)
+        for kind in (FLOOR, NEAREST):
+            for n in (5, 16):
+                d_lo, d_hi = [], []
+                for k, c in enumerate(build_model(f, n, kind).coeffs):
+                    vlo, vhi = bracket_ends(f, n, k)
+                    d_lo.append(c - vhi / math.comb(n, k))
+                    d_hi.append(c - vlo / math.comb(n, k))
+                want = [(bernstein_sum(d_lo, x), bernstein_sum(d_hi, x)) for x in xs]
+                assert proximity_gap_exact(f, n, kind, xs) == want
+
+
+@pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)",
+                                  "holder_interior(1/3,-1,2)"])
+def test_gap_enclosure_width_is_below_the_bracket_width(name):
+    # hi - lo = sum_k delta_k x^k (1-x)^(n-k) / den with delta_k in {0, 1}, and
+    # the width path adds up to the exact value of gap_hi
+    f = builtin(name)
+    rng = random.Random(909)
     for kind in (FLOOR, NEAREST):
-        for n in (5, 16):
-            model = build_model(f, n, kind)
-            enclosures = [f.eval_bounds(F(k, n), APPROX_BITS) for k in range(n + 1)]
-            d_lo = [c - vhi for c, (_, vhi) in zip(model.coeffs, enclosures)]
-            d_hi = [c - vlo for c, (vlo, _) in zip(model.coeffs, enclosures)]
-            want = [(bernstein_sum(d_lo, x), bernstein_sum(d_hi, x)) for x in xs]
-            assert proximity_gap_exact(f, n, kind, xs) == want
+        for n in (1, 6, 33, 128):
+            xs = [F(0), F(1, 2), F(1), F(1, 3)] + [F(rng.randrange(q + 1), q)
+                                                  for q in rng.sample(range(2, 1024), 8)]
+            gap_lo, gap_hi = gap_models(f, n, kind)
+            pairs = proximity_gap_exact(f, n, kind, xs)
+            for x, (lo, hi) in zip(xs, pairs):
+                assert lo == evaluate_exact(gap_lo, x)
+                assert hi == evaluate_exact(gap_hi, x)
+                assert 0 <= hi - lo <= F(1, n << APPROX_BITS)
 
 
 def test_gap_models_share_one_model_when_node_values_are_rational():
@@ -230,8 +273,59 @@ def test_gap_models_enclose_irrational_node_values():
         assert gap_hi is not gap_lo
         assert all(a <= b for a, b in zip(gap_lo.coeffs, gap_hi.coeffs))
         assert any(a < b for a, b in zip(gap_lo.coeffs, gap_hi.coeffs))
+        # one denominator, and a 0/1 difference on it
+        (e_lo, d_lo), (e_hi, d_hi) = gap_lo.integer_form, gap_hi.integer_form
+        assert d_lo == d_hi == 9 << APPROX_BITS
+        assert {b - a for a, b in zip(e_lo, e_hi)} == {0, 1}
     with pytest.raises(ValueError, match="FloorInt or NearestInt"):
         gap_models(f, 9, CLASSIC)
+
+
+@pytest.mark.parametrize("name", [e.spec.name for e in corpus.entries()])
+def test_gap_models_take_one_bracket_per_node(name, monkeypatch):
+    # no build_model, no enclosure: one APPROX_BITS bracket call per node
+    f = builtin(name)
+    oracle = f._scaled_bracket
+    calls = []
+
+    def counting(k, n, bits):
+        calls.append((k, n, bits))
+        return oracle(k, n, bits)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gap_models must not call this")
+
+    monkeypatch.setattr(f, "_scaled_bracket", counting)
+    monkeypatch.setattr(f, "eval_bounds", refuse)
+    monkeypatch.setattr(operators, "build_model", refuse)
+    for kind in (FLOOR, NEAREST):
+        for n in (1, 16, 64):
+            calls.clear()
+            gap_models(f, n, kind)
+            assert calls == [(k, n, APPROX_BITS) for k in range(n + 1)]
+
+
+def test_gap_models_of_a_spec_without_brackets_use_enclosures():
+    ref = builtin("holder_interior(3/2)")
+    calls = []
+
+    def bounds(x, bits):
+        calls.append(bits)
+        return ref.eval_bounds(x, bits)
+
+    bare = FunctionSpec("bare", s_max=0, integer_endpoints=True, value_float=ref.eval_float,
+                        value_exact=ref.eval_exact, value_bounds=bounds)
+    xs = [F(1, 3), F(5, 8), F(700, 701)]
+    for kind in (FLOOR, NEAREST):
+        for n in (4, 17):
+            calls.clear()
+            gap_lo, gap_hi = gap_models(bare, n, kind)
+            assert APPROX_BITS in calls
+            assert gap_hi is not gap_lo
+            # both pairs enclose the same true gap
+            for (lo, hi), (blo, bhi) in zip(proximity_gap_exact(bare, n, kind, xs),
+                                            proximity_gap_exact(ref, n, kind, xs)):
+                assert lo <= hi and max(lo, blo) <= min(hi, bhi)
 
 
 def test_proximity_gap_exact_evaluates_one_model_when_rational(monkeypatch):
@@ -250,8 +344,9 @@ def test_proximity_gap_exact_evaluates_one_model_when_rational(monkeypatch):
 
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
 def test_proximity_gap_measures_integer_minus_classic(name):
-    # the grid gap is the integer model minus the classic one, which stores
-    # the same enclosure midpoints the gap models are centred on
+    # the grid gap is the integer model minus the classic one: the gap models
+    # are centred on bracket midpoints, the classic model stores enclosure
+    # midpoints, and the two differ by far less than a float can show
     f = builtin(name)
     for kind in (FLOOR, NEAREST):
         for n in (3, 17, 64):
