@@ -56,7 +56,6 @@ from bernint.exact import (
     nearest_int,
     rational_pow_bounds,
     rational_pow_exact,
-    round_with_escalation,
 )
 from bernint.operators import (
     BernsteinModel,
@@ -74,7 +73,7 @@ __all__ = [
     # exact
     "TiePolicy", "DEFAULT_TIE", "PrecisionInsufficient", "PrecisionExhausted",
     "binomial_row", "floor_int", "nearest_int", "guarded_round",
-    "round_with_escalation", "iroot", "rational_pow_exact", "rational_pow_bounds",
+    "iroot", "rational_pow_exact", "rational_pow_bounds",
     # operators
     "OperatorKind", "BernsteinModel", "HypothesisViolation",
     "build_model", "evaluate", "evaluate_exact", "derivative_model",

@@ -742,19 +742,25 @@ def _dlabel(i: int, end: int) -> str:
     return "f" + "'" * i + f"({end})" if i <= 3 else f"f^({i})({end})"
 
 
-def _certified_ge(f: FunctionSpec, node: Fraction, rhs: Fraction) -> bool:
-    """Decide f(node) >= rhs rigorously (exact value or escalated enclosure)."""
-    v = f.eval_exact(node)
-    if v is not None:
-        return v >= rhs
+def _certified_ge(f: FunctionSpec, k: int, n: int, rhs: Fraction) -> bool:
+    """Decide f(k/n) >= rhs rigorously, on integers.
+
+    Compares rhs C(n,k) = p/q with the node bracket num/den <= C(n,k) f(k/n)
+    < (num + 1)/den.  An exact bracket decides at once; an inexact one, whose
+    value lies strictly inside, decides once p/q is outside (num, num + 1)/den,
+    and otherwise escalate_precision asks for a finer bracket.
+    """
+    r = rhs * math.comb(n, k)
+    p, q = r.numerator, r.denominator
 
     def attempt(bits: int) -> bool:
-        lo, hi = f.eval_bounds(node, bits)
-        if lo >= rhs:
+        num, den, exact = f.scaled_bracket(k, n, bits)
+        d = num * q - p * den  # the sign of num/den - rhs C(n,k)
+        if d >= 0:
             return True
-        if hi < rhs:
+        if exact or d + q <= 0:
             return False
-        raise PrecisionInsufficient(f"cannot decide f({node}) >= {rhs} at {bits} bits")
+        raise PrecisionInsufficient(f"cannot decide f({k}/{n}) >= {rhs} at {bits} bits")
 
     return escalate_precision(attempt)
 
@@ -766,8 +772,9 @@ def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:
     vanishing of f^(i) at both endpoints for i = 2..s, and the two
     inequality families f(k/n) >= f(0) + (k/n) f'(0) (k = 1..s) and
     f(k/n) >= f(1) - (1 - k/n) f'(1) (k = n-s..n-1) over the given n range
-    (only n >= max(s, 1) can be checked).  Reports the least n0 from which
-    every larger n in the range passes, or the violations.
+    (only n >= max(s, 1) can be checked), each decided on the integer node
+    bracket (_certified_ge).  Reports the least n0 from which every larger n
+    in the range passes, or the violations.
     """
     if s < 0:
         raise ValueError("hypothesis_check: s must be >= 0")
@@ -797,12 +804,12 @@ def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:
             for k in range(1, s + 1):
                 node = Fraction(k, n)
                 rhs = f0 + node * d0
-                if not _certified_ge(f, node, rhs):
+                if not _certified_ge(f, k, n, rhs):
                     bad.append((n, k, f"f({k}/{n}) < f(0) + (k/n) f'(0) = {rhs}"))
             for k in range(n - s, n):
                 node = Fraction(k, n)
                 rhs = f1 - (1 - node) * d1
-                if not _certified_ge(f, node, rhs):
+                if not _certified_ge(f, k, n, rhs):
                     bad.append((n, k, f"f({k}/{n}) < f(1) - (1-k/n) f'(1) = {rhs}"))
         ok_by_n[n] = not bad
         violations.extend(bad)

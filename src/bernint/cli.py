@@ -65,6 +65,10 @@ _TIES = {t.value: t for t in TiePolicy}
 # Most multiplications a geometric n sweep may take: a factor this close to 1
 # would otherwise spin for hours before the first degree is run.
 _MAX_N_STEPS = 1 << 20
+# Largest degree --n or --n-max may ask for.  The binomial row alone holds
+# about n^2/2 bits: coeffs at n = 2^14 takes a few seconds and under 200 MB,
+# at n = 2^16 over 10 s and 1.6 GB.
+_MAX_DEGREE = 1 << 14
 
 _DEFAULTS = {
     "fn": None,
@@ -141,6 +145,11 @@ def _geometric_n_list(n_min: int, n_max: int, factor: float) -> tuple:
     return tuple(ns)
 
 
+def _is_number(v) -> bool:
+    """Whether v is a JSON number: an int or float, and not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_list(value, field: str, conv):
     if value is None:
         return ()
@@ -150,7 +159,7 @@ def _parse_list(value, field: str, conv):
         items = [p.strip() for p in str(value).split(",") if p.strip()]
     try:
         return tuple(conv(p) for p in items)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ConfigError(field, f"cannot parse {value!r}: {e}") from None
 
 
@@ -189,35 +198,39 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("tie", f"must be one of {sorted(_TIES)}")
     if merged["format"] not in ("json", "csv"):
         raise ConfigError("format", "must be json or csv")
-    for key in ("s", "n", "n_min", "n_max", "grid", "refine"):
+    for key in ("s", "n", "n_min", "n_max", "n_factor", "grid", "refine"):
         v = merged[key]
-        if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        if v is None and key == "n":
+            continue
+        if not _is_number(v):
+            raise ConfigError(key, f"must be a number, got {json.dumps(v)}")
+        if key != "n_factor" and isinstance(v, float) and not v.is_integer():
             raise ConfigError(key, f"must be an integer, got {json.dumps(v)}")
+    if isinstance(merged["t"], list) and not all(map(_is_number, merged["t"])):
+        raise ConfigError("t", f"must be a list of numbers, got {json.dumps(merged['t'])}")
     if not isinstance(merged["strict"], bool):
         raise ConfigError("strict", "must be true or false")
-    try:
-        s = int(merged["s"])
-    except (TypeError, ValueError):
-        raise ConfigError("s", "must be an integer") from None
+    s = int(merged["s"])
     if s < 0:
         raise ConfigError("s", "must be >= 0")
     n = merged["n"]
     if n is not None:
-        try:
-            n = int(n)
-        except (TypeError, ValueError):
-            raise ConfigError("n", "must be an integer") from None
+        n = int(n)
         if n < 1:
             raise ConfigError("n", "must be >= 1")
+        if n > _MAX_DEGREE:
+            raise ConfigError("n", f"must be <= {_MAX_DEGREE}")
+    n_min, n_max = int(merged["n_min"]), int(merged["n_max"])
     try:
-        n_min, n_max = int(merged["n_min"]), int(merged["n_max"])
         n_factor = float(merged["n_factor"])
-    except (TypeError, ValueError):
-        raise ConfigError("n_min/n_max/n_factor", "must be numeric") from None
+    except OverflowError:  # an integer past the float range
+        n_factor = math.inf
     if n_min < 1:
         raise ConfigError("n_min", "must be >= 1")
     if n_max < n_min:
         raise ConfigError("n_max", f"must be >= n_min = {n_min}")
+    if n_max > _MAX_DEGREE:
+        raise ConfigError("n_max", f"must be <= {_MAX_DEGREE}")
     if not 1.0 < n_factor < math.inf:
         raise ConfigError("n_factor", "must be finite and > 1")
     if math.log(n_max / n_min) / math.log(n_factor) > _MAX_N_STEPS:
@@ -270,8 +283,21 @@ def _f17_exact(q: Fraction) -> str:
     return format(v, ".17g")
 
 
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+def _frac(q) -> str:
+    """A Fraction or int q as "num/den", or "num" when integral, exactly.
+
+    Exact values can run past Python's limit on the digits of an int-to-str
+    conversion (4300 by default); the limit is lifted for this conversion
+    alone, so the parsing of input keeps it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _render_json(report: dict) -> str:
@@ -415,7 +441,7 @@ def _cmd_coeffs(cfg: RunConfig):
                 "node": _frac(node),
                 "raw": raw_str,
                 "raw_exact": raw_exact,
-                "rounded": None if cfg.kind is OperatorKind.CLASSIC else str(scaled[k]),
+                "rounded": None if cfg.kind is OperatorKind.CLASSIC else _frac(scaled[k]),
                 "coeff": _frac(coeff),
                 "coeff_float": float(coeff),
             }

@@ -20,23 +20,22 @@ holder_interior(g)       |2x - 1|^g + p x + q for non-integer g in (0,2):
                          rescaling the argument keeps the smoothness class
                          and makes the endpoints integers.)
 
-Every built-in entry also has a node bracket oracle, scaled_bracket(k, n,
-bits): integers (num, den, exact) with num/den <= C(n,k) f(k/n) <
-(num + 1)/den, equality exactly when ``exact``, and den depending on
-(n, bits) alone.  The polynomials and abs_shift give their exact value (one
-Horner sum, or |2k - n| C(n,k) over n); the Hoelder entries give den =
-n 2^bits and an integer root, so their bracket is 2^-bits / n wide.  The
-rounding oracle scaled_round, the exact floor or nearest integer of
-C(n,k) f(k/n), is derived from the bracket at bits = 1, and operators
-builds the integer-coefficient models, the exact Classic models and the
-gap models from these brackets.  Values of the Hoelder entries at rational
-points are usually irrational; eval_bounds returns rigorous enclosures of
-them, which their Classic models use, and which operators falls back to for
-a spec built without scaled_bracket.
+Every spec has a node bracket oracle, scaled_bracket(k, n, bits): integers
+(num, den, exact) with num/den <= C(n,k) f(k/n) < (num + 1)/den, equality
+exactly when ``exact``, and den depending on (n, bits) alone.  The
+polynomials and abs_shift give their exact value (one Horner sum, or
+|2k - n| C(n,k) over n); the Hoelder entries give den = n 2^bits and an
+integer root, so their bracket is 2^-bits / n wide.  operators builds every
+model and gap model from the brackets alone, and analysis decides the node
+inequalities of hypothesis_check on them.  Values of the Hoelder entries at
+rational points are usually irrational; eval_bounds returns rigorous
+enclosures of them, kept as the independent reference that the brackets are
+tested against.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +44,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from bernint.exact import (DEFAULT_TIE, TiePolicy, binomial_row, common_denominator,
-                           homogeneous_sum, iroot, rational_pow_bounds,
-                           rational_pow_exact, round_bracket)
+from bernint.exact import (binomial_row, common_denominator, homogeneous_sum, iroot,
+                           rational_pow_bounds, rational_pow_exact)
 
 # Full width of the exclusion window centered on a kink: derivative-based
 # sup searches skip |x - kink| < KINK_WINDOW/2 (the derivative oracle is not
@@ -63,9 +61,12 @@ class CapabilityError(Exception):
 class FunctionSpec:
     """One corpus function: exact, certified and float oracles plus metadata.
 
-    Immutable; every oracle call is pure.  ``s_max`` is the largest derivative
-    order served (None = unlimited, polynomials).  ``kink`` marks an interior
-    non-smooth point, or None.
+    Immutable; every oracle call is pure.  ``scaled_bracket`` is the one
+    required oracle, the integer node bracket described in the module
+    docstring, as a callable (k, n, bits, c) -> (num, den, exact) that is
+    handed c = C(n,k).  ``s_max`` is the largest derivative order served (None =
+    unlimited, polynomials).  ``kink`` marks an interior non-smooth point, or
+    None.
     """
 
     def __init__(
@@ -78,12 +79,12 @@ class FunctionSpec:
         kink: Optional[float] = None,
         doc: str = "",
         value_float: Callable,
+        scaled_bracket: Callable,
         value_exact: Optional[Callable] = None,
         value_bounds: Optional[Callable] = None,
         deriv_float: Optional[Callable] = None,
         deriv_exact: Optional[Callable] = None,
         poly_coeffs: Optional[tuple] = None,
-        scaled_bracket: Optional[Callable] = None,
     ):
         self.name = name
         self.s_max = s_max
@@ -135,30 +136,26 @@ class FunctionSpec:
             raise CapabilityError(f"{self.name}: no certified enclosure oracle")
         return v, v
 
-    def scaled_bracket(self, k: int, n: int, bits: int) -> Optional[tuple[int, int, bool]]:
+    def scaled_bracket(self, k: int, n: int, bits: int) -> tuple[int, int, bool]:
         """Integer bracket (num, den, exact) of C(n,k) f(k/n).
 
         num/den <= C(n,k) f(k/n) < (num + 1)/den, with equality exactly when
         ``exact`` is True.  den depends only on (n, bits), and is even
         whenever a bracket is inexact; bits >= 1 sets the width of inexact
-        brackets.  None when the spec has no bracket oracle.
+        brackets.
         """
         self._check_node(k, n, bits)
-        if self._scaled_bracket is None:
-            return None
-        return self._scaled_bracket(k, n, bits)
+        return self._scaled_bracket(k, n, bits, math.comb(n, k))
 
-    def scaled_bracket_row(self, n: int, bits: int) -> Optional[list[tuple[int, int, bool]]]:
+    def scaled_bracket_row(self, n: int, bits: int) -> list[tuple[int, int, bool]]:
         """[scaled_bracket(k, n, bits) for k = 0..n], one oracle call per node.
 
-        All n + 1 brackets share one den.  None when the spec has no bracket
-        oracle.
+        All n + 1 brackets share one den, and C(n,k) comes from the cached
+        binomial_row(n).
         """
         self._check_node(0, n, bits)
         oracle = self._scaled_bracket
-        if oracle is None:
-            return None
-        return [oracle(k, n, bits) for k in range(n + 1)]
+        return [oracle(k, n, bits, c) for k, c in enumerate(binomial_row(n))]
 
     def _check_node(self, k: int, n: int, bits: int) -> None:
         if not 0 <= k <= n or n < 1:
@@ -166,19 +163,6 @@ class FunctionSpec:
                              f"got k={k}, n={n}")
         if bits < 1:
             raise ValueError(f"{self.name}: a bracket needs bits >= 1, got {bits}")
-
-    def scaled_round(
-        self, k: int, n: int, mode: str, tie: TiePolicy = DEFAULT_TIE
-    ) -> Optional[int]:
-        """floor ("floor") or nearest integer ("nearest") of C(n,k) f(k/n), exactly.
-
-        Rounds the bracket at bits = 1 (exact.round_bracket).  None when the
-        spec has no bracket oracle.
-        """
-        bracket = self.scaled_bracket(k, n, 1)
-        if bracket is None:
-            return None
-        return round_bracket(*bracket, mode, tie)
 
     def deriv_float(self, s: int, xs):
         """Vectorized float s-th derivative (s=0 is the function itself)."""
@@ -260,15 +244,14 @@ def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSp
 
     e0, d0 = chain[0]
     deg = len(e0) - 1
-    rows = {}  # n -> (binomial_row(n), D_f n^deg), for the last n asked for
+    dens = {}  # n -> D_f n^deg, for the last n asked for
 
-    def scaled_bracket(k, n, bits):
-        row_den = rows.get(n)
-        if row_den is None:
-            rows.clear()
-            row_den = rows[n] = (binomial_row(n), d0 * n ** deg)
-        row, den = row_den
-        return homogeneous_sum(e0, k, n) * row[k], den, True
+    def scaled_bracket(k, n, bits, c):
+        den = dens.get(n)
+        if den is None:
+            dens.clear()
+            den = dens[n] = d0 * n ** deg
+        return homogeneous_sum(e0, k, n) * c, den, True
 
     f0 = coeffs[0]
     f1 = sum(coeffs, Fraction(0))
@@ -350,8 +333,8 @@ def _make_abs_shift() -> FunctionSpec:
     def value_float(xs):
         return np.abs(2.0 * xs - 1.0)
 
-    def scaled_bracket(k, n, bits):
-        return abs(2 * k - n) * binomial_row(n)[k], n, True
+    def scaled_bracket(k, n, bits, c):
+        return abs(2 * k - n) * c, n, True
 
     return FunctionSpec(
         "abs_shift",
@@ -387,8 +370,7 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
     def value_float(xs):
         return np.abs(2.0 * xs - 1.0) ** gf + p * xs + q
 
-    def scaled_bracket(k, n, bits):
-        c = binomial_row(n)[k]
+    def scaled_bracket(k, n, bits, c):
         den = n << bits
         # den C |2k/n - 1|^(a/b) is the b-th root of x / n^a, and s its floor
         x = (den * c) ** b * abs(2 * k - n) ** a

@@ -13,15 +13,16 @@ lack:
   bracket num/den <= v < (num + 1)/den,
 * integer q-th roots and exact/certified rational powers u**(p/q),
 * interval-guarded rounding: guarded_round rounds a value known only
-  through an enclosure [lo, hi], and round_with_escalation tightens the
-  enclosure until the answer is provably unambiguous (escalate_precision is
-  the one doubling loop, shared with the certified comparisons in analysis).
+  through an enclosure [lo, hi] (the test reference for the integer node
+  brackets of corpus), and escalate_precision is the one doubling loop for
+  a decision that a bracket at some precision may leave open (the certified
+  node comparisons in analysis).
 
-The guarded rounding is what lets non-polynomial corpus functions (whose
-values at the Bernstein nodes are usually irrational) be rounded *correctly*,
-not merely plausibly: floor and nearest-integer are monotone step functions,
-so if both endpoints of an enclosure round to the same integer, the true
-value does too.
+Floor and nearest-integer are monotone step functions, so if both ends of
+an enclosure round to the same integer, the true value does too; an
+integer bracket num/den <= v < (num + 1)/den with an even den never
+straddles such a step, which is what lets round_bracket round irrational
+node values correctly, not merely plausibly.
 """
 
 from __future__ import annotations
@@ -185,34 +186,6 @@ def escalate_precision(attempt: Callable[[int], T]) -> T:
             bits = min(2 * bits, DEFAULT_MAX_BITS)
 
 
-def round_with_escalation(
-    enclose: Callable[[int], tuple[Fraction, Fraction]],
-    mode: str,
-    policy: TiePolicy = DEFAULT_TIE,
-) -> int:
-    """Drive guarded_round with ever-tighter enclosures until it resolves.
-
-    ``enclose(bits)`` must return a rational interval (lo, hi) containing the
-    true value, with width shrinking as ``bits`` grows.  Precision doubles
-    from DEFAULT_START_BITS up to DEFAULT_MAX_BITS; if the rounding is still
-    ambiguous at the cap (e.g. the true value sits exactly on a boundary and
-    the oracle cannot say so), PrecisionExhausted is raised.  An enclosure
-    with lo > hi raises ValueError.
-    """
-
-    def attempt(bits: int) -> int:
-        lo, hi = enclose(bits)
-        try:
-            return guarded_round(lo, hi, mode, policy)
-        except PrecisionInsufficient:
-            raise PrecisionInsufficient(
-                f"rounding still ambiguous at {bits} bits "
-                f"(enclosure [{float(lo)!r}, {float(hi)!r}])"
-            ) from None
-
-    return escalate_precision(attempt)
-
-
 def iroot(a: int, q: int) -> tuple[int, bool]:
     """Integer q-th root: largest r with r**q <= a, plus exactness flag.
 
@@ -319,7 +292,6 @@ __all__ = [
     "nearest_int",
     "guarded_round",
     "escalate_precision",
-    "round_with_escalation",
     "iroot",
     "rational_pow_exact",
     "rational_pow_bounds",

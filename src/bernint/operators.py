@@ -12,9 +12,10 @@ in the scaled basis x^k (1-x)^(n-k).  A model stores that scaled form as
 its data: integers e_k over one denominator D > 0, e_k / D = c_k C(n,k),
 in lowest terms; the c_k are a view derived on demand.  Models are built
 from the corpus node brackets FunctionSpec.scaled_bracket, integers with
-num_k/den <= C(n,k) f(k/n) < (num_k + 1)/den.  The integer kinds have D = 1
-and e_k the rounded integers (FunctionSpec.scaled_round); a Classic model
-whose brackets are all exact stores num_k over den.
+num_k/den <= C(n,k) f(k/n) < (num_k + 1)/den, and from nothing else.  The
+integer kinds have D = 1 and e_k the rounded integers (exact.round_bracket);
+a Classic model whose brackets are all exact stores num_k over den, and any
+other stores the bracket midpoints.
 
 Evaluation has two paths: a float path, O(n) per point, using the ratio
 form sum_k c_k w_k / sum_k w_k with weights w_k = C(n,k) u^k, u = x/(1-x),
@@ -47,14 +48,11 @@ import numpy as np
 
 from bernint.exact import (
     DEFAULT_TIE,
-    PrecisionExhausted,
     TiePolicy,
     binomial_row,
     common_denominator,
     homogeneous_sum,
     round_bracket,
-    round_ratio,
-    round_with_escalation,
 )
 
 
@@ -62,8 +60,7 @@ class HypothesisViolation(Exception):
     """Input breaks a theorem hypothesis (e.g. non-integer endpoint values)."""
 
 
-# Precision of the node enclosures behind Classic models of irrational-valued
-# functions, and of the node brackets behind gap_models.
+# Precision of the node brackets behind Classic models and gap_models.
 APPROX_BITS = 192
 
 
@@ -83,8 +80,8 @@ class BernsteinModel:
     rounded integer itself.  ``coeffs`` (the c_k as Fractions) and
     ``float_coeffs`` are views derived from (e, D) on first use.
     ``tie`` records the tie policy for NearestInt models (None otherwise).
-    ``coeffs_exact`` is False only when a Classic model of a function without
-    exact rational values stores certified high-precision midpoints instead.
+    ``coeffs_exact`` is False only when a Classic model stores the midpoints
+    of APPROX_BITS node brackets, some of them inexact, instead of f(k/n).
     ``derivative_order`` counts how many times derivative_model was applied.
     """
 
@@ -137,33 +134,6 @@ class BernsteinModel:
         )
 
 
-def _round_node(f, n: int, k: int, c: int, mode: str, tie: TiePolicy) -> int:
-    """Fallback for a spec without scaled_bracket: round f(k/n) * c, c = C(n,k).
-
-    Rational node values round directly; irrational ones through certified
-    enclosures with escalating precision (hard PrecisionExhausted naming the
-    node if the cap is hit).
-    """
-    node = Fraction(k, n)
-    v = f.eval_exact(node)
-    if v is not None:
-        return round_ratio(v.numerator * c, v.denominator, mode, tie)
-
-    # the scaled enclosure is C(n,k) times as wide as f's, so ask f for that
-    # many more bits: one attempt decides nearly every node
-    def enclose(bits):
-        lo, hi = f.eval_bounds(node, bits + c.bit_length())
-        return lo * c, hi * c
-
-    try:
-        return round_with_escalation(enclose, mode, tie)
-    except PrecisionExhausted as e:
-        raise PrecisionExhausted(
-            f"build_model({getattr(f, 'name', f)!r}, n={n}): "
-            f"cannot round coefficient at node k={k}: {e}"
-        ) from None
-
-
 def build_model(
     f,
     n: int,
@@ -172,42 +142,30 @@ def build_model(
 ) -> BernsteinModel:
     """Construct the degree-n model of corpus function ``f``.
 
-    The model comes from f's node brackets at bits = 1
-    (f.scaled_bracket_row).  Integer kinds store e_k = round(f(k/n) C(n,k))
-    over D = 1, each rounded from its bracket (exact.round_bracket, as
-    f.scaled_round does).  A Classic model whose brackets are all exact
-    stores num_k over den (N_k C(n,k) over D_f n^deg for a polynomial f).
-    Otherwise a Classic model stores the node values, with APPROX_BITS-wide
-    midpoints for irrational ones, flagged coeffs_exact=False; and a spec
-    without brackets rounds from its exact values or certified enclosures
-    (_round_node).
+    Integer kinds store e_k = round(f(k/n) C(n,k)) over D = 1, each rounded
+    from its node bracket at bits = 1 (exact.round_bracket).  A Classic model
+    reads one row of APPROX_BITS brackets (num_k, den, exact_k).  When every
+    bracket is exact it stores num_k over den (N_k C(n,k) over D_f n^deg for
+    a polynomial f).  Otherwise it stores the bracket midpoints,
+    2 num_k + (0 if exact_k else 1) over 2 den, flagged coeffs_exact=False:
+    exact at the exact nodes, and within half a bracket width of
+    C(n,k) f(k/n) at the others.
     """
     if n < 1:
         raise ValueError("build_model: n must be >= 1")
-    brackets = f.scaled_bracket_row(n, 1)
     if kind is OperatorKind.CLASSIC:
-        if brackets is not None:
-            nums, dens, exacts = zip(*brackets)
-            if all(exacts):
-                return BernsteinModel(kind=kind, n=n, scaled=nums, denominator=dens[0])
-        coeffs, exact = [], True
-        for k in range(n + 1):
-            node = Fraction(k, n)
-            v = f.eval_exact(node)
-            if v is None:
-                lo, hi = f.eval_bounds(node, APPROX_BITS)
-                v, exact = (lo + hi) / 2, False
-            coeffs.append(v)
-        return BernsteinModel.from_coeffs(kind, n, coeffs, coeffs_exact=exact)
+        nums, dens, exacts = zip(*f.scaled_bracket_row(n, APPROX_BITS))
+        if all(exacts):
+            return BernsteinModel(kind=kind, n=n, scaled=nums, denominator=dens[0])
+        return BernsteinModel(
+            kind=kind, n=n, denominator=2 * dens[0], coeffs_exact=False,
+            scaled=tuple(2 * num + (0 if exact else 1) for num, exact in zip(nums, exacts)),
+        )
     mode = "nearest" if kind is OperatorKind.NEAREST_INT else "floor"
-    if brackets is not None:
-        scaled = [round_bracket(num, den, exact, mode, tie) for num, den, exact in brackets]
-    else:
-        scaled = [_round_node(f, n, k, c, mode, tie) for k, c in enumerate(binomial_row(n))]
     return BernsteinModel(
         kind=kind,
         n=n,
-        scaled=tuple(scaled),
+        scaled=tuple(round_bracket(*b, mode, tie) for b in f.scaled_bracket_row(n, 1)),
         tie=tie if kind is OperatorKind.NEAREST_INT else None,
     )
 
@@ -400,44 +358,20 @@ def gap_models(
     nonnegative, so gap_lo <= gap <= gap_hi at every point, and
     gap_hi - gap_lo <= 2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.
     When every bracket is exact the same model is returned twice.
-
-    A spec without scaled_bracket is enclosed through build_model and f's
-    node values: coefficient k is c_k minus the upper (gap_lo) or lower
-    (gap_hi) end of f(k/n), its exact value where rational, else its
-    APPROX_BITS enclosure.
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_models: kind must be FloorInt or NearestInt")
     mode = "nearest" if kind is OperatorKind.NEAREST_INT else "floor"
     fields = dict(kind=kind, n=n, tie=tie if kind is OperatorKind.NEAREST_INT else None)
     brackets = f.scaled_bracket_row(n, APPROX_BITS)
-    if brackets is not None:
-        den = brackets[0][1]
-        s_hi = [round_bracket(num, den, exact, mode, tie) * den - num
-                for num, _, exact in brackets]
-        gap_hi = BernsteinModel(scaled=tuple(s_hi), denominator=den, **fields)
-        if all(exact for _, _, exact in brackets):
-            return gap_hi, gap_hi
-        s_lo = tuple(e if exact else e - 1 for e, (_, _, exact) in zip(s_hi, brackets))
-        return BernsteinModel(scaled=s_lo, denominator=den, **fields), gap_hi
-    # scaled gap m_k - f(k/n) C(n,k), against each end of f(k/n)
-    model = build_model(f, n, kind, tie)
-    s_lo, s_hi = [], []
-    for k, (m, c) in enumerate(zip(model.scaled, binomial_row(n))):
-        node = Fraction(k, n)
-        v = f.eval_exact(node)
-        vlo, vhi = (v, v) if v is not None else f.eval_bounds(node, APPROX_BITS)
-        s_lo.append(m - vhi * c)
-        s_hi.append(m - vlo * c)
-
-    def gap_model(values):
-        scaled, d = common_denominator(values)
-        return BernsteinModel(scaled=tuple(scaled), denominator=d, **fields)
-
-    gap_lo = gap_model(s_lo)
-    if s_lo == s_hi:
-        return gap_lo, gap_lo
-    return gap_lo, gap_model(s_hi)
+    den = brackets[0][1]
+    s_hi = [round_bracket(num, den, exact, mode, tie) * den - num
+            for num, _, exact in brackets]
+    gap_hi = BernsteinModel(scaled=tuple(s_hi), denominator=den, **fields)
+    if all(exact for _, _, exact in brackets):
+        return gap_hi, gap_hi
+    s_lo = tuple(e if exact else e - 1 for e, (_, _, exact) in zip(s_hi, brackets))
+    return BernsteinModel(scaled=s_lo, denominator=den, **fields), gap_hi
 
 
 def proximity_gap_exact(
@@ -452,11 +386,9 @@ def proximity_gap_exact(
     Returns a list of Fraction pairs (lo, hi) with lo <= gap(x) <= hi: the
     exact values of the two gap_models.  lo is one exact evaluation of
     gap_lo, and hi adds the value of gap_hi - gap_lo, whose scaled
-    coefficients are 0 or 1 over den for a spec with scaled_bracket, so its
-    Horner sum multiplies no wide coefficients; when the two models are one,
-    hi is lo.  Fully
-    rigorous, which is what lets tests verify the 1/n and 1/(2n) bounds
-    without floats.
+    coefficients are 0 or 1 over den, so its Horner sum multiplies no wide
+    coefficients; when the two models are one, hi is lo.  Fully rigorous,
+    which is what lets tests verify the 1/n and 1/(2n) bounds without floats.
     """
     gap_lo, gap_hi = gap_models(f, n, kind, tie)
     width = None

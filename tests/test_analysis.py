@@ -1,6 +1,7 @@
 """Sup-norm search, moduli of smoothness, log-log rate fitting, and the
 desk-scale experiment drivers."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,6 +28,7 @@ from bernint import (
     sup_norm,
     voronovskaya_check,
 )
+import bernint.analysis as analysis
 from bernint.analysis import _MAX_GRID_POINTS, SaturationVerdict, _omega1_window_max
 from bernint.operators import gap_models
 
@@ -413,3 +415,68 @@ def test_hypothesis_check_frozen_reports():
     bad = hypothesis_check(builtin("monomial(3)"), 2, range(1, 65))
     assert not bad.passed
     assert ("f''(1)", "6", False) in bad.vanishing
+
+
+HOLDER_SPECS = ["holder_interior(1/2)", "holder_interior(3/2)",
+                "holder_interior(3/2,2,-1)", "holder_interior(1/3,-1,2)"]
+
+
+def reference_ge(f, k, n, rhs):
+    """f(k/n) >= rhs from the exact value, else from a 4096-bit enclosure."""
+    v = f.eval_exact(F(k, n))
+    if v is not None:
+        return v >= rhs
+    lo, hi = f.eval_bounds(F(k, n), 4096)
+    assert lo >= rhs or hi < rhs, "the reference cannot decide"
+    return lo >= rhs
+
+
+@pytest.mark.parametrize("name", HOLDER_SPECS)
+def test_node_checks_decide_on_brackets_as_fine_enclosures_do(name, monkeypatch):
+    # _certified_ge reads only the integer node bracket, escalating past 128
+    # bits when rhs sits 2^-150 from an irrational value, and decides an rhs
+    # equal to an exact node value; hypothesis_check reports as it would on
+    # 4096-bit enclosures
+    f = builtin(name)
+    cases = []
+    for n in (1, 2, 9, 32, 64):
+        for k in range(n + 1):
+            v = f.eval_exact(F(k, n))
+            lo, hi = f.eval_bounds(F(k, n), 4096) if v is None else (v, v)
+            exact = () if v is None else (v,)
+            for rhs in (*exact, lo - F(1, 2**150), hi + F(1, 2**150),
+                        F(math.floor(lo * 1000), 1000), f.eval_exact(F(0)) - F(k, n)):
+                cases.append((k, n, rhs, reference_ge(f, k, n, rhs)))
+    assert {want for *_, want in cases} == {True, False}
+    monkeypatch.setattr(analysis, "_certified_ge", reference_ge)
+    reports = {s: hypothesis_check(f, s, range(1, 65)) for s in range(f.s_max + 1)}
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("node checks must not call eval_bounds")
+
+    oracle, bits_asked = f._scaled_bracket, set()
+
+    def counting(k, n, bits, c):
+        bits_asked.add(bits)
+        return oracle(k, n, bits, c)
+
+    monkeypatch.setattr(f, "eval_bounds", refuse)
+    monkeypatch.setattr(f, "_scaled_bracket", counting)
+    for k, n, rhs, want in cases:
+        assert analysis._certified_ge(f, k, n, rhs) is want, (k, n, rhs)
+    assert bits_asked == {128, 256}
+    for s, want in reports.items():
+        assert hypothesis_check(f, s, range(1, 65)) == want
+
+
+def test_node_checks_build_no_binomial_row():
+    # a node inequality needs C(n,k) only at k <= s and k >= n - s, so a
+    # check near the CLI's degree cap stays cheap
+    from bernint import binomial_row
+
+    before = binomial_row.cache_info()
+    for name in ("monomial(2)", "holder_interior(3/2)"):
+        assert hypothesis_check(builtin(name), 1, range(16000, 16004)).passed
+    after = binomial_row.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

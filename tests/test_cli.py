@@ -56,6 +56,46 @@ def test_grid_above_cap_exits_2_without_allocating(capsys):
     assert "points must lie in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--n", "--n-max"])
+def test_degree_above_cap_exits_2_without_allocating(flag, capsys):
+    from bernint.cli import _MAX_DEGREE
+
+    tracemalloc.start()
+    try:
+        rc = main(["coeffs", "--fn", "monomial(2)", flag, str(_MAX_DEGREE + 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 1 << 20  # the binomial row at n = 2^14 alone is about 17 MB
+    field = flag[2:].replace("-", "_")
+    assert f"config field '{field}': must be <= {_MAX_DEGREE}" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this Python")
+def test_exact_values_past_the_int_digit_limit_are_printed(capsys):
+    from bernint import OperatorKind, build_model, builtin, evaluate_exact
+
+    limit = sys.get_int_max_str_digits()
+    argv = ["eval", "--fn", "monomial(2)", "--kind", "floor", "--n", "512"]
+    rc, doc = run_json(argv + ["--x", "1/1000000000"], capsys)
+    assert rc == 0
+    value = evaluate_exact(build_model(builtin("monomial(2)"), 512, OperatorKind.FLOOR_INT),
+                           Fraction(1, 10**9))
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    assert doc["rows"][0]["exact"] == want
+    assert sys.get_int_max_str_digits() == limit  # restored once the report is out
+    # input parsing keeps the limit: a point with 5000 digits is refused
+    rc, out = run(argv + ["--x", "1/1" + "0" * 5000], capsys)
+    assert (rc, out) == (2, "")
+
+
 def test_missing_required_field_exits_2(capsys):
     rc, _ = run(["coeffs", "--fn", "monomial(2)"], capsys)  # no --n
     assert rc == 2
@@ -389,6 +429,16 @@ def test_unwritable_out_exits_2_and_leaves_no_temp_file(where, tmp_path, capsys)
         # integral values are accepted, whatever their JSON spelling
         ({"n": 4.0, "grid": 4097.0, "refine": 6.0, "s": 0.0, "strict": False}, None),
         ({"n_min": 2.0, "n_max": 8.0, "strict": True}, None),
+        # numeric fields and t items are JSON numbers, never strings or bools
+        ({"n": " 5 "}, "n"),
+        ({"s": "1"}, "s"),
+        ({"n_factor": "2"}, "n_factor"),
+        ({"n_factor": True}, "n_factor"),
+        ({"grid": "4097"}, "grid"),
+        ({"t": [True, 0.2]}, "t"),
+        ({"t": [None]}, "t"),
+        ({"t": [[0.1]]}, "t"),
+        ({"n_factor": 3, "t": [0.1, 1]}, None),
     ],
 )
 def test_config_file_values_are_not_coerced(values, field, tmp_path, capsys):
@@ -404,7 +454,7 @@ def test_config_file_values_are_not_coerced(values, field, tmp_path, capsys):
         assert rc == 2 and out == ""
         assert f"bernint: config field '{field}': must be" in err
         return
-    integral = {k: v if isinstance(v, bool) else int(v) for k, v in values.items()}
+    integral = {k: v if isinstance(v, (bool, list)) else int(v) for k, v in values.items()}
     assert (rc, out) == report(integral)[:2]
     assert rc == 0
 

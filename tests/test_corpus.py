@@ -113,9 +113,10 @@ def test_scaled_round_matches_exact_node_values():
                 if v is None:
                     continue
                 num, den = v.numerator * math.comb(n, k), v.denominator
-                assert f.scaled_round(k, n, "floor") == round_ratio(num, den, "floor")
+                coarse = f.scaled_bracket(k, n, 1)
+                assert round_bracket(*coarse, "floor") == round_ratio(num, den, "floor")
                 for tie in TiePolicy:
-                    assert f.scaled_round(k, n, "nearest", tie) == round_ratio(
+                    assert round_bracket(*coarse, "nearest", tie) == round_ratio(
                         num, den, "nearest", tie)
 
 
@@ -123,7 +124,7 @@ def test_scaled_round_rejects_nodes_off_the_grid():
     for f in (builtin("monomial(2)"), builtin("abs_shift"), builtin("holder_interior(1/2)")):
         for k, n in ((-1, 4), (5, 4), (0, 0)):
             with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
-                f.scaled_round(k, n, "floor")
+                f.scaled_bracket(k, n, 1)
             with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
                 f.scaled_bracket(k, n, 64)
         with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
@@ -133,6 +134,12 @@ def test_scaled_round_rejects_nodes_off_the_grid():
                 f.scaled_bracket(1, 4, bits)
             with pytest.raises(ValueError, match="bits >= 1"):
                 f.scaled_bracket_row(4, bits)
+
+
+def test_function_spec_requires_a_node_bracket():
+    with pytest.raises(TypeError, match="scaled_bracket"):
+        corpus.FunctionSpec("bare", s_max=0, integer_endpoints=True,
+                            value_float=lambda xs: xs)
 
 
 BRACKET_SPECS = [e.spec.name for e in entries()] + [
@@ -171,12 +178,17 @@ def test_scaled_round_rounds_the_bracket():
                 fine = f.scaled_bracket(k, n, 192)
                 for mode in ("floor", "nearest"):
                     for tie in TiePolicy:
-                        assert f.scaled_round(k, n, mode, tie) == round_bracket(*fine, mode, tie)
+                        assert round_bracket(*f.scaled_bracket(k, n, 1), mode, tie) == (
+                            round_bracket(*fine, mode, tie))
 
 
 def test_holder_exact_ties_round_by_policy():
     # C(32,k) |2k/32 - 1|^(3/2) is an exact half-integer at k = 7, 15, 17, 25
     f = builtin("holder_interior(3/2)")
+
+    def nearest(k, tie):
+        return round_bracket(*f.scaled_bracket(k, 32, 1), "nearest", tie)
+
     assert f.eval_exact(F(7, 32)) * math.comb(32, 7) == F(2839941, 2)
     assert f.eval_exact(F(15, 32)) * math.comb(32, 15) == F(17678835, 2)
     want = {
@@ -186,11 +198,12 @@ def test_holder_exact_ties_round_by_policy():
         TiePolicy.HALF_TO_EVEN: [1419970, 8839418],
     }
     for tie, rounded in want.items():
-        assert [f.scaled_round(k, 32, "nearest", tie) for k in (7, 15)] == rounded
-        assert [f.scaled_round(k, 32, "nearest", tie) for k in (25, 17)] == rounded
+        assert [nearest(k, tie) for k in (7, 15)] == rounded
+        assert [nearest(k, tie) for k in (25, 17)] == rounded
         model = build_model(f, 32, OperatorKind.NEAREST_INT, tie)
         assert [model.scaled[k] for k in (7, 15)] == rounded
-        assert [f.scaled_round(k, 32, "floor", tie) for k in (7, 15)] == [1419970, 8839417]
+        assert [round_bracket(*f.scaled_bracket(k, 32, 1), "floor", tie)
+                for k in (7, 15)] == [1419970, 8839417]
 
 
 def test_builtin_unknown_or_malformed():

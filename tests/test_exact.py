@@ -18,10 +18,9 @@ from bernint import (
     nearest_int,
     rational_pow_bounds,
     rational_pow_exact,
-    round_with_escalation,
 )
-from bernint.exact import (_iroot_newton, common_denominator, homogeneous_sum,
-                           round_bracket, round_ratio)
+from bernint.exact import (_iroot_newton, common_denominator, escalate_precision,
+                           homogeneous_sum, round_bracket, round_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,6 @@ def test_guarded_round_straddle_raises():
 def test_guarded_round_rejects_reversed_enclosure():
     with pytest.raises(ValueError, match="lo > hi"):
         guarded_round(F(1, 3), F(1, 4), "floor")
-    with pytest.raises(ValueError, match="lo > hi"):
-        round_with_escalation(lambda bits: (F(1), F(0)), "nearest")
 
 
 @given(rationals)
@@ -258,22 +255,29 @@ def test_guarded_round_matches_exact_rounding_on_corpus_weights():
                     assert guarded_round(w - rad, w + rad, "nearest") == nearest_int(w)
 
 
-def test_round_with_escalation_decides_after_refinement():
+def test_escalate_precision_decides_after_one_doubling():
     u = F(5, 2) + F(1, 2**200)
+    asked = []
 
-    def enclose(bits):
-        return u - F(1, 2**bits), u + F(1, 2**bits)
+    def attempt(bits):
+        asked.append(bits)
+        return guarded_round(u - F(1, 2**bits), u + F(1, 2**bits), "nearest")
 
     # 128 bits straddles the tie at 5/2, 256 bits decides
-    assert round_with_escalation(enclose, "nearest") == 3
+    assert escalate_precision(attempt) == 3
+    assert asked == [128, 256]
 
 
-def test_round_with_escalation_exhausts_on_exact_tie():
-    def enclose(bits):
-        return F(5, 2) - F(1, 2**bits), F(5, 2) + F(1, 2**bits)
+def test_escalate_precision_exhausts_at_the_cap():
+    asked = []
 
-    with pytest.raises(PrecisionExhausted, match="rounding still ambiguous at 4096 bits"):
-        round_with_escalation(enclose, "nearest")
+    def attempt(bits):
+        asked.append(bits)
+        raise PrecisionInsufficient(f"still undecided at {bits} bits")
+
+    with pytest.raises(PrecisionExhausted, match=r"^still undecided at 4096 bits$"):
+        escalate_precision(attempt)
+    assert asked == [128, 256, 512, 1024, 2048, 4096]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Module layering: each bernint module imports only from modules to its
 left in exact -> corpus -> operators -> analysis -> cli, function bodies
 included.  The package itself re-exports everything up to analysis, so only
-cli may import it.  Every name a module exports in __all__ exists."""
+cli may import it.  Every name a module exports in __all__ exists.  The
+certified enclosures are a reference oracle: only exact and corpus name them."""
 
 import ast
 import importlib
@@ -13,6 +14,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bernint"
 LAYERS = ["exact", "corpus", "operators", "analysis", "cli"]
 RANK = {f"bernint.{name}": i for i, name in enumerate(LAYERS)}
 RANK["bernint"] = RANK["bernint.analysis"] + 0.5
+# Tests check the integer node brackets against these enclosures, so the
+# models and node checks above corpus must not read them.  The package
+# __init__ only re-exports exact's API, rational_pow_bounds included.
+REFERENCE_ORACLE = {"eval_bounds", "value_bounds", "rational_pow_bounds"}
 
 
 def imported_modules(tree):
@@ -55,3 +60,20 @@ def test_exported_names_resolve(module):
     assert len(exported) == len(set(exported)), f"{module}.__all__ repeats a name"
     missing = [name for name in exported if not hasattr(mod, name)]
     assert missing == [], f"{module}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("module", [m for m in LAYERS if m not in ("exact", "corpus")])
+def test_only_exact_and_corpus_name_the_reference_enclosures(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ImportFrom, ast.Import)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        named += [(node.lineno, name) for name in names if name in REFERENCE_ORACLE]
+    assert named == [], f"bernint.{module} names a reference enclosure: {named}"

@@ -13,10 +13,8 @@ import bernint.corpus as corpus
 import bernint.operators as operators
 from bernint import (
     BernsteinModel,
-    FunctionSpec,
     HypothesisViolation,
     OperatorKind,
-    PrecisionExhausted,
     TiePolicy,
     binomial_row,
     build_model,
@@ -24,9 +22,9 @@ from bernint import (
     derivative_model,
     evaluate,
     evaluate_exact,
+    guarded_round,
     proximity_gap,
     proximity_gap_exact,
-    round_with_escalation,
     saturation_probe,
     sup_norm,
 )
@@ -288,9 +286,9 @@ def test_gap_models_take_one_bracket_per_node(name, monkeypatch):
     oracle = f._scaled_bracket
     calls = []
 
-    def counting(k, n, bits):
+    def counting(k, n, bits, c):
         calls.append((k, n, bits))
-        return oracle(k, n, bits)
+        return oracle(k, n, bits, c)
 
     def refuse(*args, **kwargs):
         raise AssertionError("gap_models must not call this")
@@ -303,29 +301,6 @@ def test_gap_models_take_one_bracket_per_node(name, monkeypatch):
             calls.clear()
             gap_models(f, n, kind)
             assert calls == [(k, n, APPROX_BITS) for k in range(n + 1)]
-
-
-def test_gap_models_of_a_spec_without_brackets_use_enclosures():
-    ref = builtin("holder_interior(3/2)")
-    calls = []
-
-    def bounds(x, bits):
-        calls.append(bits)
-        return ref.eval_bounds(x, bits)
-
-    bare = FunctionSpec("bare", s_max=0, integer_endpoints=True, value_float=ref.eval_float,
-                        value_exact=ref.eval_exact, value_bounds=bounds)
-    xs = [F(1, 3), F(5, 8), F(700, 701)]
-    for kind in (FLOOR, NEAREST):
-        for n in (4, 17):
-            calls.clear()
-            gap_lo, gap_hi = gap_models(bare, n, kind)
-            assert APPROX_BITS in calls
-            assert gap_hi is not gap_lo
-            # both pairs enclose the same true gap
-            for (lo, hi), (blo, bhi) in zip(proximity_gap_exact(bare, n, kind, xs),
-                                            proximity_gap_exact(ref, n, kind, xs)):
-                assert lo <= hi and max(lo, blo) <= min(hi, bhi)
 
 
 def test_proximity_gap_exact_evaluates_one_model_when_rational(monkeypatch):
@@ -344,9 +319,9 @@ def test_proximity_gap_exact_evaluates_one_model_when_rational(monkeypatch):
 
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
 def test_proximity_gap_measures_integer_minus_classic(name):
-    # the grid gap is the integer model minus the classic one: the gap models
-    # are centred on bracket midpoints, the classic model stores enclosure
-    # midpoints, and the two differ by far less than a float can show
+    # the grid gap is the integer model minus the classic one: both the gap
+    # models and the classic model are centred on the APPROX_BITS bracket
+    # midpoints
     f = builtin(name)
     for kind in (FLOOR, NEAREST):
         for n in (3, 17, 64):
@@ -362,8 +337,8 @@ def test_proximity_gap_measures_integer_minus_classic(name):
 
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
 def test_integer_kinds_round_each_irrational_node_in_one_attempt(name, monkeypatch):
-    # scaled_round rounds every node on integers, so build_model asks for no
-    # enclosure at all; the rounded integers are still certified below
+    # the node bracket rounds every node on integers, so build_model asks for
+    # no enclosure at all; the rounded integers are still certified below
     f = builtin(name)
     oracle = f.eval_bounds
     calls = []
@@ -411,37 +386,31 @@ def test_integer_models_match_escalated_rounding_of_fine_enclosures(name, n, tie
         lo, hi = f.eval_bounds(F(k, n), 4096)
         scaled.append((lo * math.comb(n, k), hi * math.comb(n, k)))
     for kind, mode in ((FLOOR, "floor"), (NEAREST, "nearest")):
-        want = [round_with_escalation(lambda bits, b=b: b, mode, tie) for b in scaled]
+        want = [guarded_round(lo, hi, mode, tie) for lo, hi in scaled]
         e, d = build_model(f, n, kind, tie).integer_form
         assert (list(e), d) == (want, 1)
 
 
-def test_spec_without_scaled_round_falls_back_to_enclosures():
-    ref = builtin("holder_interior(1/2)")
-    calls = []
+@pytest.mark.parametrize("name", HOLDER_SPECS)
+def test_classic_models_store_bracket_midpoints(name, monkeypatch):
+    # coefficient k is the midpoint of the APPROX_BITS bracket of C(n,k) f(k/n),
+    # the exact value at the exact nodes, read with no enclosure
+    f = builtin(name)
+    ends = {n: [bracket_ends(f, n, k) for k in range(n + 1)] for n in (1, 2, 7, 64)}
 
-    def bounds(x, bits):
-        calls.append(x)
-        return ref.eval_bounds(x, bits)
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_model must not call eval_bounds")
 
-    bare = FunctionSpec("bare", s_max=0, integer_endpoints=True, value_float=ref.eval_float,
-                        value_exact=ref.eval_exact, value_bounds=bounds)
-    assert bare.scaled_round(1, 4, "floor") is None
-    for kind in (FLOOR, NEAREST):
-        for n in (7, 64):
-            calls.clear()
-            assert build_model(bare, n, kind).coeffs == build_model(ref, n, kind).coeffs
-            assert calls  # irrational nodes went through the enclosures
-
-    # an enclosure that always straddles the tie 1/2 exhausts the precision cap
-    half = FunctionSpec("half", s_max=0, integer_endpoints=False,
-                        value_float=lambda xs: 0.5 + 0.0 * xs,
-                        value_bounds=lambda x, bits: (F(1, 2) - F(1, 2**bits),
-                                                      F(1, 2) + F(1, 2**bits)))
-    with pytest.raises(PrecisionExhausted, match=(
-            r"^build_model\('half', n=1\): cannot round coefficient at node k=0: "
-            r"rounding still ambiguous at 4096 bits \(enclosure \[")):
-        build_model(half, 1, NEAREST)
+    monkeypatch.setattr(f, "eval_bounds", refuse)
+    for n, row in ends.items():
+        model = build_model(f, n, CLASSIC)
+        assert model.coeffs_exact == all(lo == hi for lo, hi in row) == (n <= 2)
+        for k, (c, (lo, hi)) in enumerate(zip(model.coeffs, row)):
+            v = c * math.comb(n, k)
+            assert v == (lo + hi) / 2
+            assert lo == v == hi or lo < v < hi
+            if lo == hi:
+                assert c == f.eval_exact(F(k, n))
 
 
 def test_model_rejects_malformed_integer_form():
@@ -533,7 +502,7 @@ def test_derivative_model_matches_scaled_samples():
 
 
 def test_integer_derivative_matches_differences_on_inexact_classic_model():
-    # a Classic Hoelder model stores enclosure midpoints: coeffs_exact is False
+    # a Classic Hoelder model stores bracket midpoints: coeffs_exact is False
     m = build_model(builtin("holder_interior(1/2)"), 12, CLASSIC)
     assert not m.coeffs_exact
     diffs = list(m.coeffs)
