@@ -9,7 +9,7 @@ proximity bounds, saturation and moduli live:
   of the true sup (only evaluated points count); refining the grid never
   decreases them.
 * proximity_gap: sup_norm of the gap between an integer kind and B_n f,
-  measured on the exact gap models of operators.gap_models.
+  measured on the midpoint of the integer rows of operators.gap_interval.
 * omega1 / omega_phi2: moduli of smoothness on [0, 1], sampled on uniform
   grids.  omega1 takes the largest max - min over sliding windows, with
   running maxima and minima built by doubling (O(m log w) for m points and
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -48,7 +48,7 @@ from bernint.operators import (
     derivative_model,
     evaluate,
     evaluate_exact,
-    gap_models,
+    gap_interval,
     require_integer_endpoints,
 )
 
@@ -169,19 +169,15 @@ def proximity_gap(
     """Sup-norm estimate of |integer-kind model - B_n f| on [0, 1].
 
     Requires integer endpoint values f(0), f(1) (hypothesis of the 1/n and
-    1/(2n) proximity bounds).  Measures the midpoint of the two gap_models:
-    c_k - f(k/n), with the enclosure midpoint for an irrational f(k/n).
+    1/(2n) proximity bounds).  Measures the midpoint of the gap_interval
+    rows, (lo_k + hi_k) / (2 den): c_k - f(k/n), with the bracket midpoint
+    for an irrational f(k/n).
     """
     require_integer_endpoints(f)
-    lo, hi = gap_models(f, n, kind, tie)
-    gap = lo
-    if hi is not lo:  # (e/D + e'/D') / 2 on the integer forms
-        d, d2 = lo.denominator, hi.denominator
-        gap = replace(
-            lo,
-            scaled=tuple(a * d2 + b * d for a, b in zip(lo.scaled, hi.scaled)),
-            denominator=2 * d * d2,
-        )
+    lo, hi, den = gap_interval(f, n, kind, tie)
+    gap = BernsteinModel(
+        kind=kind, n=n, scaled=tuple(a + b for a, b in zip(lo, hi)), denominator=2 * den
+    )
     return sup_norm(lambda xs: evaluate(gap, xs), grid)
 
 
@@ -259,6 +255,8 @@ def omega1_sweep(
 ) -> list[ModulusEstimate]:
     """omega1 at several t on one shared grid (makes monotonicity exact)."""
     ts = [float(t) for t in ts]
+    if not ts:
+        raise ValueError("omega1: need at least one t")
     for t in ts:
         if not (0.0 < t <= 1.0):
             raise ValueError(f"omega1: need 0 < t <= 1, got t={t}")

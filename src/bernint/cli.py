@@ -376,41 +376,23 @@ def _need_fn(cfg: RunConfig):
 
 
 def _cmd_list_fns(cfg: RunConfig):
-    rows = []
-    table = []
-    for entry in entries():
-        spec = entry.spec
-        rows.append(
-            {
-                "name": spec.name,
-                "s_max": spec.s_max,
-                "integer_endpoints": spec.integer_endpoints,
-                "integer_linear": spec.integer_linear,
-                "kink": spec.kink,
-                "verify_s": entry.verify_s,
-                "experiments": list(entry.experiments),
-                "doc": spec.doc,
-            }
-        )
-        table.append(
-            [
-                spec.name,
-                "" if spec.s_max is None else spec.s_max,
-                spec.integer_endpoints,
-                spec.integer_linear,
-                "" if spec.kink is None else spec.kink,
-                entry.verify_s,
-                "+".join(entry.experiments),
-                spec.doc,
-            ]
-        )
+    rows = [
+        {
+            "name": entry.spec.name,
+            "s_max": entry.spec.s_max,
+            "integer_endpoints": entry.spec.integer_endpoints,
+            "integer_linear": entry.spec.integer_linear,
+            "kink": entry.spec.kink,
+            "verify_s": entry.verify_s,
+            "experiments": list(entry.experiments),
+            "doc": entry.spec.doc,
+        }
+        for entry in entries()
+    ]
     report = _base_report(cfg)
     report["functions"] = rows
-    header = [
-        "name", "s_max", "integer_endpoints", "integer_linear",
-        "kink", "verify_s", "experiments", "doc",
-    ]
-    return report, header, table, False
+    table = _table([{**row, "experiments": "+".join(row["experiments"])} for row in rows])
+    return report, *table, False
 
 
 def _cmd_coeffs(cfg: RunConfig):
@@ -553,6 +535,8 @@ def _cmd_saturation(cfg: RunConfig):
 
 def _cmd_converse(cfg: RunConfig):
     f = _need_fn(cfg)
+    if not cfg.t_list:
+        raise ConfigError("t", "converse requires a non-empty --t list")
     s = cfg.s if cfg.s >= 1 else 1
     rep = converse_experiment(f, cfg.kind, s, cfg.n_list, cfg.t_list, cfg.grid, cfg.tie)
     report = _base_report(cfg)
@@ -611,7 +595,7 @@ def _cmd_voronovskaya(cfg: RunConfig):
     report["x"] = _frac(rep.x)
     report["limit"] = _frac(rep.limit)
     report["limit_float"] = float(rep.limit)
-    report["rows"] = [
+    rows = [
         {
             "n": r.n,
             "scaled_gap": _frac(r.scaled_gap),
@@ -621,12 +605,8 @@ def _cmd_voronovskaya(cfg: RunConfig):
         }
         for r in rep.rows
     ]
-    table = [
-        [r.n, _frac(r.scaled_gap), float(r.scaled_gap), _frac(r.residual), float(r.residual)]
-        for r in rep.rows
-    ]
-    header = ["n", "scaled_gap", "scaled_gap_float", "residual", "residual_float"]
-    return report, header, table, False
+    report["rows"] = rows
+    return report, *_table(rows), False
 
 
 _HANDLERS = {
@@ -709,10 +689,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         report, header, rows, failed = _HANDLERS[cfg.command](cfg)
         _emit(cfg, report, header, rows)
-    except ConfigError as e:
-        print(f"bernint: {e}", file=sys.stderr)
-        return 2
-    except LookupError as e:
+    except (ConfigError, LookupError, ValueError) as e:
         print(f"bernint: {e}", file=sys.stderr)
         return 2
     except CapabilityError as e:
@@ -724,9 +701,6 @@ def main(argv=None) -> int:
     except PrecisionExhausted as e:
         print(f"bernint: precision failure ({e})", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"bernint: {e}", file=sys.stderr)
-        return 2
     except Exception:
         traceback.print_exc()
         return 3

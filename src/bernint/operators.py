@@ -28,11 +28,12 @@ n!/(n-s)! times the s-th forward difference of the c_k at unit index step;
 for the classic kind this is the usual divided-difference formula with real
 step 1/n, the prefactor absorbing the scaling.
 
-The gap between an integer kind and B_n f is built once, as the pair of
-exact models of gap_models: integers m_k den - num_k over den from one
-APPROX_BITS bracket per node, less 1 at the inexact nodes for the lower
-model.  proximity_gap_exact evaluates that pair, and analysis.proximity_gap
-(above this module, which imports only exact) measures it on a grid.
+The gap between an integer kind and B_n f is built once, by gap_interval:
+two unreduced integer rows over one den from one APPROX_BITS bracket per
+node, hi_k = m_k den - num_k and lo_k the same less 1 at the inexact nodes.
+proximity_gap_exact evaluates both rows exactly, and analysis.proximity_gap
+(above this module, which imports only exact) measures their midpoint
+(lo_k + hi_k) / (2 den) on a grid.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class HypothesisViolation(Exception):
     """Input breaks a theorem hypothesis (e.g. non-integer endpoint values)."""
 
 
-# Precision of the node brackets behind Classic models and gap_models.
+# Precision of the node brackets behind Classic models and gap_interval.
 APPROX_BITS = 192
 
 
@@ -341,37 +342,34 @@ def require_integer_endpoints(f) -> None:
             )
 
 
-def gap_models(
+def gap_interval(
     f,
     n: int,
     kind: OperatorKind,
     tie: TiePolicy = DEFAULT_TIE,
-) -> tuple[BernsteinModel, BernsteinModel]:
-    """The gap (integer-kind model - B_n f) as two exact models (gap_lo, gap_hi).
+) -> tuple[tuple, tuple, int]:
+    """The gap (integer-kind model - B_n f) as integer rows (lo, hi) over one den.
 
     One bracket call per node, f.scaled_bracket_row(n, APPROX_BITS)[k] =
     (num_k, den, exact_k), gives the rounded integer m_k (exact.round_bracket)
     and the scaled gap m_k - C(n,k) f(k/n), which lies in
     (m_k den - num_k - 1, m_k den - num_k] / den, at the right end exactly
-    when exact_k.  gap_hi has the integers m_k den - num_k over den, and
-    gap_lo the same less 1 at every inexact node.  The basis weights are
-    nonnegative, so gap_lo <= gap <= gap_hi at every point, and
-    gap_hi - gap_lo <= 2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.
-    When every bracket is exact the same model is returned twice.
+    when exact_k.  hi has the integers m_k den - num_k, and lo the same less
+    1 at every inexact node; neither row is reduced, so hi_k - lo_k is 0 or
+    1, and lo == hi exactly when every bracket is exact.  The basis weights
+    are nonnegative, so sum_k e_k x^k (1-x)^(n-k) / den encloses the gap at
+    every x between e = lo and e = hi, and the two ends differ by at most
+    2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.
     """
     if kind is OperatorKind.CLASSIC:
-        raise ValueError("gap_models: kind must be FloorInt or NearestInt")
+        raise ValueError("gap_interval: kind must be FloorInt or NearestInt")
     mode = "nearest" if kind is OperatorKind.NEAREST_INT else "floor"
-    fields = dict(kind=kind, n=n, tie=tie if kind is OperatorKind.NEAREST_INT else None)
     brackets = f.scaled_bracket_row(n, APPROX_BITS)
     den = brackets[0][1]
-    s_hi = [round_bracket(num, den, exact, mode, tie) * den - num
-            for num, _, exact in brackets]
-    gap_hi = BernsteinModel(scaled=tuple(s_hi), denominator=den, **fields)
-    if all(exact for _, _, exact in brackets):
-        return gap_hi, gap_hi
-    s_lo = tuple(e if exact else e - 1 for e, (_, _, exact) in zip(s_hi, brackets))
-    return BernsteinModel(scaled=s_lo, denominator=den, **fields), gap_hi
+    hi = tuple(round_bracket(num, den, exact, mode, tie) * den - num
+               for num, _, exact in brackets)
+    lo = tuple(e if exact else e - 1 for e, (_, _, exact) in zip(hi, brackets))
+    return lo, hi, den
 
 
 def proximity_gap_exact(
@@ -384,28 +382,25 @@ def proximity_gap_exact(
     """Certified rational enclosures of (integer model - B_n f)(x) at each x.
 
     Returns a list of Fraction pairs (lo, hi) with lo <= gap(x) <= hi: the
-    exact values of the two gap_models.  lo is one exact evaluation of
-    gap_lo, and hi adds the value of gap_hi - gap_lo, whose scaled
-    coefficients are 0 or 1 over den, so its Horner sum multiplies no wide
-    coefficients; when the two models are one, hi is lo.  Fully rigorous,
-    which is what lets tests verify the 1/n and 1/(2n) bounds without floats.
+    exact values of the two rows of gap_interval.  At x = a/b both share
+    q = den b^n; lo is s/q for s the Horner sum of the lo row, and hi adds
+    the Horner sum of the 0/1 row hi - lo, which multiplies no wide
+    coefficients; where that sum is 0, hi is lo.  Fully rigorous, which
+    is what lets tests verify the 1/n and 1/(2n) bounds without floats.
     """
-    gap_lo, gap_hi = gap_models(f, n, kind, tie)
-    width = None
-    if gap_hi is not gap_lo:
-        (e_lo, d_lo), (e_hi, d_hi) = gap_lo.integer_form, gap_hi.integer_form
-        d = math.lcm(d_lo, d_hi)
-        width = BernsteinModel(
-            kind=kind, n=n, denominator=d,
-            scaled=tuple(b * (d // d_hi) - a * (d // d_lo) for a, b in zip(e_lo, e_hi)),
-        )
+    lo, hi, den = gap_interval(f, n, kind, tie)
+    width = None if lo == hi else [b - a for a, b in zip(lo, hi)]
     out = []
     for x in xs:
         x = Fraction(x)
-        if not 0 <= x.numerator <= x.denominator:
+        a, b = x.numerator, x.denominator
+        if not 0 <= a <= b:
             raise ValueError("proximity_gap_exact: points must lie in [0, 1]")
-        lo = evaluate_exact(gap_lo, x)
-        out.append((lo, lo if width is None else lo + evaluate_exact(width, x)))
+        q = den * b ** n
+        s = homogeneous_sum(lo, a, b - a)
+        w = 0 if width is None else homogeneous_sum(width, a, b - a)
+        v = Fraction(s, q)
+        out.append((v, Fraction(s + w, q) if w else v))
     return out
 
 
@@ -418,6 +413,6 @@ __all__ = [
     "evaluate_exact",
     "derivative_model",
     "require_integer_endpoints",
-    "gap_models",
+    "gap_interval",
     "proximity_gap_exact",
 ]

@@ -16,6 +16,7 @@ import numpy as np
 
 from bernint import (
     OperatorKind,
+    binomial_row,
     boundary_interpolation_check,
     build_model,
     builtin,
@@ -86,9 +87,12 @@ def test_criterion_02_trivial_class_exactness():
         for q in (-2, 0, 3):
             f = builtin(f"integer_linear({p},{q})")
             for n in range(1, 257):
-                samples = tuple(f.eval_exact(F(k, n)) for k in range(n + 1))
+                # c_k C(n,k) = (p k/n + q) C(n,k) = p C(n-1,k-1) + q C(n,k) over D = 1;
+                # models are in lowest terms, so this is coeffs == f(k/n)
+                below = (0,) + binomial_row(n - 1)
+                want = (tuple(p * a + q * b for a, b in zip(below, binomial_row(n))), 1)
                 models = [build_model(f, n, kind) for kind in (CLASSIC, FLOOR, NEAREST)]
-                if any(m.coeffs != samples for m in models):
+                if any(m.integer_form != want for m in models):
                     ok = False
                 # identical coefficients: checking one model checks all three
                 if any(evaluate_exact(models[0], x) != f.eval_exact(x) for x in probes):

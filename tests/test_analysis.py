@@ -30,7 +30,7 @@ from bernint import (
 )
 import bernint.analysis as analysis
 from bernint.analysis import _MAX_GRID_POINTS, SaturationVerdict, _omega1_window_max
-from bernint.operators import gap_models
+from bernint.operators import BernsteinModel, gap_interval
 
 X2 = builtin("monomial(2)")
 NEAREST = OperatorKind.NEAREST_INT
@@ -111,7 +111,8 @@ def test_sup_norm_stops_when_bracket_stalls():
 def test_sup_norm_refinement_is_monotone():
     # a kernel target holds this too: the value at a point does not depend
     # on the batch it is evaluated in; its sup is at most max |c_k|
-    gap = gap_models(X2, 16, FLOOR)[0]
+    lo, _, den = gap_interval(X2, 16, FLOOR)
+    gap = BernsteinModel(kind=FLOOR, n=16, scaled=lo, denominator=den)
     targets = [
         (lambda x: np.abs(np.sin(47.0 * np.pi * x)), 1.0),
         (lambda x: evaluate(gap, x), float(max(abs(c) for c in gap.coeffs))),
@@ -221,6 +222,9 @@ def test_moduli_reject_non_finite_target():
         for modulus in moduli:
             with pytest.raises(ValueError, match="not finite"):
                 modulus(target)
+    # an empty step list fails by name, not inside min()
+    with pytest.raises(ValueError, match="omega1: need at least one t"):
+        omega1_sweep(lambda x: x, [])
 
 
 def test_omega1_sweep_is_monotone():

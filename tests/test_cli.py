@@ -97,8 +97,15 @@ def test_exact_values_past_the_int_digit_limit_are_printed(capsys):
 
 
 def test_missing_required_field_exits_2(capsys):
-    rc, _ = run(["coeffs", "--fn", "monomial(2)"], capsys)  # no --n
-    assert rc == 2
+    for argv, field in (
+        (["coeffs", "--fn", "monomial(2)"], "n"),  # no --n
+        (["modulus", "--fn", "monomial(2)", "--t", ","], "t"),  # an empty t list
+        (["converse", "--fn", "monomial(2)", "--t", ","], "t"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bernint: config field '{field}':" in captured.err
 
 
 def test_capability_error_exits_2(capsys):

@@ -28,7 +28,7 @@ from bernint import (
     saturation_probe,
     sup_norm,
 )
-from bernint.operators import APPROX_BITS, gap_models
+from bernint.operators import APPROX_BITS, gap_interval
 
 CLASSIC = OperatorKind.CLASSIC
 FLOOR = OperatorKind.FLOOR_INT
@@ -239,14 +239,16 @@ def test_proximity_gap_exact_matches_sum_of_node_enclosures():
                                   "holder_interior(1/3,-1,2)"])
 def test_gap_enclosure_width_is_below_the_bracket_width(name):
     # hi - lo = sum_k delta_k x^k (1-x)^(n-k) / den with delta_k in {0, 1}, and
-    # the width path adds up to the exact value of gap_hi
+    # each end is the exact value of the model built from its row
     f = builtin(name)
     rng = random.Random(909)
     for kind in (FLOOR, NEAREST):
         for n in (1, 6, 33, 128):
             xs = [F(0), F(1, 2), F(1), F(1, 3)] + [F(rng.randrange(q + 1), q)
                                                   for q in rng.sample(range(2, 1024), 8)]
-            gap_lo, gap_hi = gap_models(f, n, kind)
+            row_lo, row_hi, den = gap_interval(f, n, kind)
+            gap_lo, gap_hi = (BernsteinModel(kind=kind, n=n, scaled=row, denominator=den)
+                              for row in (row_lo, row_hi))
             pairs = proximity_gap_exact(f, n, kind, xs)
             for x, (lo, hi) in zip(xs, pairs):
                 assert lo == evaluate_exact(gap_lo, x)
@@ -255,32 +257,35 @@ def test_gap_enclosure_width_is_below_the_bracket_width(name):
 
 
 def test_gap_models_share_one_model_when_node_values_are_rational():
+    # the two rows of gap_interval are one row
+    row = binomial_row(9)
     for kind in (FLOOR, NEAREST):
-        gap_lo, gap_hi = gap_models(X3, 9, kind)
-        assert gap_hi is gap_lo
+        lo, hi, den = gap_interval(X3, 9, kind)
+        assert lo == hi
         model = build_model(X3, 9, kind)
-        assert gap_lo.coeffs == tuple(
+        assert tuple(F(e, den * b) for e, b in zip(lo, row)) == tuple(
             c - X3.eval_exact(F(k, 9)) for k, c in enumerate(model.coeffs)
         )
 
 
 def test_gap_models_enclose_irrational_node_values():
-    f = builtin("holder_interior(1/2)")
-    for kind in (FLOOR, NEAREST):
-        gap_lo, gap_hi = gap_models(f, 9, kind)
-        assert gap_hi is not gap_lo
-        assert all(a <= b for a, b in zip(gap_lo.coeffs, gap_hi.coeffs))
-        assert any(a < b for a, b in zip(gap_lo.coeffs, gap_hi.coeffs))
-        # one denominator, and a 0/1 difference on it
-        (e_lo, d_lo), (e_hi, d_hi) = gap_lo.integer_form, gap_hi.integer_form
-        assert d_lo == d_hi == 9 << APPROX_BITS
-        assert {b - a for a, b in zip(e_lo, e_hi)} == {0, 1}
-    with pytest.raises(ValueError, match="FloorInt or NearestInt"):
-        gap_models(f, 9, CLASSIC)
+    # the rows of gap_interval: one unreduced denominator, and a 0/1
+    # difference on it; at n = 1 both nodes are the integer endpoint values,
+    # so the rows agree
+    for name in ("holder_interior(1/2)", "holder_interior(3/2)",
+                 "holder_interior(3/2,2,-1)", "holder_interior(1/3,-1,2)"):
+        f = builtin(name)
+        for n in (1, 9, 64):
+            for kind in (FLOOR, NEAREST):
+                lo, hi, den = gap_interval(f, n, kind)
+                assert den == n << APPROX_BITS
+                assert {b - a for a, b in zip(lo, hi)} == ({0} if n == 1 else {0, 1})
+        with pytest.raises(ValueError, match="FloorInt or NearestInt"):
+            gap_interval(f, 9, CLASSIC)
 
 
 @pytest.mark.parametrize("name", [e.spec.name for e in corpus.entries()])
-def test_gap_models_take_one_bracket_per_node(name, monkeypatch):
+def test_gap_interval_takes_one_bracket_per_node(name, monkeypatch):
     # no build_model, no enclosure: one APPROX_BITS bracket call per node
     f = builtin(name)
     oracle = f._scaled_bracket
@@ -291,7 +296,7 @@ def test_gap_models_take_one_bracket_per_node(name, monkeypatch):
         return oracle(k, n, bits, c)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("gap_models must not call this")
+        raise AssertionError("gap_interval must not call this")
 
     monkeypatch.setattr(f, "_scaled_bracket", counting)
     monkeypatch.setattr(f, "eval_bounds", refuse)
@@ -299,18 +304,20 @@ def test_gap_models_take_one_bracket_per_node(name, monkeypatch):
     for kind in (FLOOR, NEAREST):
         for n in (1, 16, 64):
             calls.clear()
-            gap_models(f, n, kind)
+            gap_interval(f, n, kind)
             assert calls == [(k, n, APPROX_BITS) for k in range(n + 1)]
 
 
 def test_proximity_gap_exact_evaluates_one_model_when_rational(monkeypatch):
+    # equal rows: one Horner sum per point, no width sum
     calls = []
+    homogeneous_sum = operators.homogeneous_sum
 
-    def counting(model, x):
-        calls.append(x)
-        return evaluate_exact(model, x)
+    def counting(e, p, q):
+        calls.append((p, q))
+        return homogeneous_sum(e, p, q)
 
-    monkeypatch.setattr(operators, "evaluate_exact", counting)
+    monkeypatch.setattr(operators, "homogeneous_sum", counting)
     xs = [F(k, 7) for k in range(8)]
     pairs = proximity_gap_exact(builtin("monomial(5)"), 32, NEAREST, xs)
     assert len(calls) == len(xs)
