@@ -46,7 +46,6 @@ from bernint.corpus import (
 )
 from bernint.exact import (
     DEFAULT_TIE,
-    PrecisionExhausted,
     PrecisionInsufficient,
     TiePolicy,
     binomial_row,
@@ -71,7 +70,7 @@ from bernint.operators import (
 __all__ = [
     "__version__",
     # exact
-    "TiePolicy", "DEFAULT_TIE", "PrecisionInsufficient", "PrecisionExhausted",
+    "TiePolicy", "DEFAULT_TIE", "PrecisionInsufficient",
     "binomial_row", "floor_int", "nearest_int", "guarded_round",
     "iroot", "rational_pow_exact", "rational_pow_bounds",
     # operators

@@ -35,12 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from bernint.corpus import KINK_WINDOW, CapabilityError, FunctionSpec
-from bernint.exact import (
-    DEFAULT_TIE,
-    PrecisionInsufficient,
-    TiePolicy,
-    escalate_precision,
-)
+from bernint.exact import DEFAULT_TIE, TiePolicy
 from bernint.operators import (
     BernsteinModel,
     OperatorKind,
@@ -741,26 +736,14 @@ def _dlabel(i: int, end: int) -> str:
 
 
 def _certified_ge(f: FunctionSpec, k: int, n: int, rhs: Fraction) -> bool:
-    """Decide f(k/n) >= rhs rigorously, on integers.
+    """Decide f(k/n) >= rhs exactly, on integers, from one node bracket.
 
-    Compares rhs C(n,k) = p/q with the node bracket num/den <= C(n,k) f(k/n)
-    < (num + 1)/den.  An exact bracket decides at once; an inexact one, whose
-    value lies strictly inside, decides once p/q is outside (num, num + 1)/den,
-    and otherwise escalate_precision asks for a finer bracket.
+    With rhs = p/q in lowest terms, the bracket at c = q has num =
+    floor(den q f(k/n)); since den p is an integer, den q f(k/n) >= den p
+    holds exactly when num >= den p.
     """
-    r = rhs * math.comb(n, k)
-    p, q = r.numerator, r.denominator
-
-    def attempt(bits: int) -> bool:
-        num, den, exact = f.scaled_bracket(k, n, bits)
-        d = num * q - p * den  # the sign of num/den - rhs C(n,k)
-        if d >= 0:
-            return True
-        if exact or d + q <= 0:
-            return False
-        raise PrecisionInsufficient(f"cannot decide f({k}/{n}) >= {rhs} at {bits} bits")
-
-    return escalate_precision(attempt)
+    num, den, _ = f.scaled_bracket(k, n, 1, rhs.denominator)
+    return num >= rhs.numerator * den
 
 
 def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:

@@ -14,7 +14,7 @@ stderr only, never into the report).
 
 Exit codes: 0 success; 1 hypothesis/assertion failure (report-level
 failures flip the exit code only under --strict); 2 usage/validation
-error; 3 internal or precision failure.
+error; 3 internal failures.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from bernint.analysis import (
     voronovskaya_check,
 )
 from bernint.corpus import CapabilityError, builtin, entries
-from bernint.exact import PrecisionExhausted, TiePolicy, binomial_row
+from bernint.exact import TiePolicy, binomial_row
 from bernint.operators import (
     HypothesisViolation,
     OperatorKind,
@@ -107,7 +107,7 @@ class RunConfig:
     tie: TiePolicy
     s: int
     n: Optional[int]
-    x: tuple  # of strings, exact point literals
+    x: Optional[tuple]  # of strings, exact point literals; None when unset
     n_list: tuple
     grid: GridConfig
     t_list: tuple
@@ -123,7 +123,7 @@ class RunConfig:
             "tie": self.tie.value,
             "s": self.s,
             "n": self.n,
-            "x": list(self.x) or None,
+            "x": list(self.x) if self.x else None,
             "n_list": list(self.n_list),
             "grid_points": self.grid.points,
             "grid_distribution": "clustered",
@@ -151,8 +151,12 @@ def _is_number(v) -> bool:
 
 
 def _parse_list(value, field: str, conv):
+    """The parsed items of a list or comma-separated string; None stays None.
+
+    An unset field (None) is kept apart from a given but empty list (()).
+    """
     if value is None:
-        return ()
+        return None
     if isinstance(value, (list, tuple)):
         items = value
     else:
@@ -240,12 +244,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         grid = GridConfig(points=int(merged["grid"]), refine=int(merged["refine"]))
     except (TypeError, ValueError) as e:
         raise ConfigError("grid/refine", str(e)) from None
-    t_list = _parse_list(merged["t"], "t", float)
+    t_list = _parse_list(merged["t"], "t", float) or ()
     for t in t_list:
         if not (0.0 < t <= 1.0):
             raise ConfigError("t", f"steps must lie in (0, 1], got {t}")
     x = _parse_list(merged["x"], "x", str)
-    for pt in x:
+    for pt in x or ():
         try:
             xv = Fraction(pt)
         except (ValueError, ZeroDivisionError):
@@ -587,9 +591,9 @@ def _cmd_verify(cfg: RunConfig):
 
 def _cmd_voronovskaya(cfg: RunConfig):
     f = _need_fn(cfg)
-    literal = cfg.x[0] if cfg.x else "1/2"
-    if len(cfg.x) > 1:
+    if cfg.x is not None and len(cfg.x) != 1:
         raise ConfigError("x", "voronovskaya takes a single point")
+    literal = cfg.x[0] if cfg.x else "1/2"
     rep = voronovskaya_check(f, Fraction(literal), cfg.n_list)
     report = _base_report(cfg)
     report["x"] = _frac(rep.x)
@@ -698,9 +702,6 @@ def main(argv=None) -> int:
     except HypothesisViolation as e:
         print(f"bernint: hypothesis violation ({e})", file=sys.stderr)
         return 1
-    except PrecisionExhausted as e:
-        print(f"bernint: precision failure ({e})", file=sys.stderr)
-        return 3
     except Exception:
         traceback.print_exc()
         return 3

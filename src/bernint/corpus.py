@@ -1,10 +1,10 @@
 """Built-in test functions with exact rational evaluation and derivative oracles.
 
-Each entry is a FunctionSpec: it can evaluate itself as an exact rational
-(where the value is rational), as a certified rational enclosure at a chosen
-precision, and as a fast numpy float path; derivative oracles exist up to a
-declared maximum order s_max and refuse higher orders rather than returning
-garbage.
+Each entry is a FunctionSpec with one s-indexed oracle per number type,
+s = 0 being the function itself: the s-th derivative as an exact rational
+(where the value is rational) and along a fast numpy float path.  Orders
+above a declared maximum s_max are refused rather than answered with
+garbage.  eval_bounds gives a certified rational enclosure of f.
 
 Families
 --------
@@ -20,22 +20,22 @@ holder_interior(g)       |2x - 1|^g + p x + q for non-integer g in (0,2):
                          rescaling the argument keeps the smoothness class
                          and makes the endpoints integers.)
 
-Every spec has a node bracket oracle, scaled_bracket(k, n, bits): integers
-(num, den, exact) with num/den <= C(n,k) f(k/n) < (num + 1)/den, equality
-exactly when ``exact``, and den depending on (n, bits) alone.  The
-polynomials and abs_shift give their exact value (one Horner sum, or
-|2k - n| C(n,k) over n); the Hoelder entries give den = n 2^bits and an
-integer root, so their bracket is 2^-bits / n wide.  operators builds every
-model and gap model from the brackets alone, and analysis decides the node
-inequalities of hypothesis_check on them.  Values of the Hoelder entries at
-rational points are usually irrational; eval_bounds returns rigorous
-enclosures of them, kept as the independent reference that the brackets are
-tested against.
+Every spec has a node bracket oracle, scaled_bracket(k, n, bits, c) for
+any integer c >= 1: integers (num, den, exact) with num = floor(den c f(k/n)),
+so num/den <= c f(k/n) < (num + 1)/den, equality exactly when ``exact``,
+and den depending on (n, bits) alone.  The polynomials and abs_shift give
+their exact value (one Horner sum, or |2k - n| c over n); the Hoelder
+entries give den = n 2^bits and an integer root, so their bracket is
+2^-bits / n wide.  operators builds every model and gap model from the
+brackets at c = C(n,k), and analysis decides each node inequality of
+hypothesis_check f(k/n) >= p/q from the bracket at c = q.  Values of the
+Hoelder entries at rational points are usually irrational; eval_bounds
+returns rigorous enclosures of them, kept as the independent reference that
+the brackets are tested against.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,10 +61,13 @@ class CapabilityError(Exception):
 class FunctionSpec:
     """One corpus function: exact, certified and float oracles plus metadata.
 
-    Immutable; every oracle call is pure.  ``scaled_bracket`` is the one
-    required oracle, the integer node bracket described in the module
-    docstring, as a callable (k, n, bits, c) -> (num, den, exact) that is
-    handed c = C(n,k).  ``s_max`` is the largest derivative order served (None =
+    Immutable; every oracle call is pure.  Three oracles are required:
+    ``deriv_float(s, xs)`` and ``deriv_exact(s, x)``, the s-th derivative
+    (s = 0 the function) on a float array and at a Fraction, the latter None
+    where the value is irrational, both only asked for orders that
+    ``supports``; and ``scaled_bracket``, the integer node bracket described
+    in the module docstring, as a callable (k, n, bits, c) -> (num, den,
+    exact).  ``s_max`` is the largest derivative order served (None =
     unlimited, polynomials).  ``kink`` marks an interior non-smooth point, or
     None.
     """
@@ -78,12 +81,10 @@ class FunctionSpec:
         integer_linear: bool = False,
         kink: Optional[float] = None,
         doc: str = "",
-        value_float: Callable,
+        deriv_float: Callable,
+        deriv_exact: Callable,
         scaled_bracket: Callable,
-        value_exact: Optional[Callable] = None,
         value_bounds: Optional[Callable] = None,
-        deriv_float: Optional[Callable] = None,
-        deriv_exact: Optional[Callable] = None,
         poly_coeffs: Optional[tuple] = None,
     ):
         self.name = name
@@ -93,8 +94,6 @@ class FunctionSpec:
         self.kink = kink
         self.doc = doc
         self.poly_coeffs = poly_coeffs  # exact Fraction vector for polynomials
-        self._value_float = value_float
-        self._value_exact = value_exact
         self._value_bounds = value_bounds
         self._deriv_float = deriv_float
         self._deriv_exact = deriv_exact
@@ -118,13 +117,11 @@ class FunctionSpec:
 
     def eval_float(self, xs):
         """Vectorized float evaluation."""
-        return self._value_float(np.asarray(xs, dtype=np.float64))
+        return self._deriv_float(0, np.asarray(xs, dtype=np.float64))
 
     def eval_exact(self, x) -> Optional[Fraction]:
         """Exact rational value at rational x, or None when irrational."""
-        if self._value_exact is None:
-            return None
-        return self._value_exact(Fraction(x))
+        return self._deriv_exact(0, Fraction(x))
 
     def eval_bounds(self, x, bits: int) -> tuple[Fraction, Fraction]:
         """Certified rational enclosure of f(x); width shrinks with ``bits``."""
@@ -136,19 +133,22 @@ class FunctionSpec:
             raise CapabilityError(f"{self.name}: no certified enclosure oracle")
         return v, v
 
-    def scaled_bracket(self, k: int, n: int, bits: int) -> tuple[int, int, bool]:
-        """Integer bracket (num, den, exact) of C(n,k) f(k/n).
+    def scaled_bracket(self, k: int, n: int, bits: int, c: int) -> tuple[int, int, bool]:
+        """Integer bracket (num, den, exact) of c f(k/n), for any integer c >= 1.
 
-        num/den <= C(n,k) f(k/n) < (num + 1)/den, with equality exactly when
-        ``exact`` is True.  den depends only on (n, bits), and is even
-        whenever a bracket is inexact; bits >= 1 sets the width of inexact
-        brackets.
+        num = floor(den c f(k/n)), so num/den <= c f(k/n) < (num + 1)/den,
+        with equality exactly when ``exact`` is True.  den depends only on
+        (n, bits), and is even whenever a bracket is inexact; bits >= 1 sets
+        the width of inexact brackets.  c = C(n,k) gives a model's scaled
+        coefficient; c = q decides f(k/n) >= p/q.
         """
         self._check_node(k, n, bits)
-        return self._scaled_bracket(k, n, bits, math.comb(n, k))
+        if c < 1:
+            raise ValueError(f"{self.name}: a bracket needs c >= 1, got {c}")
+        return self._scaled_bracket(k, n, bits, c)
 
     def scaled_bracket_row(self, n: int, bits: int) -> list[tuple[int, int, bool]]:
-        """[scaled_bracket(k, n, bits) for k = 0..n], one oracle call per node.
+        """[scaled_bracket(k, n, bits, C(n,k)) for k = 0..n], one call per node.
 
         All n + 1 brackets share one den, and C(n,k) comes from the cached
         binomial_row(n).
@@ -167,22 +167,12 @@ class FunctionSpec:
     def deriv_float(self, s: int, xs):
         """Vectorized float s-th derivative (s=0 is the function itself)."""
         self.require(s)
-        xs = np.asarray(xs, dtype=np.float64)
-        if s == 0:
-            return self._value_float(xs)
-        if self._deriv_float is None:
-            raise CapabilityError(f"{self.name}: no float derivative oracle")
-        return self._deriv_float(s, xs)
+        return self._deriv_float(s, np.asarray(xs, dtype=np.float64))
 
     def deriv_exact(self, s: int, x) -> Optional[Fraction]:
         """Exact rational s-th derivative at rational x, or None if irrational."""
         self.require(s)
-        x = Fraction(x)
-        if s == 0:
-            return self.eval_exact(x)
-        if self._deriv_exact is None:
-            raise CapabilityError(f"{self.name}: no exact derivative oracle")
-        return self._deriv_exact(s, x)
+        return self._deriv_exact(s, Fraction(x))
 
     def endpoint_deriv(self, i: int) -> tuple[Fraction, Fraction]:
         """Exact (f^(i)(0), f^(i)(1)); CapabilityError when not exactly known."""
@@ -227,12 +217,6 @@ def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSp
             fchain.append(np.array([ek / d for ek in e]))  # int / int rounds correctly
         return chain[i], fchain[i]
 
-    def value_float(xs):
-        return npoly.polyval(xs, fchain[0])
-
-    def value_exact(x):
-        return deriv_exact(0, x)
-
     def deriv_float(s, xs):
         _order(s)
         return npoly.polyval(xs, fchain[s])
@@ -266,8 +250,6 @@ def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSp
         integer_endpoints=(f0.denominator == 1 and f1.denominator == 1),
         integer_linear=integer_linear,
         doc=doc,
-        value_float=value_float,
-        value_exact=value_exact,
         deriv_float=deriv_float,
         deriv_exact=deriv_exact,
         poly_coeffs=coeffs,
@@ -327,10 +309,10 @@ def _make_poly_boundary_flat(s: int, p: int = 1, q: int = 0) -> FunctionSpec:
 
 
 def _make_abs_shift() -> FunctionSpec:
-    def value_exact(x):
+    def deriv_exact(s, x):
         return abs(2 * x - 1)
 
-    def value_float(xs):
+    def deriv_float(s, xs):
         return np.abs(2.0 * xs - 1.0)
 
     def scaled_bracket(k, n, bits, c):
@@ -342,8 +324,8 @@ def _make_abs_shift() -> FunctionSpec:
         integer_endpoints=True,
         kink=0.5,
         doc="f(x) = |2x - 1|; Lipschitz with a kink at 1/2, integer endpoints",
-        value_float=value_float,
-        value_exact=value_exact,
+        deriv_float=deriv_float,
+        deriv_exact=deriv_exact,
         scaled_bracket=scaled_bracket,
     )
 
@@ -356,19 +338,12 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
     gf = float(gamma)
     a, b = gamma.numerator, gamma.denominator
 
-    def value_exact(x):
-        pw = rational_pow_exact(abs(2 * x - 1), gamma.numerator, gamma.denominator)
-        return None if pw is None else pw + p * x + q
-
     def value_bounds(x, bits):
         lin = p * x + q
         lo, hi = rational_pow_bounds(
             abs(2 * x - 1), gamma.numerator, gamma.denominator, bits
         )
         return lo + lin, hi + lin
-
-    def value_float(xs):
-        return np.abs(2.0 * xs - 1.0) ** gf + p * xs + q
 
     def scaled_bracket(k, n, bits, c):
         den = n << bits
@@ -381,10 +356,15 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
 
     def deriv_float(s, xs):
         u = 2.0 * xs - 1.0
+        if s == 0:
+            return np.abs(u) ** gf + p * xs + q
         return 2.0 * gf * np.sign(u) * np.abs(u) ** float(gm1) + p
 
     def deriv_exact(s, x):
         u = 2 * x - 1
+        if s == 0:
+            pw = rational_pow_exact(abs(u), a, b)
+            return None if pw is None else pw + p * x + q
         pw = rational_pow_exact(abs(u), gm1.numerator, gm1.denominator)
         if pw is None:
             return None
@@ -400,11 +380,9 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
         kink=0.5,
         doc=f"f(x) = |2x - 1|^({gamma}){_lin_tail(p, q)}; "
         f"Hoelder-{gamma} at the interior kink, integer endpoints",
-        value_float=value_float,
-        value_exact=value_exact,
+        deriv_float=deriv_float,
+        deriv_exact=deriv_exact,
         value_bounds=value_bounds,
-        deriv_float=deriv_float if s_max >= 1 else None,
-        deriv_exact=deriv_exact if s_max >= 1 else None,
         scaled_bracket=scaled_bracket,
     )
 

@@ -13,10 +13,8 @@ lack:
   bracket num/den <= v < (num + 1)/den,
 * integer q-th roots and exact/certified rational powers u**(p/q),
 * interval-guarded rounding: guarded_round rounds a value known only
-  through an enclosure [lo, hi] (the test reference for the integer node
-  brackets of corpus), and escalate_precision is the one doubling loop for
-  a decision that a bracket at some precision may leave open (the certified
-  node comparisons in analysis).
+  through an enclosure [lo, hi], the test reference for the integer node
+  brackets of corpus.
 
 Floor and nearest-integer are monotone step functions, so if both ends of
 an enclosure round to the same integer, the true value does too; an
@@ -31,12 +29,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, TypeVar
-
-DEFAULT_START_BITS = 128
-DEFAULT_MAX_BITS = 4096
-
-T = TypeVar("T")
+from typing import Sequence
 
 
 class TiePolicy(enum.Enum):
@@ -53,10 +46,6 @@ DEFAULT_TIE = TiePolicy.HALF_AWAY_FROM_ZERO
 
 class PrecisionInsufficient(ArithmeticError):
     """An enclosure was too wide to round unambiguously; retry with more bits."""
-
-
-class PrecisionExhausted(ArithmeticError):
-    """Escalation hit the precision cap without resolving the rounding."""
 
 
 # A degree sweep touches a few dozen distinct rows; an unbounded cache would
@@ -168,24 +157,6 @@ def guarded_round(lo, hi, mode: str, policy: TiePolicy = DEFAULT_TIE) -> int:
     return a
 
 
-def escalate_precision(attempt: Callable[[int], T]) -> T:
-    """Return ``attempt(bits)`` at the first precision where it decides.
-
-    ``attempt`` raises PrecisionInsufficient when its enclosure at ``bits`` is
-    too wide to decide.  Precision doubles from DEFAULT_START_BITS up to
-    DEFAULT_MAX_BITS; at the cap the last PrecisionInsufficient is raised
-    again as PrecisionExhausted with the same message.
-    """
-    bits = DEFAULT_START_BITS
-    while True:
-        try:
-            return attempt(bits)
-        except PrecisionInsufficient as e:
-            if bits >= DEFAULT_MAX_BITS:
-                raise PrecisionExhausted(str(e)) from None
-            bits = min(2 * bits, DEFAULT_MAX_BITS)
-
-
 def iroot(a: int, q: int) -> tuple[int, bool]:
     """Integer q-th root: largest r with r**q <= a, plus exactness flag.
 
@@ -279,10 +250,7 @@ def rational_pow_bounds(u, p: int, q: int, bits: int) -> tuple[Fraction, Fractio
 __all__ = [
     "TiePolicy",
     "DEFAULT_TIE",
-    "DEFAULT_START_BITS",
-    "DEFAULT_MAX_BITS",
     "PrecisionInsufficient",
-    "PrecisionExhausted",
     "binomial_row",
     "common_denominator",
     "homogeneous_sum",
@@ -291,7 +259,6 @@ __all__ = [
     "floor_int",
     "nearest_int",
     "guarded_round",
-    "escalate_precision",
     "iroot",
     "rational_pow_exact",
     "rational_pow_bounds",

@@ -83,7 +83,6 @@ class BernsteinModel:
     ``tie`` records the tie policy for NearestInt models (None otherwise).
     ``coeffs_exact`` is False only when a Classic model stores the midpoints
     of APPROX_BITS node brackets, some of them inexact, instead of f(k/n).
-    ``derivative_order`` counts how many times derivative_model was applied.
     """
 
     kind: OperatorKind
@@ -92,7 +91,6 @@ class BernsteinModel:
     denominator: int = 1
     tie: Optional[TiePolicy] = None
     coeffs_exact: bool = True
-    derivative_order: int = 0
 
     def __post_init__(self):
         if len(self.scaled) != self.n + 1:
@@ -162,7 +160,7 @@ def build_model(
             kind=kind, n=n, denominator=2 * dens[0], coeffs_exact=False,
             scaled=tuple(2 * num + (0 if exact else 1) for num, exact in zip(nums, exacts)),
         )
-    mode = "nearest" if kind is OperatorKind.NEAREST_INT else "floor"
+    mode = kind.value
     return BernsteinModel(
         kind=kind,
         n=n,
@@ -308,12 +306,7 @@ def derivative_model(
     """
     if s < 1:
         raise ValueError("derivative_model: order must be >= 1")
-    fields = dict(
-        kind=model.kind,
-        tie=model.tie,
-        coeffs_exact=model.coeffs_exact,
-        derivative_order=model.derivative_order + s,
-    )
+    fields = dict(kind=model.kind, tie=model.tie, coeffs_exact=model.coeffs_exact)
     if s > model.n:
         if not allow_degenerate:
             raise ValueError(
@@ -363,7 +356,7 @@ def gap_interval(
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_interval: kind must be FloorInt or NearestInt")
-    mode = "nearest" if kind is OperatorKind.NEAREST_INT else "floor"
+    mode = kind.value
     brackets = f.scaled_bracket_row(n, APPROX_BITS)
     den = brackets[0][1]
     hi = tuple(round_bracket(num, den, exact, mode, tie) * den - num

@@ -425,21 +425,22 @@ HOLDER_SPECS = ["holder_interior(1/2)", "holder_interior(3/2)",
                 "holder_interior(3/2,2,-1)", "holder_interior(1/3,-1,2)"]
 
 
-def reference_ge(f, k, n, rhs):
-    """f(k/n) >= rhs from the exact value, else from a 4096-bit enclosure."""
+def reference_ge(f, k, n, rhs, bounds=None):
+    """f(k/n) >= rhs from the exact value, else from ``bounds`` (default: a
+    4096-bit enclosure)."""
     v = f.eval_exact(F(k, n))
     if v is not None:
         return v >= rhs
-    lo, hi = f.eval_bounds(F(k, n), 4096)
+    lo, hi = bounds or f.eval_bounds(F(k, n), 4096)
     assert lo >= rhs or hi < rhs, "the reference cannot decide"
     return lo >= rhs
 
 
 @pytest.mark.parametrize("name", HOLDER_SPECS)
 def test_node_checks_decide_on_brackets_as_fine_enclosures_do(name, monkeypatch):
-    # _certified_ge reads only the integer node bracket, escalating past 128
-    # bits when rhs sits 2^-150 from an irrational value, and decides an rhs
-    # equal to an exact node value; hypothesis_check reports as it would on
+    # _certified_ge reads one integer node bracket per decision, at bits = 1,
+    # and decides an rhs 2^-150 or 2^-5000 from an irrational value, or equal
+    # to an exact node value; hypothesis_check reports as it would on
     # 4096-bit enclosures
     f = builtin(name)
     cases = []
@@ -451,6 +452,9 @@ def test_node_checks_decide_on_brackets_as_fine_enclosures_do(name, monkeypatch)
             for rhs in (*exact, lo - F(1, 2**150), hi + F(1, 2**150),
                         F(math.floor(lo * 1000), 1000), f.eval_exact(F(0)) - F(k, n)):
                 cases.append((k, n, rhs, reference_ge(f, k, n, rhs)))
+            fine = f.eval_bounds(F(k, n), 6000) if v is None else (v, v)
+            for rhs in (fine[0] - F(1, 2**5000), fine[1] + F(1, 2**5000)):
+                cases.append((k, n, rhs, reference_ge(f, k, n, rhs, fine)))
     assert {want for *_, want in cases} == {True, False}
     monkeypatch.setattr(analysis, "_certified_ge", reference_ge)
     reports = {s: hypothesis_check(f, s, range(1, 65)) for s in range(f.s_max + 1)}
@@ -459,17 +463,17 @@ def test_node_checks_decide_on_brackets_as_fine_enclosures_do(name, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("node checks must not call eval_bounds")
 
-    oracle, bits_asked = f._scaled_bracket, set()
+    oracle, bits_asked = f._scaled_bracket, []
 
     def counting(k, n, bits, c):
-        bits_asked.add(bits)
+        bits_asked.append(bits)
         return oracle(k, n, bits, c)
 
     monkeypatch.setattr(f, "eval_bounds", refuse)
     monkeypatch.setattr(f, "_scaled_bracket", counting)
     for k, n, rhs, want in cases:
         assert analysis._certified_ge(f, k, n, rhs) is want, (k, n, rhs)
-    assert bits_asked == {128, 256}
+    assert len(bits_asked) == len(cases) and set(bits_asked) == {1}
     for s, want in reports.items():
         assert hypothesis_check(f, s, range(1, 65)) == want
 

@@ -101,6 +101,7 @@ def test_missing_required_field_exits_2(capsys):
         (["coeffs", "--fn", "monomial(2)"], "n"),  # no --n
         (["modulus", "--fn", "monomial(2)", "--t", ","], "t"),  # an empty t list
         (["converse", "--fn", "monomial(2)", "--t", ","], "t"),
+        (["voronovskaya", "--fn", "monomial(3)", "--x", ","], "x"),  # an empty x list
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -113,7 +113,7 @@ def test_scaled_round_matches_exact_node_values():
                 if v is None:
                     continue
                 num, den = v.numerator * math.comb(n, k), v.denominator
-                coarse = f.scaled_bracket(k, n, 1)
+                coarse = f.scaled_bracket(k, n, 1, math.comb(n, k))
                 assert round_bracket(*coarse, "floor") == round_ratio(num, den, "floor")
                 for tie in TiePolicy:
                     assert round_bracket(*coarse, "nearest", tie) == round_ratio(
@@ -124,22 +124,25 @@ def test_scaled_round_rejects_nodes_off_the_grid():
     for f in (builtin("monomial(2)"), builtin("abs_shift"), builtin("holder_interior(1/2)")):
         for k, n in ((-1, 4), (5, 4), (0, 0)):
             with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
-                f.scaled_bracket(k, n, 1)
+                f.scaled_bracket(k, n, 1, 1)
             with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
-                f.scaled_bracket(k, n, 64)
+                f.scaled_bracket(k, n, 64, 1)
         with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
             f.scaled_bracket_row(0, 64)
         for bits in (0, -3):
             with pytest.raises(ValueError, match="bits >= 1"):
-                f.scaled_bracket(1, 4, bits)
+                f.scaled_bracket(1, 4, bits, math.comb(4, 1))
             with pytest.raises(ValueError, match="bits >= 1"):
                 f.scaled_bracket_row(4, bits)
+        for c in (0, -1):
+            with pytest.raises(ValueError, match="c >= 1"):
+                f.scaled_bracket(1, 4, 1, c)
 
 
 def test_function_spec_requires_a_node_bracket():
     with pytest.raises(TypeError, match="scaled_bracket"):
         corpus.FunctionSpec("bare", s_max=0, integer_endpoints=True,
-                            value_float=lambda xs: xs)
+                            deriv_float=lambda s, xs: xs, deriv_exact=lambda s, x: x)
 
 
 BRACKET_SPECS = [e.spec.name for e in entries()] + [
@@ -158,8 +161,8 @@ def test_scaled_bracket_holds_the_scaled_node_value(name):
             row = f.scaled_bracket_row(n, bits)
             assert len({den for _, den, _ in row}) == 1
             for k, ((num, den, exact), (lo, hi)) in enumerate(zip(row, enclosures)):
-                assert f.scaled_bracket(k, n, bits) == (num, den, exact)
                 c = math.comb(n, k)
+                assert f.scaled_bracket(k, n, bits, c) == (num, den, exact)
                 assert F(num, den) <= c * lo and c * hi < F(num + 1, den)
                 assert exact == (f.eval_exact(F(k, n)) is not None)
                 if exact:
@@ -175,10 +178,11 @@ def test_scaled_round_rounds_the_bracket():
         f = builtin(name)
         for n in (5, 32, 99):
             for k in range(n + 1):
-                fine = f.scaled_bracket(k, n, 192)
+                c = math.comb(n, k)
+                fine = f.scaled_bracket(k, n, 192, c)
                 for mode in ("floor", "nearest"):
                     for tie in TiePolicy:
-                        assert round_bracket(*f.scaled_bracket(k, n, 1), mode, tie) == (
+                        assert round_bracket(*f.scaled_bracket(k, n, 1, c), mode, tie) == (
                             round_bracket(*fine, mode, tie))
 
 
@@ -187,7 +191,7 @@ def test_holder_exact_ties_round_by_policy():
     f = builtin("holder_interior(3/2)")
 
     def nearest(k, tie):
-        return round_bracket(*f.scaled_bracket(k, 32, 1), "nearest", tie)
+        return round_bracket(*f.scaled_bracket(k, 32, 1, math.comb(32, k)), "nearest", tie)
 
     assert f.eval_exact(F(7, 32)) * math.comb(32, 7) == F(2839941, 2)
     assert f.eval_exact(F(15, 32)) * math.comb(32, 15) == F(17678835, 2)
@@ -202,7 +206,7 @@ def test_holder_exact_ties_round_by_policy():
         assert [nearest(k, tie) for k in (25, 17)] == rounded
         model = build_model(f, 32, OperatorKind.NEAREST_INT, tie)
         assert [model.scaled[k] for k in (7, 15)] == rounded
-        assert [round_bracket(*f.scaled_bracket(k, 32, 1), "floor", tie)
+        assert [round_bracket(*f.scaled_bracket(k, 32, 1, math.comb(32, k)), "floor", tie)
                 for k in (7, 15)] == [1419970, 8839417]
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernint import (
-    PrecisionExhausted,
     PrecisionInsufficient,
     TiePolicy,
     binomial_row,
@@ -19,8 +18,8 @@ from bernint import (
     rational_pow_bounds,
     rational_pow_exact,
 )
-from bernint.exact import (_iroot_newton, common_denominator, escalate_precision,
-                           homogeneous_sum, round_bracket, round_ratio)
+from bernint.exact import (_iroot_newton, common_denominator, homogeneous_sum,
+                           round_bracket, round_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +252,6 @@ def test_guarded_round_matches_exact_rounding_on_corpus_weights():
                 tie_dist = abs(abs(w - nearest_int(w)) - F(1, 2))
                 if tie_dist > rad:
                     assert guarded_round(w - rad, w + rad, "nearest") == nearest_int(w)
-
-
-def test_escalate_precision_decides_after_one_doubling():
-    u = F(5, 2) + F(1, 2**200)
-    asked = []
-
-    def attempt(bits):
-        asked.append(bits)
-        return guarded_round(u - F(1, 2**bits), u + F(1, 2**bits), "nearest")
-
-    # 128 bits straddles the tie at 5/2, 256 bits decides
-    assert escalate_precision(attempt) == 3
-    assert asked == [128, 256]
-
-
-def test_escalate_precision_exhausts_at_the_cap():
-    asked = []
-
-    def attempt(bits):
-        asked.append(bits)
-        raise PrecisionInsufficient(f"still undecided at {bits} bits")
-
-    with pytest.raises(PrecisionExhausted, match=r"^still undecided at 4096 bits$"):
-        escalate_precision(attempt)
-    assert asked == [128, 256, 512, 1024, 2048, 4096]
 
 
 # ---------------------------------------------------------------------------

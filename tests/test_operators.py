@@ -473,7 +473,7 @@ def test_derivative_model_frozen_x2():
     m = build_model(X2, 2, CLASSIC)
     dm = derivative_model(m, 1)
     assert dm.coeffs == (F(1, 2), F(3, 2))
-    assert dm.n == 1 and dm.derivative_order == 1
+    assert dm.n == 1
 
 
 def test_derivative_model_s_equals_n():
