@@ -18,7 +18,6 @@ from bernint.analysis import (
     HypothesisReport,
     InsufficientData,
     ModulusEstimate,
-    ModulusKind,
     RateFit,
     SaturationReport,
     SaturationVerdict,
@@ -81,7 +80,7 @@ __all__ = [
     "FunctionSpec", "CorpusEntry", "CapabilityError", "builtin", "entries",
     # analysis
     "GridConfig", "DEFAULT_GRID", "grid_points", "SupEstimate", "sup_norm",
-    "ModulusKind", "ModulusEstimate", "omega1", "omega1_sweep", "omega_phi2",
+    "ModulusEstimate", "omega1", "omega1_sweep", "omega_phi2",
     "InsufficientData", "RateFit", "fit_rate", "ErrorPoint", "error_curve",
     "voronovskaya_check", "SaturationVerdict", "SaturationReport",
     "saturation_probe", "boundary_interpolation_check", "converse_experiment",

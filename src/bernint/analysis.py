@@ -180,18 +180,10 @@ def proximity_gap(
 # moduli of smoothness
 
 
-class ModulusKind(enum.Enum):
-    OMEGA1 = "omega1"
-    OMEGA_PHI2 = "omega_phi2"
-
-
 @dataclass(frozen=True)
 class ModulusEstimate:
     t: float
     value: float
-    kind: ModulusKind
-    points: int
-    h_points: int = 0
 
     def __float__(self):
         return float(self.value)
@@ -261,12 +253,7 @@ def omega1_sweep(
     step = 1.0 / (m - 1)
     vals = _finite_values(_as_eval(F), xs, "omega1")
     return [
-        ModulusEstimate(
-            t=t,
-            value=_omega1_window_max(vals, int(math.floor(t / step + 1e-9))),
-            kind=ModulusKind.OMEGA1,
-            points=m,
-        )
+        ModulusEstimate(t=t, value=_omega1_window_max(vals, int(math.floor(t / step + 1e-9))))
         for t in ts
     ]
 
@@ -307,13 +294,7 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
     scale = max(1.0, float(np.max(np.abs(mid))))
     if best <= 32.0 * np.finfo(np.float64).eps * scale:
         best = 0.0
-    return ModulusEstimate(
-        t=t,
-        value=best,
-        kind=ModulusKind.OMEGA_PHI2,
-        points=m,
-        h_points=_H_COUNT,
-    )
+    return ModulusEstimate(t=t, value=best)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +402,8 @@ def error_curve(
 
     For kink functions with s >= 1 the sup search skips the declared
     exclusion window around the kink, where the derivative oracle does not
-    apply.  n < s yields the identically-zero derivative model (degenerate
-    but well defined), so the curve is total over n_list.
+    apply.  At n < s the model's s-th derivative is the zero model, so the
+    curve is total over n_list.
     """
     if s < 0:
         raise ValueError("error_curve: s must be >= 0")
@@ -432,8 +413,7 @@ def error_curve(
     out = []
     for n in n_list:
         model = build_model(f, n, kind, tie)
-        dmodel = derivative_model(model, s, allow_degenerate=True) if s else model
-        est = sup_norm(_masked_difference(dmodel, target, kink), grid)
+        est = sup_norm(_masked_difference(derivative_model(model, s), target, kink), grid)
         out.append(ErrorPoint(n=int(n), error=est.value, argmax=est.argmax))
     return out
 
@@ -602,7 +582,7 @@ def boundary_interpolation_check(
             )
         matches = []
         for i in range(s):
-            dm = model if i == 0 else derivative_model(model, i, allow_degenerate=True)
+            dm = derivative_model(model, i)
             matches.append(
                 (dm.coeffs[0] == endpoints[i][0], dm.coeffs[-1] == endpoints[i][1])
             )
@@ -824,7 +804,6 @@ __all__ = [
     "SupEstimate",
     "sup_norm",
     "proximity_gap",
-    "ModulusKind",
     "ModulusEstimate",
     "omega1",
     "omega1_sweep",

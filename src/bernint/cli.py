@@ -30,7 +30,7 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -445,11 +445,9 @@ def _cmd_eval(cfg: RunConfig):
         raise ConfigError("n", "eval requires --n")
     if not cfg.x:
         raise ConfigError("x", "eval requires --x (comma-separated points)")
-    model = build_model(f, cfg.n, cfg.kind, cfg.tie)
-    if cfg.s:
-        if cfg.s > cfg.n:
-            raise ConfigError("s", f"derivative order {cfg.s} exceeds degree {cfg.n}")
-        model = derivative_model(model, cfg.s)
+    if cfg.s > cfg.n:
+        raise ConfigError("s", f"derivative order {cfg.s} exceeds degree {cfg.n}")
+    model = derivative_model(build_model(f, cfg.n, cfg.kind, cfg.tie), cfg.s)
     rows = []
     for literal in cfg.x:
         xq = Fraction(literal)
@@ -541,8 +539,8 @@ def _cmd_converse(cfg: RunConfig):
     f = _need_fn(cfg)
     if not cfg.t_list:
         raise ConfigError("t", "converse requires a non-empty --t list")
-    s = cfg.s if cfg.s >= 1 else 1
-    rep = converse_experiment(f, cfg.kind, s, cfg.n_list, cfg.t_list, cfg.grid, cfg.tie)
+    cfg = replace(cfg, s=max(cfg.s, 1))  # the order run, and reported
+    rep = converse_experiment(f, cfg.kind, cfg.s, cfg.n_list, cfg.t_list, cfg.grid, cfg.tie)
     report = _base_report(cfg)
     report["trivial"] = rep.trivial
     report["alpha"] = rep.alpha

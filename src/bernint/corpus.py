@@ -26,9 +26,11 @@ so num/den <= c f(k/n) < (num + 1)/den, equality exactly when ``exact``,
 and den depending on (n, bits) alone.  The polynomials and abs_shift give
 their exact value (one Horner sum, or |2k - n| c over n); the Hoelder
 entries give den = n 2^bits and an integer root, so their bracket is
-2^-bits / n wide.  operators builds every model and gap model from the
-brackets at c = C(n,k), and analysis decides each node inequality of
-hypothesis_check f(k/n) >= p/q from the bracket at c = q.  Values of the
+2^-bits / n wide.  operators builds the integer-kind models and the gap
+from the brackets at c = C(n,k), and Classic models from those of f(k/n)
+itself, at c = 1; analysis decides each node inequality of hypothesis_check
+f(k/n) >= p/q from the bracket at c = q, and the spec decides whether f(0)
+and f(1) are integers from their brackets at n = 1, c = 1.  Values of the
 Hoelder entries at rational points are usually irrational; eval_bounds
 returns rigorous enclosures of them, kept as the independent reference that
 the brackets are tested against.
@@ -69,7 +71,9 @@ class FunctionSpec:
     in the module docstring, as a callable (k, n, bits, c) -> (num, den,
     exact).  ``s_max`` is the largest derivative order served (None =
     unlimited, polynomials).  ``kink`` marks an interior non-smooth point, or
-    None.
+    None.  Nothing else is declared: ``integer_endpoints`` is decided from
+    the brackets of f(0) and f(1), and ``integer_linear`` from
+    ``poly_coeffs``.
     """
 
     def __init__(
@@ -77,8 +81,6 @@ class FunctionSpec:
         name: str,
         *,
         s_max: Optional[int],
-        integer_endpoints: bool,
-        integer_linear: bool = False,
         kink: Optional[float] = None,
         doc: str = "",
         deriv_float: Callable,
@@ -89,8 +91,6 @@ class FunctionSpec:
     ):
         self.name = name
         self.s_max = s_max
-        self.integer_endpoints = integer_endpoints
-        self.integer_linear = integer_linear
         self.kink = kink
         self.doc = doc
         self.poly_coeffs = poly_coeffs  # exact Fraction vector for polynomials
@@ -101,6 +101,22 @@ class FunctionSpec:
 
     def __repr__(self):
         return f"FunctionSpec({self.name!r})"
+
+    @property
+    def integer_endpoints(self) -> bool:
+        """Whether f(0) and f(1) are integers, decided by their brackets at n = 1.
+
+        f(k) is an integer exactly when its bracket is exact and den divides
+        num; an inexact bracket means den f(k) is not an integer, so f(k) is not.
+        """
+        return all(exact and num % den == 0
+                   for num, den, exact in (self.scaled_bracket(k, 1, 1, 1) for k in (0, 1)))
+
+    @property
+    def integer_linear(self) -> bool:
+        """Whether f = px + q with integers p, q: the trivial class."""
+        c = self.poly_coeffs
+        return c is not None and not any(c[2:]) and all(v.denominator == 1 for v in c)
 
     def supports(self, s: int) -> bool:
         """Whether an order-s derivative oracle exists (s=0 is the function)."""
@@ -147,15 +163,19 @@ class FunctionSpec:
             raise ValueError(f"{self.name}: a bracket needs c >= 1, got {c}")
         return self._scaled_bracket(k, n, bits, c)
 
-    def scaled_bracket_row(self, n: int, bits: int) -> list[tuple[int, int, bool]]:
-        """[scaled_bracket(k, n, bits, C(n,k)) for k = 0..n], one call per node.
+    def scaled_bracket_row(self, n: int, bits: int, cs) -> list[tuple[int, int, bool]]:
+        """[scaled_bracket(k, n, bits, cs[k]) for k = 0..n], one call per node.
 
-        All n + 1 brackets share one den, and C(n,k) comes from the cached
-        binomial_row(n).
+        All n + 1 brackets share one den.  cs = binomial_row(n) brackets a
+        model's scaled coefficients C(n,k) f(k/n), and cs = (1,) * (n + 1) the
+        node values f(k/n) themselves.
         """
         self._check_node(0, n, bits)
+        if len(cs) != n + 1 or min(cs) < 1:
+            raise ValueError(f"{self.name}: a bracket row needs n + 1 = {n + 1} "
+                             f"multipliers c >= 1")
         oracle = self._scaled_bracket
-        return [oracle(k, n, bits, c) for k, c in enumerate(binomial_row(n))]
+        return [oracle(k, n, bits, c) for k, c in enumerate(cs)]
 
     def _check_node(self, k: int, n: int, bits: int) -> None:
         if not 0 <= k <= n or n < 1:
@@ -203,7 +223,7 @@ class CorpusEntry:
 # polynomial machinery
 
 
-def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSpec:
+def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
     coeffs = tuple(Fraction(c) for c in coeffs)
     # chain[i] = (e, D): the i-th derivative is sum_k e[k] x^k / D
     chain = [common_denominator(coeffs)]
@@ -237,18 +257,9 @@ def _polynomial_spec(name, coeffs, *, doc="", integer_linear=None) -> FunctionSp
             den = dens[n] = d0 * n ** deg
         return homogeneous_sum(e0, k, n) * c, den, True
 
-    f0 = coeffs[0]
-    f1 = sum(coeffs, Fraction(0))
-    trimmed = list(coeffs)
-    while len(trimmed) > 1 and trimmed[-1] == 0:
-        trimmed.pop()
-    if integer_linear is None:
-        integer_linear = len(trimmed) <= 2 and all(c.denominator == 1 for c in trimmed)
     return FunctionSpec(
         name,
         s_max=None,
-        integer_endpoints=(f0.denominator == 1 and f1.denominator == 1),
-        integer_linear=integer_linear,
         doc=doc,
         deriv_float=deriv_float,
         deriv_exact=deriv_exact,
@@ -276,7 +287,6 @@ def _make_integer_linear(p: int, q: int) -> FunctionSpec:
         f"integer_linear({p},{q})",
         [q, p],
         doc=f"f(x) = {p}x + {q}; trivial class, reproduced exactly by every kind",
-        integer_linear=True,
     )
 
 
@@ -321,7 +331,6 @@ def _make_abs_shift() -> FunctionSpec:
     return FunctionSpec(
         "abs_shift",
         s_max=0,
-        integer_endpoints=True,
         kink=0.5,
         doc="f(x) = |2x - 1|; Lipschitz with a kink at 1/2, integer endpoints",
         deriv_float=deriv_float,
@@ -376,7 +385,6 @@ def _make_holder_interior(gamma: Fraction, p: int = 0, q: int = 0) -> FunctionSp
     return FunctionSpec(
         f"holder_interior({gamma}{suffix})",
         s_max=s_max,
-        integer_endpoints=True,
         kink=0.5,
         doc=f"f(x) = |2x - 1|^({gamma}){_lin_tail(p, q)}; "
         f"Hoelder-{gamma} at the interior kink, integer endpoints",

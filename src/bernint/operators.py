@@ -12,10 +12,11 @@ in the scaled basis x^k (1-x)^(n-k).  A model stores that scaled form as
 its data: integers e_k over one denominator D > 0, e_k / D = c_k C(n,k),
 in lowest terms; the c_k are a view derived on demand.  Models are built
 from the corpus node brackets FunctionSpec.scaled_bracket, integers with
-num_k/den <= C(n,k) f(k/n) < (num_k + 1)/den, and from nothing else.  The
-integer kinds have D = 1 and e_k the rounded integers (exact.round_bracket);
-a Classic model whose brackets are all exact stores num_k over den, and any
-other stores the bracket midpoints.
+num_k/den <= c f(k/n) < (num_k + 1)/den, and from nothing else.  The
+integer kinds round the brackets at c = C(n,k) (exact.round_bracket) and
+have D = 1; a Classic model reads the brackets of f(k/n) itself, at c = 1,
+and stores C(n,k) num_k over den when all are exact, the bracket midpoints
+otherwise.
 
 Evaluation has two paths: a float path, O(n) per point, using the ratio
 form sum_k c_k w_k / sum_k w_k with weights w_k = C(n,k) u^k, u = x/(1-x),
@@ -43,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,7 +81,6 @@ class BernsteinModel:
     denominator); build_model's integer kinds have D = 1, so e_k is the
     rounded integer itself.  ``coeffs`` (the c_k as Fractions) and
     ``float_coeffs`` are views derived from (e, D) on first use.
-    ``tie`` records the tie policy for NearestInt models (None otherwise).
     ``coeffs_exact`` is False only when a Classic model stores the midpoints
     of APPROX_BITS node brackets, some of them inexact, instead of f(k/n).
     """
@@ -89,7 +89,6 @@ class BernsteinModel:
     n: int
     scaled: tuple
     denominator: int = 1
-    tie: Optional[TiePolicy] = None
     coeffs_exact: bool = True
 
     def __post_init__(self):
@@ -142,30 +141,33 @@ def build_model(
     """Construct the degree-n model of corpus function ``f``.
 
     Integer kinds store e_k = round(f(k/n) C(n,k)) over D = 1, each rounded
-    from its node bracket at bits = 1 (exact.round_bracket).  A Classic model
-    reads one row of APPROX_BITS brackets (num_k, den, exact_k).  When every
-    bracket is exact it stores num_k over den (N_k C(n,k) over D_f n^deg for
-    a polynomial f).  Otherwise it stores the bracket midpoints,
-    2 num_k + (0 if exact_k else 1) over 2 den, flagged coeffs_exact=False:
-    exact at the exact nodes, and within half a bracket width of
-    C(n,k) f(k/n) at the others.
+    from its node bracket at bits = 1 and c = C(n,k) (exact.round_bracket).
+    A Classic model reads one row of APPROX_BITS brackets (num_k, den,
+    exact_k) of f(k/n) itself, at c = 1; den = D_f n^deg for a polynomial f
+    and n 2^APPROX_BITS otherwise.  When every bracket is exact it stores
+    C(n,k) num_k over den.  Otherwise it stores the bracket midpoints,
+    C(n,k) (2 num_k + (0 if exact_k else 1)) over 2 den, flagged
+    coeffs_exact=False: exact at the exact nodes, and each c_k within
+    2^-(APPROX_BITS + 1) / n of f(k/n) at the others.
     """
     if n < 1:
         raise ValueError("build_model: n must be >= 1")
+    row = binomial_row(n)
     if kind is OperatorKind.CLASSIC:
-        nums, dens, exacts = zip(*f.scaled_bracket_row(n, APPROX_BITS))
+        nums, dens, exacts = zip(*f.scaled_bracket_row(n, APPROX_BITS, (1,) * (n + 1)))
         if all(exacts):
-            return BernsteinModel(kind=kind, n=n, scaled=nums, denominator=dens[0])
+            return BernsteinModel(kind=kind, n=n, denominator=dens[0],
+                                  scaled=tuple(b * num for b, num in zip(row, nums)))
         return BernsteinModel(
             kind=kind, n=n, denominator=2 * dens[0], coeffs_exact=False,
-            scaled=tuple(2 * num + (0 if exact else 1) for num, exact in zip(nums, exacts)),
+            scaled=tuple(b * (2 * num + (0 if exact else 1))
+                         for b, num, exact in zip(row, nums, exacts)),
         )
     mode = kind.value
     return BernsteinModel(
         kind=kind,
         n=n,
-        scaled=tuple(round_bracket(*b, mode, tie) for b in f.scaled_bracket_row(n, 1)),
-        tie=tie if kind is OperatorKind.NEAREST_INT else None,
+        scaled=tuple(round_bracket(*b, mode, tie) for b in f.scaled_bracket_row(n, 1, row)),
     )
 
 
@@ -292,47 +294,38 @@ def evaluate_exact(model: BernsteinModel, x) -> Fraction:
     return Fraction(homogeneous_sum(e, a, b - a), d * b ** model.n)
 
 
-def derivative_model(
-    model: BernsteinModel, s: int, allow_degenerate: bool = False
-) -> BernsteinModel:
+def derivative_model(model: BernsteinModel, s: int) -> BernsteinModel:
     """The s-th derivative as a degree n-s Bernstein model on the same denominator.
 
     Each step maps the scaled integers e_0..e_m to
     e'_j = (j+1) e_{j+1} - (m-j) e_j, the derivative of sum_k e_k x^k (1-x)^(m-k);
     after s steps coefficient k equals n!/(n-s)! * (s-th unit-index forward
-    difference of the model coefficients at k).  s > n is an error unless
-    allow_degenerate, in which case the identically-zero model is returned
-    (harness use).
+    difference of the model coefficients at k).  s = 0 gives the model
+    itself, and s > n the zero model of degree 0, the true derivative of a
+    degree-n polynomial; s < 0 raises ValueError.
     """
-    if s < 1:
-        raise ValueError("derivative_model: order must be >= 1")
-    fields = dict(kind=model.kind, tie=model.tie, coeffs_exact=model.coeffs_exact)
-    if s > model.n:
-        if not allow_degenerate:
-            raise ValueError(
-                f"derivative_model: order {s} exceeds degree {model.n}"
-            )
-        return BernsteinModel(n=0, scaled=(0,), **fields)
+    if s < 0:
+        raise ValueError(f"derivative_model: order must be >= 0, got {s}")
+    if s == 0:
+        return model
     e, m = model.scaled, model.n
-    for _ in range(s):
-        e = [(j + 1) * e[j + 1] - (m - j) * e[j] for j in range(m)]
-        m -= 1
-    return BernsteinModel(n=m, scaled=tuple(e), denominator=model.denominator, **fields)
+    if s > m:
+        e, m = (0,), 0
+    else:
+        for _ in range(s):
+            e = [(j + 1) * e[j + 1] - (m - j) * e[j] for j in range(m)]
+            m -= 1
+    return BernsteinModel(kind=model.kind, n=m, scaled=tuple(e),
+                          denominator=model.denominator, coeffs_exact=model.coeffs_exact)
 
 
 def require_integer_endpoints(f) -> None:
-    """Raise HypothesisViolation unless f(0) and f(1) are certified integers."""
-    for end in (Fraction(0), Fraction(1)):
-        v = f.eval_exact(end)
-        if v is None:
-            if not getattr(f, "integer_endpoints", False):
-                raise HypothesisViolation(
-                    f"{getattr(f, 'name', f)}: endpoint value at {end} not certified integer"
-                )
-        elif v.denominator != 1:
-            raise HypothesisViolation(
-                f"{getattr(f, 'name', f)}: f({end}) = {v} is not an integer"
-            )
+    """Raise HypothesisViolation unless f(0) and f(1) are integers.
+
+    Decided by f.integer_endpoints, from the two brackets at n = 1.
+    """
+    if not f.integer_endpoints:
+        raise HypothesisViolation(f"{f.name}: f(0) or f(1) is not an integer")
 
 
 def gap_interval(
@@ -343,7 +336,7 @@ def gap_interval(
 ) -> tuple[tuple, tuple, int]:
     """The gap (integer-kind model - B_n f) as integer rows (lo, hi) over one den.
 
-    One bracket call per node, f.scaled_bracket_row(n, APPROX_BITS)[k] =
+    One bracket call per node at c = C(n,k), the k-th entry
     (num_k, den, exact_k), gives the rounded integer m_k (exact.round_bracket)
     and the scaled gap m_k - C(n,k) f(k/n), which lies in
     (m_k den - num_k - 1, m_k den - num_k] / den, at the right end exactly
@@ -357,7 +350,7 @@ def gap_interval(
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_interval: kind must be FloorInt or NearestInt")
     mode = kind.value
-    brackets = f.scaled_bracket_row(n, APPROX_BITS)
+    brackets = f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n))
     den = brackets[0][1]
     hi = tuple(round_bracket(num, den, exact, mode, tie) * den - num
                for num, _, exact in brackets)

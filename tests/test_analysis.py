@@ -242,7 +242,6 @@ def test_omega_phi2_x2_frozen():
         est = omega_phi2(lambda x: x * x, t)
         target = 0.5 * t * t
         assert target * (1.0 - 1e-3) <= est.value <= target
-        assert est.h_points == 64
 
 
 def test_omega_phi2_linear_is_exactly_zero():

@@ -281,6 +281,16 @@ def test_converse_reports_slopes(capsys):
     assert 0.9 < doc["alpha"] < 1.05
 
 
+def test_converse_reports_the_order_it_runs(capsys):
+    # converse needs s >= 1 and runs s = 1 by default; its config says so
+    argv = ["converse", "--fn", "monomial(2)", "--n-min", "16", "--n-max", "64"]
+    rc, doc = run_json(argv, capsys)
+    assert rc == 0 and doc["config"]["s"] == 1
+    assert abs(doc["errors"][0]["error"] - 1 / 16) < 1e-12  # |B_n(x^2)' - 2x| = 1/n
+    rc, doc_s1 = run_json(argv + ["--s", "1"], capsys)
+    assert rc == 0 and doc_s1 == doc
+
+
 def test_saturation_trivial_json(capsys):
     rc, doc = run_json(
         ["saturation", "--fn", "integer_linear(3,2)", "--kind", "floor",

@@ -128,20 +128,25 @@ def test_scaled_round_rejects_nodes_off_the_grid():
             with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
                 f.scaled_bracket(k, n, 64, 1)
         with pytest.raises(ValueError, match="0 <= k <= n and n >= 1"):
-            f.scaled_bracket_row(0, 64)
+            f.scaled_bracket_row(0, 64, (1,))
         for bits in (0, -3):
             with pytest.raises(ValueError, match="bits >= 1"):
                 f.scaled_bracket(1, 4, bits, math.comb(4, 1))
             with pytest.raises(ValueError, match="bits >= 1"):
-                f.scaled_bracket_row(4, bits)
+                f.scaled_bracket_row(4, bits, (1,) * 5)
         for c in (0, -1):
             with pytest.raises(ValueError, match="c >= 1"):
                 f.scaled_bracket(1, 4, 1, c)
+            with pytest.raises(ValueError, match="c >= 1"):
+                f.scaled_bracket_row(4, 1, (1, 1, c, 1, 1))
+        for cs in ((1,) * 4, (1,) * 6, ()):
+            with pytest.raises(ValueError, match="n \\+ 1 = 5 multipliers"):
+                f.scaled_bracket_row(4, 1, cs)
 
 
 def test_function_spec_requires_a_node_bracket():
     with pytest.raises(TypeError, match="scaled_bracket"):
-        corpus.FunctionSpec("bare", s_max=0, integer_endpoints=True,
+        corpus.FunctionSpec("bare", s_max=0,
                             deriv_float=lambda s, xs: xs, deriv_exact=lambda s, x: x)
 
 
@@ -158,7 +163,7 @@ def test_scaled_bracket_holds_the_scaled_node_value(name):
     for n in (1, 2, 3, 7, 16, 33, 64, 128):
         enclosures = [f.eval_bounds(F(k, n), 4096) for k in range(n + 1)]
         for bits in (1, 64, 192):
-            row = f.scaled_bracket_row(n, bits)
+            row = f.scaled_bracket_row(n, bits, [math.comb(n, k) for k in range(n + 1)])
             assert len({den for _, den, _ in row}) == 1
             for k, ((num, den, exact), (lo, hi)) in enumerate(zip(row, enclosures)):
                 c = math.comb(n, k)
@@ -253,3 +258,35 @@ def test_polynomial_spec_detects_integer_linear():
     assert ps.integer_linear
     ps2 = corpus._polynomial_spec("notlin", [F(1, 2), F(1)])
     assert not ps2.integer_linear
+
+
+# frozen (integer_endpoints, integer_linear) of every entry and three variants
+DECLARED_FLAGS = {
+    "integer_linear(3,2)": (True, True),
+    "monomial(2)": (True, False),
+    "monomial(3)": (True, False),
+    "monomial(5)": (True, False),
+    "poly_boundary_flat(2)": (True, False),
+    "abs_shift": (True, False),
+    "holder_interior(1/2)": (True, False),
+    "holder_interior(3/2)": (True, False),
+    "holder_interior(3/2,2,-1)": (True, False),
+    "poly_boundary_flat(2,-3,1)": (True, False),
+    "integer_linear(-2,3)": (True, True),
+}
+
+
+def test_flags_are_derived_from_the_oracles():
+    # every entry is in the table; the flags come from the n = 1 brackets and
+    # poly_coeffs, including a trailing zero and non-integer ends or slopes
+    assert {e.spec.name for e in entries()} <= DECLARED_FLAGS.keys()
+    for name, flags in DECLARED_FLAGS.items():
+        f = builtin(name)
+        assert (f.integer_endpoints, f.integer_linear) == flags, name
+    for coeffs, flags in (([F(1, 2), F(1)], (False, False)),
+                          ([F(1, 2), F(1, 2)], (False, False)),
+                          ([0, 1, 0, 0], (True, True)),
+                          ([3, F(1, 3), F(-1, 3)], (True, False)),
+                          ([2, -1, 0, 1], (True, False))):
+        f = corpus._polynomial_spec("p", coeffs)
+        assert (f.integer_endpoints, f.integer_linear) == flags, coeffs

@@ -116,7 +116,7 @@ def test_evaluate_edge_points_on_corpus_and_derivative_models():
     models = [
         build_model(x2, 1, CLASSIC),
         build_model(builtin("holder_interior(1/2)"), 33, OperatorKind.FLOOR_INT),
-        derivative_model(build_model(x2, 2, CLASSIC), 3, allow_degenerate=True),
+        derivative_model(build_model(x2, 2, CLASSIC), 3),
     ]
     slopes = derivative_model(build_model(builtin("abs_shift"), 40, OperatorKind.NEAREST_INT), 1)
     assert min(slopes.coeffs) < 0 < max(slopes.coeffs)

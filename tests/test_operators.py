@@ -207,10 +207,11 @@ def test_proximity_gap_exact_brackets_irrational_nodes():
             assert max(abs(lo), abs(hi)) <= F(1, 2 * n) + (hi - lo)
 
 
-def bracket_ends(f, n, k):
-    """The ends of the APPROX_BITS integer bracket of C(n,k) f(k/n), from a
-    4096-bit enclosure: (floor(den C lo), that + 1 unless exact) / den."""
-    den, c = n << APPROX_BITS, math.comb(n, k)
+def bracket_ends(f, n, k, c=None):
+    """The ends of the APPROX_BITS integer bracket of c f(k/n), c = C(n,k)
+    unless given, from a 4096-bit enclosure: (floor(den c lo), that + 1
+    unless exact) / den."""
+    den, c = n << APPROX_BITS, math.comb(n, k) if c is None else c
     lo, hi = f.eval_bounds(F(k, n), 4096)
     num = math.floor(den * c * lo)
     assert num == math.floor(den * c * hi)  # the enclosure decides the bracket
@@ -400,10 +401,12 @@ def test_integer_models_match_escalated_rounding_of_fine_enclosures(name, n, tie
 
 @pytest.mark.parametrize("name", HOLDER_SPECS)
 def test_classic_models_store_bracket_midpoints(name, monkeypatch):
-    # coefficient k is the midpoint of the APPROX_BITS bracket of C(n,k) f(k/n),
-    # the exact value at the exact nodes, read with no enclosure
+    # coefficient k is the midpoint of the APPROX_BITS bracket of f(k/n) itself
+    # (c = 1), the exact value at the exact nodes, read with no enclosure, and
+    # within 2^-(APPROX_BITS + 1) / n of the 4096-bit enclosure of f(k/n)
     f = builtin(name)
-    ends = {n: [bracket_ends(f, n, k) for k in range(n + 1)] for n in (1, 2, 7, 64)}
+    ends = {n: [bracket_ends(f, n, k, 1) for k in range(n + 1)] for n in (1, 2, 7, 64)}
+    enclosures = {n: [f.eval_bounds(F(k, n), 4096) for k in range(n + 1)] for n in ends}
 
     def refuse(*args, **kwargs):
         raise AssertionError("build_model must not call eval_bounds")
@@ -412,12 +415,14 @@ def test_classic_models_store_bracket_midpoints(name, monkeypatch):
     for n, row in ends.items():
         model = build_model(f, n, CLASSIC)
         assert model.coeffs_exact == all(lo == hi for lo, hi in row) == (n <= 2)
+        half = F(1, n << (APPROX_BITS + 1))
         for k, (c, (lo, hi)) in enumerate(zip(model.coeffs, row)):
-            v = c * math.comb(n, k)
-            assert v == (lo + hi) / 2
-            assert lo == v == hi or lo < v < hi
+            assert c == (lo + hi) / 2
+            assert lo == c == hi or lo < c < hi
             if lo == hi:
                 assert c == f.eval_exact(F(k, n))
+            f_lo, f_hi = enclosures[n][k]
+            assert f_lo - half <= c <= f_hi + half
 
 
 def test_model_rejects_malformed_integer_form():
@@ -465,6 +470,23 @@ def test_non_integer_endpoint_rejected():
         saturation_probe(bad, FLOOR, 0, [4, 8])
 
 
+def test_irrational_endpoint_rejected_from_its_inexact_bracket():
+    # f = sqrt(2) + x: no exact value anywhere, so only the n = 1 brackets
+    # can decide the endpoints; an inexact one proves a non-integer value
+    def bracket(k, n, bits, c):
+        den = n << bits
+        return math.isqrt(2 * (den * c) ** 2) + (c << bits) * k, den, False
+
+    root2 = corpus.FunctionSpec(
+        "root2_shift", s_max=0, deriv_float=lambda s, xs: np.sqrt(2.0) + xs,
+        deriv_exact=lambda s, x: None, scaled_bracket=bracket)
+    assert not root2.integer_endpoints
+    with pytest.raises(HypothesisViolation, match="is not an integer"):
+        operators.require_integer_endpoints(root2)
+    with pytest.raises(HypothesisViolation, match="is not an integer"):
+        proximity_gap(root2, 4, FLOOR)
+
+
 # ---------------------------------------------------------------------------
 # derivative models
 
@@ -485,11 +507,15 @@ def test_derivative_model_s_equals_n():
 
 
 def test_derivative_model_degenerate():
+    # s > n gives the zero model, the true derivative; s = 0 the model itself
     m = build_model(X2, 2, CLASSIC)
-    with pytest.raises(ValueError):
-        derivative_model(m, 3)
-    dm = derivative_model(m, 3, allow_degenerate=True)
-    assert evaluate_exact(dm, F(1, 3)) == 0
+    for s in (3, 4, 50):
+        dm = derivative_model(m, s)
+        assert (dm.n, dm.integer_form, dm.kind) == (0, ((0,), 1), CLASSIC)
+        assert evaluate_exact(dm, F(1, 3)) == 0
+    assert derivative_model(m, 0) is m
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        derivative_model(m, -1)
 
 
 def test_derivative_model_matches_scaled_samples():
