@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
 import math
@@ -625,7 +626,13 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bernint argument parser, built once per process.
+
+    Parsing reads it without changing it: every call starts from its
+    defaults, so main can share one parser between calls.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--fn", help="corpus function name, e.g. 'monomial(2)'")
     shared.add_argument("--kind", choices=sorted(_KINDS), help="operator kind")

@@ -44,7 +44,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from bernint.exact import (binomial_row, common_denominator, homogeneous_sum, iroot,
                            rational_pow_bounds, rational_pow_exact)
@@ -238,8 +237,15 @@ def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
         return chain[i], fchain[i]
 
     def deriv_float(s, xs):
-        _order(s)
-        return npoly.polyval(xs, fchain[s])
+        # Horner in place: the float operations of numpy's polyval, in its
+        # order, without a new array per degree
+        _, c = _order(s)
+        out = xs * 0.0
+        out += c[-1]
+        for ck in c[-2::-1]:
+            out *= xs
+            out += ck
+        return out
 
     def deriv_exact(s, x):
         (e, d), _ = _order(s)

@@ -178,10 +178,11 @@ def build_model(
 _SEGMENT_BITS = 960
 _COEFF_BITS = 32
 # Batches of at most this many points run the kernel as tables, wider ones as
-# a loop over the degree.  On a 2-CPU x86-64 host the two cost the same at
-# 160-250 points for n in {16, 128, 512}; a 32-point zoom round at n = 512
-# takes 0.3 ms as tables and 2.5 ms as a loop.
-_TABLE_POINTS = 192
+# a loop over the degree.  On a 2-CPU x86-64 host, with reduce-summed tables,
+# the two cost the same at 700-1000 points for n in {16, 64, 128, 512, 900,
+# 2048}, and tables are 8-28% faster at 640; a 32-point zoom round at
+# n = 512 takes 0.3 ms as tables and 2-3 ms as a loop.
+_TABLE_POINTS = 640
 
 
 def _segment_length(n: int) -> int:
@@ -195,6 +196,17 @@ def _segment_length(n: int) -> int:
     return length
 
 
+def _column_sums(table: np.ndarray) -> np.ndarray:
+    """Sums down axis 0 that add whole rows in order, as the degree loop does.
+
+    np.add.reduce does that for two or more columns.  A one-column table is
+    contiguous along axis 0, where reduce sums pairwise, so it accumulates.
+    """
+    if table.shape[1] == 1:
+        return np.add.accumulate(table, axis=0)[-1]
+    return np.add.reduce(table, axis=0)
+
+
 def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate sum_k coeffs[k] C(n,k) x^k (1-x)^(n-k) at each x in [0, 1].
 
@@ -204,9 +216,11 @@ def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     Every point takes one fixed sequence of float operations: for k = 1..n,
     w_k = w_{k-1} (a_k u) with a_k = (n-k+1)/k, then den += w_k and
     num += c_k w_k; so its value does not depend on the batch it came in.
-    Narrow batches run that sequence as (degree x points) tables with
-    cumprod/cumsum down the degree axis, a few numpy calls per segment;
-    wide ones loop over the degree, 5 whole-batch ufunc passes per step.
+    Narrow batches run that sequence as (degree x points) tables, a few
+    numpy calls per segment: a cumulative product down the degree axis gives
+    the weights, and column sums that add the rows in order (_column_sums)
+    give den and num.  Wide batches loop over the degree, 5 whole-batch
+    ufunc passes per step.
 
     The weights stay finite at any degree: the coefficients are scaled by an
     exact 2^-E once they reach 2^_COEFF_BITS, and w, num and den by the same
@@ -244,11 +258,11 @@ def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
             np.multiply.accumulate(table, axis=0, out=table)
             w = table[-1].copy()
             table[0] = den
-            den = np.add.accumulate(table, axis=0)[-1]
+            den = _column_sums(table)
             for s, cs in sides:
                 table[1:, s] *= cs[k0:k1, None]
             table[0] = num
-            num = np.add.accumulate(table, axis=0, out=table)[-1]
+            num = _column_sums(table)
         else:
             r = np.empty_like(u)
             tmp = np.empty_like(u)

@@ -16,6 +16,7 @@ from bernint import (
     boundary_interpolation_check,
     builtin,
     converse_experiment,
+    entries,
     error_curve,
     evaluate,
     fit_rate,
@@ -261,6 +262,58 @@ def test_omega_phi2_sweep_is_monotone():
     # for this kink the law is 2t exactly up to grid resolution
     for t, v in zip((0.05, 0.1, 0.2, 0.4, 0.8), vals):
         assert v == pytest.approx(2.0 * t, rel=1e-6)
+
+
+def _omega_phi2_per_step(fn, t, m):
+    """omega_phi2 with one pair of target calls per step h: the reference."""
+    xs = np.linspace(0.0, 1.0, m)
+    phi = np.sqrt(xs * (1.0 - xs))
+    mid = np.asarray(fn(xs), dtype=np.float64)
+    hs = np.geomspace(t / 100.0, t, 64)
+    hs[-1] = t * (1.0 - 2.0 ** -40)
+    best = 0.0
+    for h in hs:
+        offset = h * phi
+        xp = xs + offset
+        xm = xs - offset
+        feasible = (xm >= 0.0) & (xp <= 1.0)
+        vp = np.asarray(fn(np.clip(xp, 0.0, 1.0)), dtype=np.float64)
+        vm = np.asarray(fn(np.clip(xm, 0.0, 1.0)), dtype=np.float64)
+        d = np.where(feasible, np.abs(vp - 2.0 * mid + vm), 0.0)
+        hmax = float(d.max())
+        if hmax > best:
+            best = hmax
+    scale = max(1.0, float(np.max(np.abs(mid))))
+    if best <= 32.0 * np.finfo(np.float64).eps * scale:
+        best = 0.0
+    return best
+
+
+@pytest.mark.parametrize("name", [e.spec.name for e in entries()])
+def test_omega_phi2_equals_the_per_step_sweep(name):
+    """Blocking the steps h changes no bit of any corpus derivative's modulus."""
+    f = builtin(name)
+    for s in (s for s in range(3) if f.supports(s)):
+        fn = lambda xs, s=s: f.deriv_float(s, xs)
+        for grid in (None, GridConfig(points=33)):
+            m = grid.points if grid is not None else DEFAULT_GRID.points
+            for t in (0.003, 0.05, 0.4, 1.0):
+                assert omega_phi2(fn, t, grid).value == _omega_phi2_per_step(fn, t, m), (s, m, t)
+
+
+@pytest.mark.parametrize("step, side", [(0, 1), (5, -1), (37, 1), (63, -1)])
+def test_omega_phi2_checks_every_offset_point(step, side):
+    """A target that is NaN at one x +- h phi(x) only, off the uniform grid, raises."""
+    t, m, i = 0.4, 33, 7
+    xs = np.linspace(0.0, 1.0, m)
+    hs = np.geomspace(t / 100.0, t, 64)
+    hs[-1] = t * (1.0 - 2.0 ** -40)
+    x0 = xs[i] + side * hs[step] * np.sqrt(xs[i] * (1.0 - xs[i]))
+    assert 0.0 < x0 < 1.0 and not np.any(xs == x0)
+    target = lambda x: np.where(x == x0, np.nan, x * x)
+    assert np.all(np.isfinite(target(xs)))
+    with pytest.raises(ValueError, match="not finite"):
+        omega_phi2(target, t, GridConfig(points=m))
 
 
 def test_omega1_subadditive_on_corpus_functions():

@@ -338,6 +338,22 @@ def test_grid_defaults_come_from_analysis(capsys):
     assert doc["config"]["refine"] == DEFAULT_GRID.refine
 
 
+def test_shared_parser_keeps_no_options_between_calls(capsys):
+    from bernint.analysis import DEFAULT_GRID
+    from bernint.cli import build_parser
+
+    assert build_parser() is build_parser()
+    sweep = ["error", "--fn", "monomial(2)", "--n-min", "16", "--n-max", "32"]
+    rc, doc = run_json(sweep + ["--strict", "--kind", "floor", "--grid", "65"], capsys)
+    assert rc == 0
+    assert doc["config"]["strict"] is True and doc["config"]["kind"] == "floor"
+    assert doc["config"]["grid_points"] == 65
+    rc, doc = run_json(sweep, capsys)
+    assert rc == 0
+    assert doc["config"]["strict"] is False and doc["config"]["kind"] == "classic"
+    assert doc["config"]["grid_points"] == DEFAULT_GRID.points
+
+
 def test_cli_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"fn": "monomial(2)", "n": 8}))

@@ -5,10 +5,12 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
-from bernint import (CapabilityError, OperatorKind, TiePolicy, build_model, builtin,
-                     entries, hypothesis_check)
+from bernint import (DEFAULT_GRID, CapabilityError, OperatorKind, TiePolicy, build_model,
+                     builtin, entries, grid_points, hypothesis_check)
 from bernint.exact import round_bracket, round_ratio
 import bernint.corpus as corpus
 
@@ -100,6 +102,24 @@ def test_higher_deriv_oracles_are_consistent():
             for x in (0.25, 0.6):
                 want = (f.deriv_float(i - 1, x + h) - f.deriv_float(i - 1, x - h)) / (2 * h)
                 assert abs(f.deriv_float(i, x) - want) <= 1e-5 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("name", [e.spec.name for e in entries()
+                                  if e.spec.poly_coeffs is not None])
+def test_polynomial_deriv_float_is_polyval(name):
+    """The in-place Horner is numpy's polyval bit for bit, for every order."""
+    f = builtin(name)
+    xs = np.concatenate((grid_points(DEFAULT_GRID), [0.0, 0.5, 1.0, 5e-324]))
+    before = xs.copy()
+    coeffs = list(f.poly_coeffs)
+    for s in range(len(coeffs) + 1):
+        floats = [float(c) for c in coeffs] or [0.0]  # coefficients of f^(s)
+        got = f.deriv_float(s, xs)
+        assert got.tobytes() == npoly.polyval(xs, floats).tobytes(), s
+        assert xs.tobytes() == before.tobytes()
+        one = f.deriv_float(s, np.float64(0.3))
+        assert np.ndim(one) == 0 and one == npoly.polyval(0.3, floats)
+        coeffs = [k * c for k, c in enumerate(coeffs)][1:]
 
 
 def test_scaled_round_matches_exact_node_values():
