@@ -110,8 +110,12 @@ def _as_eval(F) -> Callable:
 
 
 def _finite_values(fn: Callable, xs: np.ndarray, who: str) -> np.ndarray:
-    """fn(xs) as floats; ValueError naming ``who`` if any is NaN or infinite."""
+    """fn(xs) as floats; ValueError naming ``who`` unless there is one finite
+    value per point (a scalar for an array of points is refused, not
+    broadcast)."""
     vals = np.asarray(fn(xs), dtype=np.float64)
+    if vals.shape != xs.shape:
+        raise ValueError(f"{who}: target must return one value per point")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{who}: target is not finite at some point")
     return vals

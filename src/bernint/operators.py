@@ -178,11 +178,14 @@ def build_model(
 _SEGMENT_BITS = 960
 _COEFF_BITS = 32
 # Batches of at most this many points run the kernel as tables, wider ones as
-# a loop over the degree.  On a 2-CPU x86-64 host, with reduce-summed tables,
-# the two cost the same at 700-1000 points for n in {16, 64, 128, 512, 900,
-# 2048}, and tables are 8-28% faster at 640; a 32-point zoom round at
-# n = 512 takes 0.3 ms as tables and 2-3 ms as a loop.
-_TABLE_POINTS = 640
+# a loop over the degree.  On a 2-CPU x86-64 host the two cost the same at
+# 160-250 points for n in {16, 128, 512} with accumulate-summed tables; a
+# 32-point zoom round at n = 512 takes 0.3 ms as tables and 2.5 ms as a loop.
+# Reduce-summed tables (_column_sums) move the crossover of a lone call to
+# 700-1000 points in a kernel microbenchmark.  The only perfbench calls in
+# that range are interactive_small's 257-point `error --grid 257` grids, and
+# that workload runs no faster end to end with 640, so the constant stays.
+_TABLE_POINTS = 192
 
 
 def _segment_length(n: int) -> int:

@@ -228,6 +228,21 @@ def test_moduli_reject_non_finite_target():
         omega1_sweep(lambda x: x, [])
 
 
+def test_moduli_reject_a_target_without_one_value_per_point():
+    estimates = (
+        ("sup_norm", lambda F: sup_norm(F)),
+        ("omega1", lambda F: omega1(F, 0.1)),
+        ("omega1", lambda F: omega1_sweep(F, [0.05, 0.1])),
+        ("omega_phi2", lambda F: omega_phi2(F, 0.1)),
+    )
+    # a scalar is refused, not broadcast: omega_phi2 used to return 0.0 here
+    for target in (lambda x: 1.0, lambda x: np.ones(x.size + 1), lambda x: x[:-1]):
+        for who, estimate in estimates:
+            with pytest.raises(ValueError, match=f"^{who}: target must return one value per point$"):
+                estimate(target)
+    assert omega_phi2(lambda x: np.ones_like(x), 0.1).value == 0.0
+
+
 def test_omega1_sweep_is_monotone():
     f = lambda x: np.abs(x - 0.37)
     vals = [e.value for e in omega1_sweep(f, [0.05, 0.1, 0.2, 0.4])]
