@@ -6,7 +6,8 @@ are used directly throughout the package.  This module adds the pieces they
 lack:
 
 * cached binomial rows (multiplicative recurrence, exact),
-* homogeneous_sum, the one exact evaluator of Bernstein and power sums,
+* homogeneous_sum, the one exact evaluator of Bernstein and power sums:
+  Horner on short rows, block dot products on long ones,
 * round_ratio, floor and nearest-integer rounding of an integer ratio with
   an explicit tie policy (floor_int and nearest_int wrap it for rationals),
   and round_bracket, the same rounding of a value known through an integer
@@ -29,6 +30,8 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
 
 
@@ -72,12 +75,43 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+# homogeneous_sum takes a row longer than _BLOCK_CUTOFF coefficients in
+# blocks of _BLOCK: one C-level dot product per block against the weights
+# p^i q^(_BLOCK-1-i), then a homogeneous sum of the block values in
+# (p^_BLOCK, q^_BLOCK).  Measured on the gap rows at the 81 points of the
+# exact_enclosure workload (2-CPU x86 host, CPython 3.11), blocks of 16 run
+# at 0.8x the speed of the plain Horner loop at n = 64, break even near
+# n = 100 (0.97x at 96, 1.03x at 112), and are 1.15x faster at n = 128,
+# 1.6x at 256 and 2.2x at 512.  The cutoff must be at least _BLOCK, so that
+# the low part of fewer than _BLOCK coefficients takes the Horner loop.
+_BLOCK = 16
+_BLOCK_CUTOFF = 100
+
+
 def homogeneous_sum(e: Sequence[int], p: int, q: int) -> int:
-    """sum_k e[k] p^k q^(m-k), m = len(e) - 1, by Horner on integers.
+    """sum_k e[k] p^k q^(m-k), m = len(e) - 1, exactly on integers.
 
     A degree-n Bernstein form at x = a/b is homogeneous_sum(e, a, b-a) / b^n
     with e[k] = c_k C(n,k); a power-basis polynomial is (e, a, b) / b^m.
+
+    A short row is summed by Horner.  A longer row is split into its
+    r = len(e) % 16 low-order coefficients and blocks of 16 above them:
+    each block is one dot product with the weights w_i = p^i q^(15-i), the
+    block values are summed as a homogeneous sum s in (p^16, q^16), and the
+    result is s p^r + homogeneous_sum(e[:r], p, q) q^(len(e)-r).  Both
+    paths give the same integer.
     """
+    m = len(e)
+    if m > _BLOCK_CUTOFF:
+        r = m % _BLOCK
+        ps = list(accumulate(repeat(p, _BLOCK), mul, initial=1))  # p^0 .. p^16
+        qs = list(accumulate(repeat(q, _BLOCK), mul, initial=1))
+        w = list(map(mul, ps[:_BLOCK], reversed(qs[:_BLOCK])))
+        blocks = [sum(map(mul, e[j:j + _BLOCK], w)) for j in range(r, m, _BLOCK)]
+        s = homogeneous_sum(blocks, ps[_BLOCK], qs[_BLOCK]) * ps[r]
+        if r:
+            s += homogeneous_sum(e[:r], p, q) * qs[_BLOCK] ** len(blocks)
+        return s
     acc, qj = 0, 1
     for ek in reversed(e):
         acc = acc * p + ek * qj

@@ -32,7 +32,8 @@ step 1/n, the prefactor absorbing the scaling.
 The gap between an integer kind and B_n f is built once, by gap_interval:
 two unreduced integer rows over one den from one APPROX_BITS bracket per
 node, hi_k = m_k den - num_k and lo_k the same less 1 at the inexact nodes.
-proximity_gap_exact evaluates both rows exactly, and analysis.proximity_gap
+proximity_gap_exact evaluates both rows exactly by homogeneous_sum (none
+at all when both rows are zero), and analysis.proximity_gap
 (above this module, which imports only exact) measures their midpoint
 (lo_k + hi_k) / (2 den) on a grid.
 """
@@ -64,6 +65,8 @@ class HypothesisViolation(Exception):
 
 # Precision of the node brackets behind Classic models and gap_interval.
 APPROX_BITS = 192
+
+_ZERO = Fraction(0)
 
 
 class OperatorKind(enum.Enum):
@@ -386,19 +389,25 @@ def proximity_gap_exact(
 
     Returns a list of Fraction pairs (lo, hi) with lo <= gap(x) <= hi: the
     exact values of the two rows of gap_interval.  At x = a/b both share
-    q = den b^n; lo is s/q for s the Horner sum of the lo row, and hi adds
-    the Horner sum of the 0/1 row hi - lo, which multiplies no wide
-    coefficients; where that sum is 0, hi is lo.  Fully rigorous, which
-    is what lets tests verify the 1/n and 1/(2n) bounds without floats.
+    q = den b^n; lo is s/q for s the homogeneous_sum of the lo row, and hi
+    adds the homogeneous_sum of the 0/1 row hi - lo, which multiplies no
+    wide coefficients; where that sum is 0, hi is lo.  Equal all-zero rows
+    (an f the kind reproduces, such as integer_linear(3,2) or abs_shift)
+    give (0, 0) at every point without a sum.  Fully rigorous, which is
+    what lets tests verify the 1/n and 1/(2n) bounds without floats.
     """
     lo, hi, den = gap_interval(f, n, kind, tie)
     width = None if lo == hi else [b - a for a, b in zip(lo, hi)]
+    zero = width is None and not any(lo)
     out = []
     for x in xs:
         x = Fraction(x)
         a, b = x.numerator, x.denominator
         if not 0 <= a <= b:
             raise ValueError("proximity_gap_exact: points must lie in [0, 1]")
+        if zero:
+            out.append((_ZERO, _ZERO))
+            continue
         q = den * b ** n
         s = homogeneous_sum(lo, a, b - a)
         w = 0 if width is None else homogeneous_sum(width, a, b - a)

@@ -34,13 +34,32 @@ def test_homogeneous_sum_edge_cases():
     assert homogeneous_sum([-9], 4, 6) == -9  # one coefficient: degree 0
     assert homogeneous_sum([], 4, 6) == 0
     assert homogeneous_sum(e, 2, 3) == 3 * 27 - 1 * 2 * 9 + 0 + 7 * 8
+    # rows either side of the block cutoff (100), every low-order remainder
+    # 0..15, and rows either side of multiples of the block length 16; past
+    # 16 * 101 coefficients the block values themselves are summed in blocks
+    rng = random.Random(29)
+    lengths = set(range(96, 120)) | {1616, 1617, 1700}
+    lengths |= {16 * j + d for j in range(8, 20) for d in (-1, 0, 1)}
+    for length in sorted(lengths):
+        e = [rng.randrange(-10**40, 10**40) for _ in range(length)]
+        for p, q in ((0, 1), (1, 0), (0, 0), (1, 1), (-1, 1), (1, -1), (-1, -1),
+                     (-3, 5), (7, -2), (-6, -11), (0, -4), (-9, 0)):
+            assert homogeneous_sum(e, p, q) == _term_by_term(e, p, q), (length, p, q)
+            assert homogeneous_sum(tuple(e), p, q) == _term_by_term(e, p, q)
 
 
-@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=30),
+def _term_by_term(e, p, q):
+    m = len(e) - 1
+    return sum(ek * p**k * q ** (m - k) for k, ek in enumerate(e))
+
+
+# the length is drawn first: st.lists alone rarely passes 20 elements, and
+# the block path starts above 100
+@given(st.integers(1, 300).flatmap(
+           lambda m: st.lists(st.integers(-10**30, 10**30), min_size=m, max_size=m)),
        st.integers(-50, 50), st.integers(-50, 50))
 def test_homogeneous_sum_property(e, p, q):
-    m = len(e) - 1
-    assert homogeneous_sum(e, p, q) == sum(ek * p**k * q ** (m - k) for k, ek in enumerate(e))
+    assert homogeneous_sum(e, p, q) == _term_by_term(e, p, q)
 
 
 def test_common_denominator():

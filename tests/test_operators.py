@@ -102,8 +102,10 @@ def test_exact_paths_reject_points_outside_the_unit_interval():
     for bad in (F(-1, 3), F(4, 3), -1, 2, "7/6", F(-1, 10**30)):
         with pytest.raises(ValueError, match=r"evaluate_exact: point must lie in \[0, 1\]"):
             evaluate_exact(m, bad)
-        with pytest.raises(ValueError, match=r"proximity_gap_exact: points must lie in \[0, 1\]"):
-            proximity_gap_exact(X2, 4, NEAREST, [F(1, 2), bad])
+        for f in (X2, builtin("integer_linear(3,2)"), builtin("abs_shift")):
+            with pytest.raises(ValueError,
+                               match=r"proximity_gap_exact: points must lie in \[0, 1\]"):
+                proximity_gap_exact(f, 4, NEAREST, [F(1, 2), bad])
     for good in (0, 1, "1/3", F(10**30 - 1, 10**30)):
         assert evaluate_exact(m, good) == bernstein_sum(m.coeffs, F(good))
 
@@ -222,14 +224,16 @@ def bracket_ends(f, n, k, c=None):
 def test_proximity_gap_exact_matches_sum_of_node_enclosures():
     # the gap enclosure is the reference sum against the ends of the
     # APPROX_BITS node brackets, derived here from 4096-bit enclosures
+    # (n = 256 sums both rows, the 0/1 width row too, in blocks)
     xs = [F(0), F(1, 3), F(2, 5), F(1, 2), F(37, 64), F(1)]
-    for name in ("holder_interior(1/2)", "holder_interior(3/2,2,-1)"):
+    for name, ns in (("holder_interior(1/2)", (5, 16, 256)),
+                     ("holder_interior(3/2,2,-1)", (5, 16))):
         f = builtin(name)
-        for kind in (FLOOR, NEAREST):
-            for n in (5, 16):
+        for n in ns:
+            ends = [bracket_ends(f, n, k) for k in range(n + 1)]
+            for kind in (FLOOR, NEAREST):
                 d_lo, d_hi = [], []
-                for k, c in enumerate(build_model(f, n, kind).coeffs):
-                    vlo, vhi = bracket_ends(f, n, k)
+                for k, (c, (vlo, vhi)) in enumerate(zip(build_model(f, n, kind).coeffs, ends)):
                     d_lo.append(c - vhi / math.comb(n, k))
                     d_hi.append(c - vlo / math.comb(n, k))
                 want = [(bernstein_sum(d_lo, x), bernstein_sum(d_hi, x)) for x in xs]
@@ -310,7 +314,8 @@ def test_gap_interval_takes_one_bracket_per_node(name, monkeypatch):
 
 
 def test_proximity_gap_exact_evaluates_one_model_when_rational(monkeypatch):
-    # equal rows: one Horner sum per point, no width sum
+    # equal rows: one homogeneous_sum per point, no width sum; equal all-zero
+    # rows, where the kind reproduces f: no sum at all, and exactly (0, 0)
     calls = []
     homogeneous_sum = operators.homogeneous_sum
 
@@ -323,6 +328,14 @@ def test_proximity_gap_exact_evaluates_one_model_when_rational(monkeypatch):
     pairs = proximity_gap_exact(builtin("monomial(5)"), 32, NEAREST, xs)
     assert len(calls) == len(xs)
     assert all(lo == hi for lo, hi in pairs)
+    for name in ("integer_linear(3,2)", "abs_shift"):
+        for kind in (FLOOR, NEAREST):
+            for n in (8, 256):
+                calls.clear()
+                pairs = proximity_gap_exact(builtin(name), n, kind, xs)
+                assert calls == []
+                assert pairs == [(0, 0)] * len(xs)
+                assert {type(v) for pair in pairs for v in pair} == {F}
 
 
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
