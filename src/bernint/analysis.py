@@ -275,7 +275,8 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
     ValueError if f yields a NaN or an infinity at any evaluated point.
     The steps run _H_BLOCK at a time, one target call on the clipped
     x + h phi and x - h phi of the whole block, which needs a target whose
-    value at a point does not depend on the batch.
+    value at a point does not depend on the batch.  Every block reuses one
+    node array, and the second differences are taken in place in it.
     """
     t = float(t)
     if not (0.0 < t <= 1.0):
@@ -289,16 +290,23 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
     hs = np.geomspace(t / _H_SPAN, t, _H_COUNT)
     hs[-1] = t * _H_BACKOFF
     best = 0.0
+    # one node array for every block: pts[0] is x + h phi and pts[1] is
+    # x - h phi, one row per step
+    nodes = np.empty((2, _H_BLOCK, m))
     for i in range(0, _H_COUNT, _H_BLOCK):
-        offset = hs[i:i + _H_BLOCK, None] * phi
-        # pts[0] is x + h phi and pts[1] is x - h phi, one row per step
-        pts = np.empty((2, *offset.shape))
-        np.add(xs, offset, out=pts[0])
-        np.subtract(xs, offset, out=pts[1])
+        h = hs[i:i + _H_BLOCK, None]
+        pts = nodes[:, :h.shape[0]]
+        np.multiply(h, phi, out=pts[0])
+        np.subtract(xs, pts[0], out=pts[1])
+        pts[0] += xs
         feasible = (pts[1] >= 0.0) & (pts[0] <= 1.0)
         np.clip(pts, 0.0, 1.0, out=pts)
         vp, vm = _finite_values(fn, pts.reshape(-1), "omega_phi2").reshape(pts.shape)
-        d = np.where(feasible, np.abs(vp - mid2 + vm), 0.0)
+        # |vp - 2 mid + vm|, 0 at the infeasible nodes, in place in pts[0]
+        d = np.subtract(vp, mid2, out=pts[0])
+        d += vm
+        np.abs(d, out=d)
+        np.copyto(d, 0.0, where=~feasible)
         best = max(best, float(d.max()))
     # a max below the double-rounding noise floor of the evaluation is
     # indistinguishable from an exactly vanishing second difference (linear

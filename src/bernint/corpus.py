@@ -24,11 +24,12 @@ Every spec has a node bracket oracle, scaled_bracket(k, n, bits, c) for
 any integer c >= 1: integers (num, den, exact) with num = floor(den c f(k/n)),
 so num/den <= c f(k/n) < (num + 1)/den, equality exactly when ``exact``,
 and den depending on (n, bits) alone.  The polynomials and abs_shift give
-their exact value (one Horner sum, or |2k - n| c over n); the Hoelder
-entries give den = n 2^bits and an integer root, so their bracket is
-2^-bits / n wide.  operators builds the integer-kind models and the gap
-from the brackets at c = C(n,k), and Classic models from those of f(k/n)
-itself, at c = 1; analysis decides each node inequality of hypothesis_check
+their exact value (one Horner sum, or |2k - n| c over n), and the
+polynomials give a whole row of them in one pass (forward differences in
+k, scaled_bracket_row); the Hoelder entries give den = n 2^bits and an
+integer root, so their bracket is 2^-bits / n wide.  operators builds the
+integer-kind models and the gap from the brackets at c = C(n,k), and
+Classic models from those of f(k/n) itself, at c = 1; analysis decides each node inequality of hypothesis_check
 f(k/n) >= p/q from the bracket at c = q, and the spec decides whether f(0)
 and f(1) are integers from their brackets at n = 1, c = 1.  Values of the
 Hoelder entries at rational points are usually irrational; eval_bounds
@@ -41,6 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,11 +70,13 @@ class FunctionSpec:
     where the value is irrational, both only asked for orders that
     ``supports``; and ``scaled_bracket``, the integer node bracket described
     in the module docstring, as a callable (k, n, bits, c) -> (num, den,
-    exact).  ``s_max`` is the largest derivative order served (None =
-    unlimited, polynomials).  ``kink`` marks an interior non-smooth point, or
-    None.  Nothing else is declared: ``integer_endpoints`` is decided from
-    the brackets of f(0) and f(1), and ``integer_linear`` from
-    ``poly_coeffs``.
+    exact).  An optional ``scaled_bracket_row``, a callable (n, bits, cs)
+    -> the n + 1 brackets, builds a whole row in one pass; without it a row
+    is one bracket call per node.  ``s_max`` is the largest derivative
+    order served (None = unlimited, polynomials).  ``kink`` marks an
+    interior non-smooth point, or None.  Nothing else is declared:
+    ``integer_endpoints`` is decided from the brackets of f(0) and f(1),
+    and ``integer_linear`` from ``poly_coeffs``.
     """
 
     def __init__(
@@ -87,6 +91,7 @@ class FunctionSpec:
         scaled_bracket: Callable,
         value_bounds: Optional[Callable] = None,
         poly_coeffs: Optional[tuple] = None,
+        scaled_bracket_row: Optional[Callable] = None,
     ):
         self.name = name
         self.s_max = s_max
@@ -97,6 +102,7 @@ class FunctionSpec:
         self._deriv_float = deriv_float
         self._deriv_exact = deriv_exact
         self._scaled_bracket = scaled_bracket
+        self._scaled_bracket_row = scaled_bracket_row
 
     def __repr__(self):
         return f"FunctionSpec({self.name!r})"
@@ -163,16 +169,20 @@ class FunctionSpec:
         return self._scaled_bracket(k, n, bits, c)
 
     def scaled_bracket_row(self, n: int, bits: int, cs) -> list[tuple[int, int, bool]]:
-        """[scaled_bracket(k, n, bits, cs[k]) for k = 0..n], one call per node.
+        """[scaled_bracket(k, n, bits, cs[k]) for k = 0..n].
 
         All n + 1 brackets share one den.  cs = binomial_row(n) brackets a
         model's scaled coefficients C(n,k) f(k/n), and cs = (1,) * (n + 1) the
-        node values f(k/n) themselves.
+        node values f(k/n) themselves.  A spec with a row oracle (the
+        polynomials) builds the row in one pass; the others make one bracket
+        call per node.
         """
         self._check_node(0, n, bits)
         if len(cs) != n + 1 or min(cs) < 1:
             raise ValueError(f"{self.name}: a bracket row needs n + 1 = {n + 1} "
                              f"multipliers c >= 1")
+        if self._scaled_bracket_row is not None:
+            return self._scaled_bracket_row(n, bits, cs)
         oracle = self._scaled_bracket
         return [oracle(k, n, bits, c) for k, c in enumerate(cs)]
 
@@ -256,12 +266,29 @@ def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
     deg = len(e0) - 1
     dens = {}  # n -> D_f n^deg, for the last n asked for
 
-    def scaled_bracket(k, n, bits, c):
+    def _den(n):
         den = dens.get(n)
         if den is None:
             dens.clear()
             den = dens[n] = d0 * n ** deg
-        return homogeneous_sum(e0, k, n) * c, den, True
+        return den
+
+    def scaled_bracket(k, n, bits, c):
+        return homogeneous_sum(e0, k, n) * c, _den(n), True
+
+    def scaled_bracket_row(n, bits, cs):
+        # den f(k/n) = P(k) = homogeneous_sum(e0, k, n), a degree-deg integer
+        # polynomial in k: its forward differences at 0, then its values at
+        # k = 0..n by deg running sums
+        diffs = [homogeneous_sum(e0, k, n) for k in range(deg + 1)]
+        for i in range(1, deg + 1):
+            for j in range(deg, i - 1, -1):
+                diffs[j] -= diffs[j - 1]
+        values = repeat(diffs[deg], n + 1)
+        for d in reversed(diffs[:deg]):
+            values = accumulate(islice(values, n), initial=d)
+        den = _den(n)
+        return [(v * c, den, True) for v, c in zip(values, cs)]
 
     return FunctionSpec(
         name,
@@ -271,6 +298,7 @@ def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
         deriv_exact=deriv_exact,
         poly_coeffs=coeffs,
         scaled_bracket=scaled_bracket,
+        scaled_bracket_row=scaled_bracket_row,
     )
 
 

@@ -21,7 +21,10 @@ otherwise.
 Evaluation has two paths: a float path, O(n) per point, using the ratio
 form sum_k c_k w_k / sum_k w_k with weights w_k = C(n,k) u^k, u = x/(1-x),
 built as a product chain (on 1-x for x > 1/2, so u <= 1), and an exact
-path, homogeneous_sum over (e, D).  Derivatives of a model are
+path, homogeneous_sum over (e, D).  On wide batches the float path stops
+each point once its remaining terms provably cannot change a bit of its
+sums (the tail cut of _bernstein_linear), so its values are those of the
+full chain.  Derivatives of a model are
 again models on the same denominator, one degree lower per order:
 differentiating sum_k e_k x^k (1-x)^(m-k) gives the scaled integers
 e'_j = (j+1) e_{j+1} - (m-j) e_j.  After s steps coefficient k is
@@ -189,6 +192,11 @@ _COEFF_BITS = 32
 # that range are interactive_small's 257-point `error --grid 257` grids, and
 # that workload runs no faster end to end with 640, so the constant stays.
 _TABLE_POINTS = 192
+# Degree steps between two tail-cut checks of the wide loop.  A check costs
+# about 20 whole-window passes against 5 per step, and at n <= 64 none runs.
+# Over the sweep's 4097-point grids at n = 16..512 on a 2-CPU x86-64 host,
+# 32 to 96 steps all take the same time within 5%.
+_CUT_STEPS = 64
 
 
 def _segment_length(n: int) -> int:
@@ -213,6 +221,35 @@ def _column_sums(table: np.ndarray) -> np.ndarray:
     return np.add.reduce(table, axis=0)
 
 
+def _clip(parts, lo, hi):
+    """The (slice, value) pairs with each slice cut to [lo, hi), empty ones left out."""
+    cut = [(slice(max(s.start, lo), min(s.stop, hi)), v) for s, v in parts]
+    return [(s, v) for s, v in cut if s.stop > s.start]
+
+
+def _finished(r, w, den, num, p) -> np.ndarray:
+    """Which points no later degree step can change, as a boolean array.
+
+    Before step k a point holds its last weight w = w_{k-1} and its sums den
+    and num; r = fl(a_k u) is its next factor and p = fl(w C_k), where C_k
+    is the largest |c_j|, j >= k, on its side.  Under round-to-nearest, with
+    rounding monotone, a point is finished when all three hold:
+
+    (i)   r <= 1.  The float a_j do not increase with j, so every later
+          factor fl(a_j u) <= 1 and every later weight w_j <= w.
+    (ii)  w < spacing(den)/2.  Each later den + w_j then rounds back to den.
+    (iii) p < |spacing(num)|/4, or p == 0 and num is not -0.0.  Each later
+          term fl(c_j w_j) is at most p in size.  The gap below num is at
+          least half the gap above (exactly half at a power of two), so a
+          term under a quarter of spacing(num) rounds num + term back to
+          num.  When p == 0 every term is a signed zero, and num + 0 == num
+          for every num but -0.0, which +0.0 turns into +0.0.
+    """
+    return ((r <= 1.0) & (w < np.spacing(den) / 2)
+            & ((p < np.abs(np.spacing(num)) / 4)
+               | ((p == 0.0) & ((num != 0.0) | ~np.signbit(num)))))
+
+
 def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate sum_k coeffs[k] C(n,k) x^k (1-x)^(n-k) at each x in [0, 1].
 
@@ -227,6 +264,22 @@ def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     the weights, and column sums that add the rows in order (_column_sums)
     give den and num.  Wide batches loop over the degree, 5 whole-batch
     ufunc passes per step.
+
+    The wide loop stops each point once its remaining steps are exact
+    no-ops (the tail cut).  The weights C(n,k) u^k peak near k = n t and then
+    fall geometrically, so a point far from t = 1/2 stops moving den and num
+    long before k = n.  In the final segment, every _CUT_STEPS steps, the
+    loop drops from both ends of an active window [lo, hi) the points that
+    _finished reports: the next factor a_k u is at most 1, the last weight
+    is under half the spacing of den, and that weight times the largest
+    remaining |c_j| of the point's side is under a quarter of the spacing
+    of num (or is 0, with num not -0.0).  Under round-to-nearest each skipped
+    den += w_j and num += c_j w_j then leaves its sum as it was, so every
+    value is the one the full loop gives.  The layout sorts the left side
+    by ascending t and the right side by descending t whenever xs is sorted,
+    as the grids are, so the finished points gather at the window's ends;
+    the later passes run on views of the window, and the loop ends when it
+    is empty.  Tables run every step and stay the reference.
 
     The weights stay finite at any degree: the coefficients are scaled by an
     exact 2^-E once they reach 2^_COEFF_BITS, and w, num and den by the same
@@ -270,16 +323,39 @@ def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
             table[0] = num
             num = _column_sums(table)
         else:
+            # the tail cut, in the final segment only (no rescale follows it):
+            # every _CUT_STEPS steps the window [lo, hi) drops the points at
+            # its two ends whose remaining steps are no-ops (_finished)
             r = np.empty_like(u)
             tmp = np.empty_like(u)
-            views = [(w[s], tmp[s], cs[k0:k1].tolist()) for s, cs in sides]
-            for j, ak in enumerate(a[k0 - 1:k1 - 1].tolist()):
-                np.multiply(u, ak, out=r)
-                w *= r
-                den += w
-                for wv, tv, cv in views:
-                    np.multiply(wv, cv[j], out=tv)
-                num += tmp
+            lo, hi = 0, u.size
+            uv, rv, wv, dv, nv, tv = u, r, w, den, num, tmp
+            live_sides, tails = sides, None
+            for b0 in range(k0, k1, _CUT_STEPS):
+                if k1 == n + 1 and b0 > 1:
+                    if tails is None:
+                        # each side's suffix maxima C_k of |c_j|
+                        tails = [(s, np.maximum.accumulate(np.abs(cs)[::-1])[::-1])
+                                 for s, cs in sides]
+                    np.multiply(uv, a[b0 - 1], out=rv)
+                    for v, tail in _clip(tails, lo, hi):
+                        np.multiply(w[v], tail[b0], out=tmp[v])
+                    live = np.flatnonzero(~_finished(rv, wv, dv, nv, tv))
+                    if live.size == 0:
+                        break
+                    lo, hi = lo + int(live[0]), lo + int(live[-1]) + 1
+                    win = slice(lo, hi)
+                    uv, rv, wv, dv, nv, tv = u[win], r[win], w[win], den[win], num[win], tmp[win]
+                    live_sides = _clip(sides, lo, hi)
+                b1 = min(b0 + _CUT_STEPS, k1)
+                parts = [(w[v], tmp[v], cs[b0:b1].tolist()) for v, cs in live_sides]
+                for j, ak in enumerate(a[b0 - 1:b1 - 1].tolist()):
+                    np.multiply(uv, ak, out=rv)
+                    wv *= rv
+                    dv += wv
+                    for wp, tp, cp in parts:
+                        np.multiply(wp, cp[j], out=tp)
+                    nv += tv
     q = np.ldexp(num / den, e)
     out = np.empty(xs.shape, dtype=np.float64)
     out[~right] = q[:m]

@@ -11,7 +11,7 @@ import pytest
 
 from bernint import (DEFAULT_GRID, CapabilityError, OperatorKind, TiePolicy, build_model,
                      builtin, entries, grid_points, hypothesis_check)
-from bernint.exact import round_bracket, round_ratio
+from bernint.exact import binomial_row, round_bracket, round_ratio
 import bernint.corpus as corpus
 
 
@@ -194,6 +194,27 @@ def test_scaled_bracket_holds_the_scaled_node_value(name):
                     assert F(num, den) == c * lo == c * hi
                 else:
                     assert den % 2 == 0 and 2 ** bits * n <= den
+
+
+@pytest.mark.parametrize("name", ["monomial(2)", "monomial(7)", "poly_boundary_flat(3,-3,1)",
+                                  "integer_linear(0,4)", "integer_linear(-2,3)"])
+def test_polynomial_bracket_row_matches_the_node_brackets(name, monkeypatch):
+    # the polynomial row oracle (forward differences in k) gives the node
+    # brackets exactly, at any multipliers, and makes no per-node call
+    f = builtin(name)
+    rng = random.Random(name)
+    rows = {}
+    for n in (1, 2, 5, 6, 7, 8, 300):
+        for cs in ((1,) * (n + 1), binomial_row(n),
+                   tuple(rng.randrange(1, 10**12) for _ in range(n + 1))):
+            rows[n, cs] = [f.scaled_bracket(k, n, 64, c) for k, c in enumerate(cs)]
+
+    def refuse(*args):
+        raise AssertionError("a polynomial row must not call the node oracle")
+
+    monkeypatch.setattr(f, "_scaled_bracket", refuse)
+    for (n, cs), want in rows.items():
+        assert f.scaled_bracket_row(n, 64, cs) == want, (n, cs[:3])
 
 
 def test_scaled_round_rounds_the_bracket():

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bernint import (
+    DEFAULT_GRID,
     BernsteinModel,
     OperatorKind,
     build_model,
@@ -29,8 +30,9 @@ from bernint import (
     derivative_model,
     evaluate,
     evaluate_exact,
+    grid_points,
 )
-from bernint.operators import _TABLE_POINTS
+from bernint.operators import _TABLE_POINTS, _finished
 
 CLASSIC = OperatorKind.CLASSIC
 EPS = F(2) ** -52
@@ -133,3 +135,60 @@ def test_single_coefficient_and_empty_inputs():
     assert evaluate(one, np.array([0.0, 0.3, 1.0])).tolist() == [4.25, 4.25, 4.25]
     assert evaluate(one, np.array([])).size == 0
     assert evaluate(model_of([1.0, -2.0, 0.5]), np.array([])).size == 0
+
+
+def _tail_rows(n):
+    rng = np.random.default_rng(n)
+    normal = rng.standard_normal(n + 1)
+    k = np.arange(n + 1, dtype=np.float64)
+    return {
+        "c0-zero": np.concatenate(([0.0], normal[1:])),
+        "growing": k**3,
+        "alternating": (-1.0) ** k * (1.0 + k),
+        "mostly-zero": np.where(rng.random(n + 1) < 0.9, 0.0, normal),
+        "1e300": 1e300 * normal,
+        "1e-300": 1e-300 * normal,
+    }
+
+
+@pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048])
+def test_wide_grid_matches_table_slices(n):
+    # the wide loop stops each point once its remaining steps are no-ops
+    # (the tail cut); the tables run every step, so they are the reference.
+    # The sorted grid keeps the finished points at the ends of the window.
+    xs = np.sort(np.concatenate((grid_points(DEFAULT_GRID), EDGE_POINTS)))
+    assert xs.size > _TABLE_POINTS
+    for name, coeffs in _tail_rows(n).items():
+        model = BernsteinModel.from_coeffs(CLASSIC, n, [F(c) for c in coeffs.tolist()])
+        got = evaluate(model, xs)
+        slices = [evaluate(model, xs[i:i + _TABLE_POINTS])
+                  for i in range(0, xs.size, _TABLE_POINTS)]
+        assert _bits(got) == _bits(np.concatenate(slices)), name
+
+
+def test_finished_predicate_edges():
+    def done(r=0.5, w=0.0, den=1.0, num=1.0, p=0.0):
+        return bool(_finished(*(np.array([v]) for v in (r, w, den, num, p)))[0])
+
+    # a zero weight leaves every later term a signed zero: -0.0 + 0.0 is
+    # +0.0, so num = -0.0 never finishes, and num = +0.0 does
+    assert np.copysign(1.0, -0.0 + 0.0) == 1.0
+    assert not done(num=-0.0)
+    assert not done(num=-0.0, w=2.0**-80, p=2.0**-80)
+    assert done(num=0.0)
+    assert done(num=5e-324) and not done(num=5e-324, w=2.0**-80, p=2.0**-1074)
+    # num a power of two and a term of the other sign: the gap below is
+    # half the gap above, so only a term under a quarter of spacing(num)
+    # is sure to round away
+    for num in (1.0, -1.0):
+        small, large = 2.0**-55, 1.5 * 2.0**-54
+        assert num - np.copysign(small, num) == num
+        assert num - np.copysign(large, num) != num
+        assert done(num=num, w=2.0**-60, p=small)
+        assert not done(num=num, w=2.0**-60, p=large)
+    # the weights must not grow again, and den must not move: w at half
+    # the spacing of an odd den rounds den up
+    assert done(r=1.0) and not done(r=np.nextafter(1.0, 2.0))
+    den = 1.0 + 2.0**-52
+    assert den + 2.0**-53 != den
+    assert not done(den=den, w=2.0**-53) and done(den=den, w=2.0**-54)

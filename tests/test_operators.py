@@ -291,19 +291,26 @@ def test_gap_models_enclose_irrational_node_values():
 
 @pytest.mark.parametrize("name", [e.spec.name for e in corpus.entries()])
 def test_gap_interval_takes_one_bracket_per_node(name, monkeypatch):
-    # no build_model, no enclosure: one APPROX_BITS bracket call per node
+    # no build_model, no enclosure: one APPROX_BITS bracket per node, from
+    # one call per node or, for a spec with a row oracle, one row call
     f = builtin(name)
-    oracle = f._scaled_bracket
+    oracle, row_oracle = f._scaled_bracket, f._scaled_bracket_row
     calls = []
 
     def counting(k, n, bits, c):
         calls.append((k, n, bits))
         return oracle(k, n, bits, c)
 
+    def counting_row(n, bits, cs):
+        calls.extend((k, n, bits) for k in range(len(cs)))
+        return row_oracle(n, bits, cs)
+
     def refuse(*args, **kwargs):
         raise AssertionError("gap_interval must not call this")
 
     monkeypatch.setattr(f, "_scaled_bracket", counting)
+    if row_oracle is not None:
+        monkeypatch.setattr(f, "_scaled_bracket_row", counting_row)
     monkeypatch.setattr(f, "eval_bounds", refuse)
     monkeypatch.setattr(operators, "build_model", refuse)
     for kind in (FLOOR, NEAREST):
