@@ -86,9 +86,9 @@ def common_denominator(values) -> tuple[list[int], int]:
 # the low part of fewer than _BLOCK coefficients takes the Horner loop.
 # When neither p nor q has more than one bit (x = 1/2 and the end points)
 # Horner's accumulator never grows, and blocks pay only on longer rows: on
-# the same host they take 1.2-1.5x Horner's time on the Classic monomial(3),
-# Hoelder and gap rows at n = 101..640, are within 15% of it at 768-2048,
-# and run 1.3-1.4x faster at 4096.
+# the same host they take 1.05-2.1x Horner's time on the Classic and floor
+# monomial(3), Hoelder and gap rows at n = 101..640, are within 20% of it
+# at 768-2048, and run 1.3-1.4x faster at 4096.
 _BLOCK = 16
 _BLOCK_CUTOFF = 100
 _UNIT_BLOCK_CUTOFF = 1024
