@@ -45,13 +45,9 @@ from bernint.corpus import (
 )
 from bernint.exact import (
     DEFAULT_TIE,
-    PrecisionInsufficient,
     TiePolicy,
     binomial_row,
-    floor_int,
-    guarded_round,
     iroot,
-    nearest_int,
     rational_pow_bounds,
     rational_pow_exact,
 )
@@ -69,8 +65,7 @@ from bernint.operators import (
 __all__ = [
     "__version__",
     # exact
-    "TiePolicy", "DEFAULT_TIE", "PrecisionInsufficient",
-    "binomial_row", "floor_int", "nearest_int", "guarded_round",
+    "TiePolicy", "DEFAULT_TIE", "binomial_row",
     "iroot", "rational_pow_exact", "rational_pow_bounds",
     # operators
     "OperatorKind", "BernsteinModel", "HypothesisViolation",

@@ -693,8 +693,8 @@ def converse_experiment(
         )
     deriv = lambda xs: f.deriv_float(s, xs)  # noqa: E731
     ts = [float(t) for t in t_list]
-    w2_pairs = tuple((t, omega_phi2(deriv, t).value) for t in ts)
-    w1_pairs = tuple((e.t, e.value) for e in omega1_sweep(deriv, ts))
+    w2_pairs = tuple((t, omega_phi2(deriv, t, grid).value) for t in ts)
+    w1_pairs = tuple((e.t, e.value) for e in omega1_sweep(deriv, ts, grid.points))
     slope_w2, w2_zero = _fit_loglog([t for t, _ in w2_pairs], [v for _, v in w2_pairs])
     slope_w1, w1_zero = _fit_loglog([t for t, _ in w1_pairs], [v for _, v in w1_pairs])
     return ConverseReport(

@@ -406,7 +406,7 @@ def _cmd_coeffs(cfg: RunConfig):
         raise ConfigError("n", "coeffs requires --n")
     model = build_model(f, cfg.n, cfg.kind, cfg.tie)
     row_c = binomial_row(cfg.n)
-    scaled, _ = model.integer_form  # an integer kind's rounded integers, over D = 1
+    scaled = model.scaled  # an integer kind's rounded integers, over D = 1
     rows = []
     for k in range(cfg.n + 1):
         node = Fraction(k, cfg.n)

@@ -264,17 +264,9 @@ def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
 
     e0, d0 = chain[0]
     deg = len(e0) - 1
-    dens = {}  # n -> D_f n^deg, for the last n asked for
-
-    def _den(n):
-        den = dens.get(n)
-        if den is None:
-            dens.clear()
-            den = dens[n] = d0 * n ** deg
-        return den
 
     def scaled_bracket(k, n, bits, c):
-        return homogeneous_sum(e0, k, n) * c, _den(n), True
+        return homogeneous_sum(e0, k, n) * c, d0 * n ** deg, True
 
     def scaled_bracket_row(n, bits, cs):
         # den f(k/n) = P(k) = homogeneous_sum(e0, k, n), a degree-deg integer
@@ -287,7 +279,7 @@ def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
         values = repeat(diffs[deg], n + 1)
         for d in reversed(diffs[:deg]):
             values = accumulate(islice(values, n), initial=d)
-        den = _den(n)
+        den = d0 * n ** deg
         return [(v * c, den, True) for v, c in zip(values, cs)]
 
     return FunctionSpec(

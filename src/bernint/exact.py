@@ -9,19 +9,14 @@ lack:
 * homogeneous_sum, the one exact evaluator of Bernstein and power sums:
   Horner on short rows, block dot products on long ones,
 * round_ratio, floor and nearest-integer rounding of an integer ratio with
-  an explicit tie policy (floor_int and nearest_int wrap it for rationals),
-  and round_bracket, the same rounding of a value known through an integer
-  bracket num/den <= v < (num + 1)/den,
-* integer q-th roots and exact/certified rational powers u**(p/q),
-* interval-guarded rounding: guarded_round rounds a value known only
-  through an enclosure [lo, hi], the test reference for the integer node
-  brackets of corpus.
+  an explicit tie policy, and round_bracket, the same rounding of a value
+  known through an integer bracket num/den <= v < (num + 1)/den,
+* integer q-th roots and exact/certified rational powers u**(p/q).
 
-Floor and nearest-integer are monotone step functions, so if both ends of
-an enclosure round to the same integer, the true value does too; an
-integer bracket num/den <= v < (num + 1)/den with an even den never
-straddles such a step, which is what lets round_bracket round irrational
-node values correctly, not merely plausibly.
+Floor and nearest-integer are monotone step functions whose steps sit at
+multiples of 1/2; an integer bracket num/den <= v < (num + 1)/den with an
+even den never straddles such a step, which is what lets round_bracket
+round irrational node values correctly, not merely plausibly.
 """
 
 from __future__ import annotations
@@ -45,10 +40,6 @@ class TiePolicy(enum.Enum):
 
 
 DEFAULT_TIE = TiePolicy.HALF_AWAY_FROM_ZERO
-
-
-class PrecisionInsufficient(ArithmeticError):
-    """An enclosure was too wide to round unambiguously; retry with more bits."""
 
 
 # A degree sweep touches a few dozen distinct rows; an unbounded cache would
@@ -168,36 +159,6 @@ def round_bracket(
     return round_ratio(2 * num + 1, 2 * den, mode, policy)
 
 
-def floor_int(q) -> int:
-    """Largest integer <= q."""
-    q = Fraction(q)
-    return round_ratio(q.numerator, q.denominator, "floor")
-
-
-def nearest_int(q, policy: TiePolicy = DEFAULT_TIE) -> int:
-    """Integer nearest to q; exact halves resolved by ``policy``."""
-    q = Fraction(q)
-    return round_ratio(q.numerator, q.denominator, "nearest", policy)
-
-
-def guarded_round(lo, hi, mode: str, policy: TiePolicy = DEFAULT_TIE) -> int:
-    """Round a value known only to lie in the enclosure [lo, hi].
-
-    mode is "floor" or "nearest".  Both roundings are monotone step
-    functions, so endpoint agreement certifies the result; disagreement
-    raises PrecisionInsufficient.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("guarded_round: enclosure has lo > hi")
-    a, b = (round_ratio(v.numerator, v.denominator, mode, policy) for v in (lo, hi))
-    if a != b:
-        raise PrecisionInsufficient(
-            f"enclosure of width {float(hi - lo):.3g} straddles a {mode} boundary"
-        )
-    return a
-
-
 def iroot(a: int, q: int) -> tuple[int, bool]:
     """Integer q-th root: largest r with r**q <= a, plus exactness flag.
 
@@ -291,15 +252,11 @@ def rational_pow_bounds(u, p: int, q: int, bits: int) -> tuple[Fraction, Fractio
 __all__ = [
     "TiePolicy",
     "DEFAULT_TIE",
-    "PrecisionInsufficient",
     "binomial_row",
     "common_denominator",
     "homogeneous_sum",
     "round_ratio",
     "round_bracket",
-    "floor_int",
-    "nearest_int",
-    "guarded_round",
     "iroot",
     "rational_pow_exact",
     "rational_pow_bounds",

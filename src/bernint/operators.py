@@ -56,7 +56,6 @@ from bernint.exact import (
     DEFAULT_TIE,
     TiePolicy,
     binomial_row,
-    common_denominator,
     homogeneous_sum,
     round_bracket,
 )
@@ -110,18 +109,6 @@ class BernsteinModel:
         if g > 1:  # lowest terms, so that == compares values
             object.__setattr__(self, "scaled", tuple(e // g for e in self.scaled))
             object.__setattr__(self, "denominator", self.denominator // g)
-
-    @classmethod
-    def from_coeffs(cls, kind: OperatorKind, n: int, coeffs: Sequence, **fields):
-        """The model with rational Bernstein coefficients c_0, ..., c_n."""
-        row = binomial_row(max(len(coeffs) - 1, 0))  # a wrong length fails in __post_init__
-        scaled, d = common_denominator([Fraction(c) * b for c, b in zip(coeffs, row)])
-        return cls(kind=kind, n=n, scaled=tuple(scaled), denominator=d, **fields)
-
-    @property
-    def integer_form(self) -> tuple[tuple, int]:
-        """(e, D) with e[k] / D == c_k C(n,k): the stored data."""
-        return self.scaled, self.denominator
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -380,14 +367,13 @@ def evaluate(model: BernsteinModel, x):
 def evaluate_exact(model: BernsteinModel, x) -> Fraction:
     """Exact rational evaluation at rational x = a/b; no rounding anywhere.
 
-    The value is homogeneous_sum(e, a, b-a) / (D b^n) for (e, D) = integer_form.
+    The value is homogeneous_sum(scaled, a, b-a) / (denominator b^n).
     """
     x = Fraction(x)
     a, b = x.numerator, x.denominator
     if not 0 <= a <= b:  # 0 <= x <= 1 on integers, as b > 0
         raise ValueError("evaluate_exact: point must lie in [0, 1]")
-    e, d = model.integer_form
-    return Fraction(homogeneous_sum(e, a, b - a), d * b ** model.n)
+    return Fraction(homogeneous_sum(model.scaled, a, b - a), model.denominator * b ** model.n)
 
 
 def derivative_model(model: BernsteinModel, s: int) -> BernsteinModel:

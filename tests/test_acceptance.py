@@ -92,7 +92,7 @@ def test_criterion_02_trivial_class_exactness():
                 below = (0,) + binomial_row(n - 1)
                 want = (tuple(p * a + q * b for a, b in zip(below, binomial_row(n))), 1)
                 models = [build_model(f, n, kind) for kind in (CLASSIC, FLOOR, NEAREST)]
-                if any(m.integer_form != want for m in models):
+                if any((m.scaled, m.denominator) != want for m in models):
                     ok = False
                 # identical coefficients: checking one model checks all three
                 if any(evaluate_exact(models[0], x) != f.eval_exact(x) for x in probes):

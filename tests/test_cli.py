@@ -291,6 +291,25 @@ def test_converse_reports_the_order_it_runs(capsys):
     assert rc == 0 and doc_s1 == doc
 
 
+def test_converse_moduli_use_its_grid(capsys):
+    # converse's omega rows are modulus's rows on the same --grid, and a
+    # coarse grid gives other values than the default one
+    fn = ["--fn", "poly_boundary_flat(2)", "--s", "1"]
+    converse = ["converse", *fn, "--n-min", "16", "--n-max", "128"]
+    rc, coarse = run_json(converse + ["--grid", "65"], capsys)
+    assert rc == 0 and coarse["config"]["grid_points"] == 65
+    rc, modulus = run_json(["modulus", *fn, "--grid", "65"], capsys)
+    assert rc == 0
+    rows = [(r["t"], r["omega1"], r["omega_phi2"]) for r in modulus["rows"]]
+    got = [(a["t"], a["value"], b["value"])
+           for a, b in zip(coarse["omega1"], coarse["omega_phi2"], strict=True)]
+    assert got == rows and len(rows) == 4
+    rc, default = run_json(converse, capsys)
+    assert rc == 0
+    for key in ("omega1", "omega_phi2"):
+        assert all(a["value"] != b["value"] for a, b in zip(coarse[key], default[key]))
+
+
 def test_saturation_trivial_json(capsys):
     rc, doc = run_json(
         ["saturation", "--fn", "integer_linear(3,2)", "--kind", "floor",

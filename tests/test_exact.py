@@ -1,6 +1,7 @@
-"""Exact integer/rational arithmetic: binomials, directed rounding, certified
-rounding under uncertainty, and rational powers."""
+"""Exact integer/rational arithmetic: binomials, directed rounding of ratios
+and brackets, and rational powers."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,13 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernint import (
-    PrecisionInsufficient,
     TiePolicy,
     binomial_row,
-    floor_int,
-    guarded_round,
     iroot,
-    nearest_int,
     rational_pow_bounds,
     rational_pow_exact,
 )
@@ -97,11 +94,20 @@ def test_binomial_out_of_range():
 # ---------------------------------------------------------------------------
 # directed rounding
 
+# references for round_ratio that do not call it, on Fraction's own floor,
+# ceil and round (which takes exact halves to the even neighbour)
+NEAREST = {
+    TiePolicy.HALF_UP: lambda q: math.floor(q + F(1, 2)),
+    TiePolicy.HALF_DOWN: lambda q: math.ceil(q - F(1, 2)),
+    TiePolicy.HALF_AWAY_FROM_ZERO: lambda q: (1 if q >= 0 else -1) * math.floor(abs(q) + F(1, 2)),
+    TiePolicy.HALF_TO_EVEN: round,
+}
+
 
 def test_floor_frozen():
-    assert floor_int(F(7, 2)) == 3
-    assert floor_int(F(-7, 2)) == -4
-    assert floor_int(F(6)) == 6
+    assert round_ratio(7, 2, "floor") == 3
+    assert round_ratio(-7, 2, "floor") == -4
+    assert round_ratio(6, 1, "floor") == 6
 
 
 @pytest.mark.parametrize(
@@ -120,12 +126,13 @@ def test_floor_frozen():
     ],
 )
 def test_nearest_ties(q, policy, expected):
-    assert nearest_int(q, policy) == expected
+    assert round_ratio(q.numerator, q.denominator, "nearest", policy) == expected
+    assert NEAREST[policy](q) == expected
 
 
 def test_nearest_default_policy_is_half_away():
-    assert nearest_int(F(5, 2)) == 3
-    assert nearest_int(F(-5, 2)) == -3
+    assert round_ratio(5, 2, "nearest") == 3
+    assert round_ratio(-5, 2, "nearest") == -3
 
 
 @pytest.mark.parametrize("policy", list(TiePolicy))
@@ -138,10 +145,12 @@ def test_round_ratio_edge_cases(policy):
     assert round_ratio(-1, 3, "floor") == -1
     assert round_ratio(-7, 3, "nearest", policy) == -2
     assert round_ratio(-8, 3, "nearest", policy) == -3
-    # exact ties, reduced or not, settle as nearest_int settles them
+    # exact ties, reduced or not, and their neighbours settle as the references do
     for num, den in ((5, 2), (-5, 2), (1, 2), (-1, 2), (15, 6), (-21, 14),
-                     (35 * 10**39, 10**40)):
-        assert round_ratio(num, den, "nearest", policy) == nearest_int(F(num, den), policy)
+                     (35 * 10**39, 10**40), (35 * 10**39 + 1, 10**40),
+                     (-35 * 10**39 - 1, 10**40)):
+        assert round_ratio(num, den, "floor") == math.floor(F(num, den))
+        assert round_ratio(num, den, "nearest", policy) == NEAREST[policy](F(num, den))
     with pytest.raises(ValueError, match="unknown mode"):
         round_ratio(1, 2, "ceil", policy)
 
@@ -149,9 +158,13 @@ def test_round_ratio_edge_cases(policy):
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**6), st.integers(1, 50),
        st.sampled_from(list(TiePolicy)))
 def test_round_ratio_ignores_common_factors(num, den, t, policy):
-    # floor_int and nearest_int round the reduced fraction
-    assert round_ratio(num * t, den * t, "floor") == floor_int(F(num, den))
-    assert round_ratio(num * t, den * t, "nearest", policy) == nearest_int(F(num, den), policy)
+    # an unreduced ratio rounds as the reduced fraction does under the references
+    q = F(num, den)
+    assert round_ratio(num * t, den * t, "floor") == math.floor(q)
+    assert round_ratio(num * t, den * t, "nearest", policy) == NEAREST[policy](q)
+    # and so does the exact tie (2 num + 1)/2, which random ratios seldom hit
+    tie = F(2 * num + 1, 2)
+    assert round_ratio((2 * num + 1) * t, 2 * t, "nearest", policy) == NEAREST[policy](tie)
 
 
 rationals = st.fractions(
@@ -161,13 +174,13 @@ rationals = st.fractions(
 
 @given(rationals)
 def test_floor_bound_property(q):
-    r = floor_int(q)
+    r = round_ratio(q.numerator, q.denominator, "floor")
     assert r <= q < r + 1
 
 
 @given(rationals, st.sampled_from(list(TiePolicy)))
 def test_nearest_bound_property(q, policy):
-    r = nearest_int(q, policy)
+    r = round_ratio(q.numerator, q.denominator, "nearest", policy)
     assert abs(F(r) - q) <= F(1, 2)
 
 
@@ -198,9 +211,9 @@ def test_round_bracket_rounds_every_value_inside_the_bracket(num, den, t, policy
     # an inexact bracket over an even den holds values strictly inside
     # (num, num + 1)/den, and every one of them rounds to the same integer
     v = (num + t) / den
-    assert round_bracket(num, den, False, "floor") == floor_int(v)
-    assert round_bracket(num, den, False, "nearest", policy) == nearest_int(v, policy)
-    assert round_bracket(num, den, True, "nearest", policy) == nearest_int(F(num, den), policy)
+    assert round_bracket(num, den, False, "floor") == math.floor(v)
+    assert round_bracket(num, den, False, "nearest", policy) == NEAREST[policy](v)
+    assert round_bracket(num, den, True, "nearest", policy) == NEAREST[policy](F(num, den))
 
 
 def test_round_bracket_needs_an_even_denominator_when_inexact():
@@ -217,61 +230,6 @@ def test_rational_field_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a - a).denominator == 1 and a - a == 0
-
-
-# ---------------------------------------------------------------------------
-# guarded rounding
-
-
-def test_guarded_round_frozen():
-    assert guarded_round(2.49989999, 2.49990001, "nearest") == 2
-    assert guarded_round(0.9999998999, 0.9999999001, "floor") == 0
-    assert guarded_round(F(249, 100), F(251, 100), "floor") == 2
-    assert guarded_round(F(5, 2), F(5, 2), "nearest") == 3  # a point: the tie policy
-    assert guarded_round(-2, -2, "floor") == -2
-
-
-def test_guarded_round_straddle_raises():
-    with pytest.raises(PrecisionInsufficient):
-        guarded_round(2.5 - 1e-9, 2.5 + 1e-9, "nearest")
-    with pytest.raises(PrecisionInsufficient):
-        guarded_round(3 - F(1, 10**9), 3 + F(1, 10**9), "floor")  # straddles a floor step
-
-
-def test_guarded_round_rejects_reversed_enclosure():
-    with pytest.raises(ValueError, match="lo > hi"):
-        guarded_round(F(1, 3), F(1, 4), "floor")
-
-
-@given(rationals)
-def test_guarded_round_agrees_with_exact_when_certified(q):
-    # a radius smaller than the distance to the nearest tie certifies the result
-    dist = abs(q - F(nearest_int(q)))
-    gap = F(1, 2) - dist
-    if gap <= 0:
-        return  # exact tie: no radius can certify
-    r = guarded_round(q - gap / 2, q + gap / 2, "nearest")
-    assert r == nearest_int(q)
-
-
-def test_guarded_round_matches_exact_rounding_on_corpus_weights():
-    # weighted coefficients f(k/n)*C(n,k) of polynomial corpus entries are
-    # exact rationals; guarding with a tiny radius must reproduce the exact
-    # floor/nearest results whenever the window is decidable
-    from bernint import builtin
-
-    rad = F(1, 10**9)
-    for name in ("monomial(3)", "poly_boundary_flat(2)"):
-        f = builtin(name)
-        for n in (5, 12, 31):
-            for k in range(n + 1):
-                w = f.eval_exact(F(k, n)) * binomial_row(n)[k]
-                fl = floor_int(w)
-                if w - fl > rad and (fl + 1) - w > rad:
-                    assert guarded_round(w - rad, w + rad, "floor") == fl
-                tie_dist = abs(abs(w - nearest_int(w)) - F(1, 2))
-                if tie_dist > rad:
-                    assert guarded_round(w - rad, w + rad, "nearest") == nearest_int(w)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from bernint import (
 )
 from bernint.operators import _TABLE_POINTS, _finished
 
+from conftest import model_from_coeffs
+
 CLASSIC = OperatorKind.CLASSIC
 EPS = F(2) ** -52
 ETA = F(2) ** -1074  # smallest subnormal
@@ -43,13 +45,13 @@ EDGE_POINTS = [0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53]
 
 
 def model_of(coeffs) -> BernsteinModel:
-    return BernsteinModel.from_coeffs(CLASSIC, len(coeffs) - 1, [F(c) for c in coeffs])
+    return model_from_coeffs(CLASSIC, len(coeffs) - 1, [F(c) for c in coeffs])
 
 
 def assert_within_bound(model: BernsteinModel, xs) -> None:
     got = evaluate(model, np.array(xs, dtype=np.float64))
     assert got.shape == (len(xs),)
-    absolute = BernsteinModel.from_coeffs(model.kind, model.n, [abs(c) for c in model.coeffs])
+    absolute = model_from_coeffs(model.kind, model.n, [abs(c) for c in model.coeffs])
     largest = max(absolute.coeffs)
     for x, value in zip(xs, got.tolist()):
         err = abs(F(value) - evaluate_exact(model, F(x)))
@@ -159,7 +161,7 @@ def test_wide_grid_matches_table_slices(n):
     xs = np.sort(np.concatenate((grid_points(DEFAULT_GRID), EDGE_POINTS)))
     assert xs.size > _TABLE_POINTS
     for name, coeffs in _tail_rows(n).items():
-        model = BernsteinModel.from_coeffs(CLASSIC, n, [F(c) for c in coeffs.tolist()])
+        model = model_from_coeffs(CLASSIC, n, [F(c) for c in coeffs.tolist()])
         got = evaluate(model, xs)
         slices = [evaluate(model, xs[i:i + _TABLE_POINTS])
                   for i in range(0, xs.size, _TABLE_POINTS)]

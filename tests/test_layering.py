@@ -2,7 +2,9 @@
 left in exact -> corpus -> operators -> analysis -> cli, function bodies
 included.  The package itself re-exports everything up to analysis, so only
 cli may import it.  Every name a module exports in __all__ exists.  The
-certified enclosures are a reference oracle: only exact and corpus name them."""
+certified enclosures are a reference oracle: only exact and corpus name them.
+No module brings back the removed test-only rounding helpers and model
+aliases."""
 
 import ast
 import importlib
@@ -18,6 +20,11 @@ RANK["bernint"] = RANK["bernint.analysis"] + 0.5
 # models and node checks above corpus must not read them.  The package
 # __init__ only re-exports exact's API, rational_pow_bounds included.
 REFERENCE_ORACLE = {"eval_bounds", "value_bounds", "rational_pow_bounds"}
+# Rounding goes through round_ratio and round_bracket, and a model is read
+# through its scaled and denominator fields; tests build models from
+# coefficients with conftest.model_from_coeffs.
+REMOVED = {"guarded_round", "PrecisionInsufficient", "floor_int", "nearest_int",
+           "from_coeffs", "integer_form"}
 
 
 def imported_modules(tree):
@@ -62,10 +69,11 @@ def test_exported_names_resolve(module):
     assert missing == [], f"{module}.__all__ names missing attributes: {missing}"
 
 
-@pytest.mark.parametrize("module", [m for m in LAYERS if m not in ("exact", "corpus")])
-def test_only_exact_and_corpus_name_the_reference_enclosures(module):
+def named(module, wanted):
+    """(line, name) for every name in ``wanted`` that the module defines, imports,
+    reads or lists as a string (an __all__ entry)."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    named = []
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.ImportFrom, ast.Import)):
             names = [alias.name for alias in node.names]
@@ -73,7 +81,23 @@ def test_only_exact_and_corpus_name_the_reference_enclosures(module):
             names = [node.attr]
         elif isinstance(node, ast.Name):
             names = [node.id]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
         else:
             continue
-        named += [(node.lineno, name) for name in names if name in REFERENCE_ORACLE]
-    assert named == [], f"bernint.{module} names a reference enclosure: {named}"
+        found += [(node.lineno, name) for name in names if name in wanted]
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in LAYERS if m not in ("exact", "corpus")])
+def test_only_exact_and_corpus_name_the_reference_enclosures(module):
+    found = named(module, REFERENCE_ORACLE)
+    assert found == [], f"bernint.{module} names a reference enclosure: {found}"
+
+
+@pytest.mark.parametrize("module", ["__init__"] + LAYERS)
+def test_no_module_names_the_removed_helpers(module):
+    found = named(module, REMOVED)
+    assert found == [], f"bernint {module} names a removed helper: {found}"

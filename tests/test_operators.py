@@ -22,13 +22,15 @@ from bernint import (
     derivative_model,
     evaluate,
     evaluate_exact,
-    guarded_round,
     proximity_gap,
     proximity_gap_exact,
     saturation_probe,
     sup_norm,
 )
+from bernint.exact import round_ratio
 from bernint.operators import APPROX_BITS, gap_interval
+
+from conftest import model_from_coeffs
 
 CLASSIC = OperatorKind.CLASSIC
 FLOOR = OperatorKind.FLOOR_INT
@@ -93,7 +95,7 @@ unit_points = st.one_of(st.sampled_from([F(0), F(1)]),
 @example([F(1, 2), F(-1, 3), F(0), F(7, 5)], F(1))
 def test_evaluate_exact_matches_term_by_term_sum(coeffs, x):
     # mixed denominators, signs and zeros, n = 0..40, both ends included
-    model = BernsteinModel.from_coeffs(OperatorKind.CLASSIC, len(coeffs) - 1, coeffs)
+    model = model_from_coeffs(OperatorKind.CLASSIC, len(coeffs) - 1, coeffs)
     assert evaluate_exact(model, x) == bernstein_sum(coeffs, x)
 
 
@@ -355,7 +357,7 @@ def test_proximity_gap_measures_integer_minus_classic(name):
         for n in (3, 17, 64):
             other = build_model(f, n, kind)
             classic = build_model(f, n, CLASSIC)
-            diff = BernsteinModel.from_coeffs(
+            diff = model_from_coeffs(
                 kind, n, [a - b for a, b in zip(other.coeffs, classic.coeffs)]
             )
             want = sup_norm(lambda xs: evaluate(diff, xs))
@@ -414,9 +416,14 @@ def test_integer_models_match_escalated_rounding_of_fine_enclosures(name, n, tie
         lo, hi = f.eval_bounds(F(k, n), 4096)
         scaled.append((lo * math.comb(n, k), hi * math.comb(n, k)))
     for kind, mode in ((FLOOR, "floor"), (NEAREST, "nearest")):
-        want = [guarded_round(lo, hi, mode, tie) for lo, hi in scaled]
-        e, d = build_model(f, n, kind, tie).integer_form
-        assert (list(e), d) == (want, 1)
+        # both ends of every enclosure round alike, so they fix the true value
+        want = []
+        for k, (lo, hi) in enumerate(scaled):
+            ends = {round_ratio(v.numerator, v.denominator, mode, tie) for v in (lo, hi)}
+            assert len(ends) == 1, (k, mode)
+            want += ends
+        model = build_model(f, n, kind, tie)
+        assert (list(model.scaled), model.denominator) == (want, 1)
 
 
 @pytest.mark.parametrize("name", HOLDER_SPECS)
@@ -459,16 +466,16 @@ def test_model_rejects_malformed_integer_form():
         with pytest.raises(ValueError):
             BernsteinModel(kind=CLASSIC, **bad)
     with pytest.raises(ValueError, match="coefficient count"):
-        BernsteinModel.from_coeffs(CLASSIC, 3, [F(1), F(2)])
+        model_from_coeffs(CLASSIC, 3, [F(1), F(2)])
 
 
 def test_model_data_is_kept_in_lowest_terms():
     # x^2 at n = 4 is built over D_f n^deg = 16 and stored over 4
     m = build_model(X2, 4, CLASSIC)
-    assert m.integer_form == ((0, 1, 6, 9, 4), 4)
-    assert m == BernsteinModel.from_coeffs(CLASSIC, 4, m.coeffs)
+    assert (m.scaled, m.denominator) == ((0, 1, 6, 9, 4), 4)
+    assert m == model_from_coeffs(CLASSIC, 4, m.coeffs)
     zero = BernsteinModel(kind=CLASSIC, n=1, scaled=(0, 0), denominator=6)
-    assert zero.integer_form == ((0, 0), 1)
+    assert (zero.scaled, zero.denominator) == ((0, 0), 1)
 
 
 def test_integer_kinds_carry_denominator_one():
@@ -531,7 +538,7 @@ def test_derivative_model_degenerate():
     m = build_model(X2, 2, CLASSIC)
     for s in (3, 4, 50):
         dm = derivative_model(m, s)
-        assert (dm.n, dm.integer_form, dm.kind) == (0, ((0,), 1), CLASSIC)
+        assert (dm.n, dm.scaled, dm.denominator, dm.kind) == (0, (0,), 1, CLASSIC)
         assert evaluate_exact(dm, F(1, 3)) == 0
     assert derivative_model(m, 0) is m
     with pytest.raises(ValueError, match="order must be >= 0"):
