@@ -7,7 +7,8 @@ proximity bounds, saturation and moduli live:
 * sup_norm: dense-grid max of |F| on [0, 1] plus zoom rounds around the
   argmax (one 32-point call per round).  Estimates are honest lower bounds
   of the true sup (only evaluated points count); refining the grid never
-  decreases them.
+  decreases them.  The grid is built once per point count and shared,
+  read-only, by every call.
 * proximity_gap: sup_norm of the gap between an integer kind and B_n f,
   measured on the midpoint of the integer rows of operators.gap_interval.
 * omega1 / omega_phi2: moduli of smoothness on [0, 1], sampled on uniform
@@ -21,7 +22,9 @@ proximity bounds, saturation and moduli live:
   excluded (they signal the trivial class, not a rate).
 * experiment procedures (error_curve, voronovskaya_check, saturation_probe,
   boundary_interpolation_check, converse_experiment, hypothesis_check)
-  wiring the operators and corpus together.
+  wiring the operators and corpus together.  voronovskaya_check builds no
+  model: it reads B_n f(x) off one row of node brackets at c = C(n,k), the
+  row gap_interval reads, with one homogeneous_sum per n.
 """
 
 from __future__ import annotations
@@ -30,19 +33,20 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from bernint.corpus import KINK_WINDOW, CapabilityError, FunctionSpec
-from bernint.exact import DEFAULT_TIE, TiePolicy
+from bernint.exact import DEFAULT_TIE, TiePolicy, binomial_row, homogeneous_sum
 from bernint.operators import (
+    APPROX_BITS,
     BernsteinModel,
     OperatorKind,
     build_model,
     derivative_model,
     evaluate,
-    evaluate_exact,
     gap_interval,
     require_integer_endpoints,
 )
@@ -86,12 +90,23 @@ class GridConfig:
 DEFAULT_GRID = GridConfig()
 
 
-def grid_points(grid: GridConfig) -> np.ndarray:
-    """The evaluation abscissas of ``grid`` on [0, 1]."""
+# A sweep calls sup_norm dozens of times on one grid (24 times per pass of
+# the four default sweep commands), and a build takes about 50 us at 4097
+# points on a 2-CPU x86-64 host, so sup_norm reads one read-only array per
+# point count.  The few grids of a run stay cached, at most 2 MB each.
+@lru_cache(maxsize=4)
+def _abscissas(points: int) -> np.ndarray:
     # arccos-clustered: the error of Bernstein approximants concentrates at
     # the endpoints, so sample densely there
-    i = np.arange(grid.points)
-    return (1.0 - np.cos(np.pi * i / (grid.points - 1))) / 2.0
+    i = np.arange(points)
+    xs = (1.0 - np.cos(np.pi * i / (points - 1))) / 2.0
+    xs.flags.writeable = False
+    return xs
+
+
+def grid_points(grid: GridConfig) -> np.ndarray:
+    """The evaluation abscissas of ``grid`` on [0, 1], as a new writable array."""
+    return _abscissas(grid.points).copy()
 
 
 @dataclass(frozen=True)
@@ -131,10 +146,11 @@ def sup_norm(F, grid: GridConfig = DEFAULT_GRID) -> SupEstimate:
     by 2/(_REFINE_POINTS + 1).  Refinement ends early once a round leaves
     the bracket as it was.  Every evaluated point contributes, so the result
     is a lower bound of the true sup.  Raises ValueError if F yields a NaN or
-    an infinity at any evaluated point.
+    an infinity at any evaluated point.  F receives the grid as a read-only
+    array, shared between calls (grid_points gives a writable copy).
     """
     fn = _as_eval(F)
-    xs = grid_points(grid)
+    xs = _abscissas(grid.points)
     vals = np.abs(_finite_values(fn, xs, "sup_norm"))
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
@@ -453,7 +469,17 @@ class VoronovskayaReport:
 
 
 def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> VoronovskayaReport:
-    """Exact-rational convergence of n (B_n f(x) - f(x)) to x(1-x) f''(x)/2."""
+    """Exact-rational convergence of n (B_n f(x) - f(x)) to x(1-x) f''(x)/2.
+
+    Each n reads one row of node brackets at c = C(n,k) (APPROX_BITS, as
+    gap_interval does).  An exact bracket's numerator is C(n,k) den f(k/n),
+    the Classic model's scaled coefficient, so at x = a/b the value is
+    B_n f(x) = S / d with S = homogeneous_sum(nums, a, b - a) and
+    d = den b^n, and with f(x) = p/q each row's scaled gap is the one
+    Fraction n (S q - p d) / (d q).  No model is built.  Raises
+    CapabilityError when f(x) or f''(x) is not exactly known or a node
+    bracket is inexact, and ValueError unless 0 < x < 1 and every n >= 1.
+    """
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("voronovskaya_check: x must lie in (0, 1)")
@@ -464,18 +490,21 @@ def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> Voronovskay
             f"{f.name}: voronovskaya_check needs exact f(x) and f''(x)"
         )
     limit = x * (1 - x) * d2 / 2
+    a, b = x.numerator, x.denominator
+    p, q = fx.numerator, fx.denominator
     rows = []
     for n in n_list:
-        model = build_model(f, int(n), OperatorKind.CLASSIC)
-        if not model.coeffs_exact:
+        n = int(n)
+        if n < 1:
+            raise ValueError("voronovskaya_check: n must be >= 1")
+        nums, dens, exacts = zip(*f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n)))
+        if not all(exacts):
             raise CapabilityError(
                 f"{f.name}: voronovskaya_check needs exact node values"
             )
-        gap = evaluate_exact(model, x) - fx
-        scaled = n * gap
-        rows.append(
-            VoronovskayaRow(n=int(n), scaled_gap=scaled, residual=abs(scaled - limit))
-        )
+        d = dens[0] * b ** n
+        scaled = Fraction(n * (homogeneous_sum(nums, a, b - a) * q - p * d), d * q)
+        rows.append(VoronovskayaRow(n=n, scaled_gap=scaled, residual=abs(scaled - limit)))
     return VoronovskayaReport(x=x, limit=limit, rows=tuple(rows))
 
 

@@ -367,9 +367,12 @@ def evaluate(model: BernsteinModel, x):
 def evaluate_exact(model: BernsteinModel, x) -> Fraction:
     """Exact rational evaluation at rational x = a/b; no rounding anywhere.
 
-    The value is homogeneous_sum(scaled, a, b-a) / (denominator b^n).
+    The value is homogeneous_sum(scaled, a, b-a) / (denominator b^n).  a and
+    b are read off an int or a Fraction as they are; a point of any other
+    type (a float, a string such as "1/3") goes through Fraction(x) first.
     """
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     a, b = x.numerator, x.denominator
     if not 0 <= a <= b:  # 0 <= x <= 1 on integers, as b > 0
         raise ValueError("evaluate_exact: point must lie in [0, 1]")
@@ -455,15 +458,18 @@ def proximity_gap_exact(
     adds the homogeneous_sum of the 0/1 row hi - lo, which multiplies no
     wide coefficients; where that sum is 0, hi is lo.  Equal all-zero rows
     (an f the kind reproduces, such as integer_linear(3,2) or abs_shift)
-    give (0, 0) at every point without a sum.  Fully rigorous, which is
-    what lets tests verify the 1/n and 1/(2n) bounds without floats.
+    give (0, 0) at every point without a sum.  Points are read as
+    evaluate_exact reads them: int and Fraction points as they are, others
+    through Fraction(x).  Fully rigorous, which is what lets tests verify
+    the 1/n and 1/(2n) bounds without floats.
     """
     lo, hi, den = gap_interval(f, n, kind, tie)
     width = None if lo == hi else [b - a for a, b in zip(lo, hi)]
     zero = width is None and not any(lo)
     out = []
     for x in xs:
-        x = Fraction(x)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
         a, b = x.numerator, x.denominator
         if not 0 <= a <= b:
             raise ValueError("proximity_gap_exact: points must lie in [0, 1]")

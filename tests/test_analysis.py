@@ -10,15 +10,18 @@ import pytest
 from bernint import (
     DEFAULT_GRID,
     CapabilityError,
+    FunctionSpec,
     GridConfig,
     InsufficientData,
     OperatorKind,
     boundary_interpolation_check,
+    build_model,
     builtin,
     converse_experiment,
     entries,
     error_curve,
     evaluate,
+    evaluate_exact,
     fit_rate,
     grid_points,
     hypothesis_check,
@@ -76,6 +79,36 @@ def test_sup_norm_rejects_non_finite_target():
     spiky = lambda x: np.where(np.isin(x, grid), x * (1.0 - x), np.nan)
     with pytest.raises(ValueError, match="not finite"):
         sup_norm(spiky, grid=GridConfig(points=65))
+
+
+def test_sup_norm_results_survive_mutated_grid_points():
+    # sup_norm reads one cached grid per point count; grid_points hands out
+    # fresh writable copies, so writing into one changes no later sup
+    targets = (lambda x: x * (1.0 - x), lambda x: np.sin(7.0 * x) * x ** 3,
+               X2.eval_float)
+    grids = (DEFAULT_GRID, GridConfig(points=65), GridConfig(points=65, refine=0))
+
+    def sups():
+        return [(e.value.hex(), e.argmax.hex())
+                for g in grids for e in (sup_norm(t, g) for t in targets)]
+
+    before = sups()
+    for g in grids:
+        xs, again = grid_points(g), grid_points(g)
+        assert xs.flags.writeable and not np.shares_memory(xs, again)
+        xs[:] = 0.3
+        assert not np.any(grid_points(g) == 0.3)
+    assert sups() == before
+
+
+def test_sup_norm_target_cannot_write_into_the_grid():
+    def scribble(x):
+        x[0] = 0.5
+        return x
+
+    with pytest.raises(ValueError, match="read-only"):
+        sup_norm(scribble)
+    assert grid_points(DEFAULT_GRID)[0] == 0.0
 
 
 def test_grid_points_capped():
@@ -407,6 +440,49 @@ def test_voronovskaya_linear_is_zero():
 def test_voronovskaya_requires_second_derivative_oracle():
     with pytest.raises(CapabilityError):
         voronovskaya_check(builtin("holder_interior(1/2)"), F(1, 3), [4, 8])
+
+
+@pytest.mark.parametrize("name", [e.spec.name for e in entries()
+                                  if e.spec.poly_coeffs is not None])
+def test_voronovskaya_matches_the_model_route(name):
+    # each row equals n (B_n f(x) - f(x)) read off the exact Classic model
+    f = builtin(name)
+    ns = [1, 2, 8, 255, 256, 300]
+    for x in (F(1, 2), F(1, 3), F(601, 999), F(389, 877)):
+        rep = voronovskaya_check(f, x, ns)
+        assert rep.x == x and rep.limit == x * (1 - x) * f.deriv_exact(2, x) / 2
+        assert [r.n for r in rep.rows] == ns
+        for r in rep.rows:
+            model = build_model(f, r.n, CLASSIC)
+            want = r.n * (evaluate_exact(model, x) - f.eval_exact(x))
+            assert type(r.scaled_gap) is F and r.scaled_gap == want
+            assert type(r.residual) is F and r.residual == abs(want - rep.limit)
+
+
+def _x2_with_brackets(inexact_k):
+    """x^2 with exact values and derivatives, its node bracket at k = inexact_k
+    flagged inexact (its value there not exactly known)."""
+    def bracket(k, n, bits, c):
+        return 2 * k * k * c, 2 * n * n, k != inexact_k
+
+    return FunctionSpec("x2_bracketed", s_max=None, deriv_exact=X2.deriv_exact,
+                        deriv_float=X2.deriv_float, scaled_bracket=bracket)
+
+
+def test_voronovskaya_refuses_an_inexact_node_bracket(monkeypatch):
+    x, ns = F(1, 3), [4, 8, 16]
+    # with every bracket exact the spec is x^2 itself
+    assert voronovskaya_check(_x2_with_brackets(None), x, ns) == voronovskaya_check(X2, x, ns)
+    monkeypatch.setattr(analysis, "homogeneous_sum",
+                        lambda *a: pytest.fail("summed a row with an inexact bracket"))
+    with pytest.raises(CapabilityError, match="needs exact node values"):
+        voronovskaya_check(_x2_with_brackets(1), x, ns)
+
+
+def test_voronovskaya_refuses_a_degree_below_one():
+    for ns in ([0], [4, 0], [-1]):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            voronovskaya_check(X2, F(1, 2), ns)
 
 
 def test_voronovskaya_residual_decays_like_one_over_n():

@@ -99,9 +99,13 @@ def test_evaluate_exact_matches_term_by_term_sum(coeffs, x):
     assert evaluate_exact(model, x) == bernstein_sum(coeffs, x)
 
 
+class _Q(F):
+    """A Fraction subclass, as a caller's own rational type might be."""
+
+
 def test_exact_paths_reject_points_outside_the_unit_interval():
     m = build_model(X2, 4, NEAREST)
-    for bad in (F(-1, 3), F(4, 3), -1, 2, "7/6", F(-1, 10**30)):
+    for bad in (F(-1, 3), F(4, 3), -1, 2, "7/6", F(-1, 10**30), _Q(-1, 3), _Q(4, 3)):
         with pytest.raises(ValueError, match=r"evaluate_exact: point must lie in \[0, 1\]"):
             evaluate_exact(m, bad)
         for f in (X2, builtin("integer_linear(3,2)"), builtin("abs_shift")):
@@ -110,6 +114,30 @@ def test_exact_paths_reject_points_outside_the_unit_interval():
                 proximity_gap_exact(f, 4, NEAREST, [F(1, 2), bad])
     for good in (0, 1, "1/3", F(10**30 - 1, 10**30)):
         assert evaluate_exact(m, good) == bernstein_sum(m.coeffs, F(good))
+
+
+def test_exact_paths_read_every_point_type():
+    # int and Fraction points are read as they are, other types through
+    # Fraction(x); every type gives the values of the Fraction form
+    points = [(0, F(0)), (1, F(1)), (F(2, 7), F(2, 7)), (_Q(3, 8), F(3, 8)),
+              (0.25, F(1, 4)), ("1/3", F(1, 3))]
+    m = build_model(X3, 9, NEAREST)
+    for x, q in points:
+        v = evaluate_exact(m, x)
+        assert type(v) is F and v == evaluate_exact(m, q) == bernstein_sum(m.coeffs, q)
+    # rational rows, Hölder rows with a 0/1 width row, and all-zero rows
+    for f in (X3, builtin("holder_interior(1/2)"), builtin("abs_shift")):
+        for kind in (FLOOR, NEAREST):
+            want = proximity_gap_exact(f, 9, kind, [q for _, q in points])
+            got = proximity_gap_exact(f, 9, kind, [x for x, _ in points])
+            assert got == want
+            assert all(type(v) is F for pair in got for v in pair)
+    # test_exact_paths_reject_points_outside_the_unit_interval has the
+    # rationals outside [0, 1]; NaN fails in Fraction(x)
+    with pytest.raises(ValueError):
+        evaluate_exact(m, math.nan)
+    with pytest.raises(ValueError):
+        proximity_gap_exact(X3, 9, FLOOR, [F(1, 2), math.nan])
 
 
 def test_evaluate_scalar_and_array():
