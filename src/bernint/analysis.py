@@ -22,7 +22,8 @@ proximity bounds, saturation and moduli live:
   excluded (they signal the trivial class, not a rate).
 * experiment procedures (error_curve, voronovskaya_check, saturation_probe,
   boundary_interpolation_check, converse_experiment, hypothesis_check)
-  wiring the operators and corpus together.  voronovskaya_check builds no
+  wiring the operators and corpus together.  error_curve measures every
+  point of [0, 1], a spec's kink included.  voronovskaya_check builds no
   model: it reads B_n f(x) off one row of node brackets at c = C(n,k), the
   row gap_interval reads, with one homogeneous_sum per n.
 """
@@ -38,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bernint.corpus import KINK_WINDOW, CapabilityError, FunctionSpec
+from bernint.corpus import CapabilityError, FunctionSpec
 from bernint.exact import DEFAULT_TIE, TiePolicy, binomial_row, homogeneous_sum
 from bernint.operators import (
     APPROX_BITS,
@@ -190,9 +191,7 @@ def proximity_gap(
     """
     require_integer_endpoints(f)
     lo, hi, den = gap_interval(f, n, kind, tie)
-    gap = BernsteinModel(
-        kind=kind, n=n, scaled=tuple(a + b for a, b in zip(lo, hi)), denominator=2 * den
-    )
+    gap = BernsteinModel(n=n, scaled=tuple(a + b for a, b in zip(lo, hi)), denominator=2 * den)
     return sup_norm(lambda xs: evaluate(gap, xs), grid)
 
 
@@ -413,19 +412,6 @@ class ErrorPoint:
     argmax: float
 
 
-def _masked_difference(dmodel: BernsteinModel, target: Callable, kink: Optional[float]):
-    """|model - target| evaluator, zeroed inside the kink exclusion window."""
-
-    def F(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        d = evaluate(dmodel, xs) - np.asarray(target(xs), dtype=np.float64)
-        if kink is not None:
-            d = np.where(np.abs(xs - kink) < KINK_WINDOW / 2.0, 0.0, d)
-        return d
-
-    return F
-
-
 def error_curve(
     f: FunctionSpec,
     kind: OperatorKind,
@@ -436,20 +422,17 @@ def error_curve(
 ) -> list[ErrorPoint]:
     """Per n: sup-norm estimate of |(model)^(s) - f^(s)| on [0, 1].
 
-    For kink functions with s >= 1 the sup search skips the declared
-    exclusion window around the kink, where the derivative oracle does not
-    apply.  At n < s the model's s-th derivative is the zero model, so the
-    curve is total over n_list.
+    Every point of [0, 1] counts, a kink included: each served derivative
+    order of a built-in spec is continuous there.  At n < s the model's s-th
+    derivative is the zero model, so the curve is total over n_list.
     """
     if s < 0:
         raise ValueError("error_curve: s must be >= 0")
     f.require(s)
-    target = (lambda xs: f.deriv_float(s, xs)) if s else (lambda xs: f.eval_float(xs))
-    kink = f.kink if s >= 1 else None
     out = []
     for n in n_list:
-        model = build_model(f, n, kind, tie)
-        est = sup_norm(_masked_difference(derivative_model(model, s), target, kink), grid)
+        dm = derivative_model(build_model(f, n, kind, tie), s)
+        est = sup_norm(lambda xs: evaluate(dm, xs) - f.deriv_float(s, xs), grid)
         out.append(ErrorPoint(n=int(n), error=est.value, argmax=est.argmax))
     return out
 
@@ -494,9 +477,11 @@ def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> Voronovskay
     p, q = fx.numerator, fx.denominator
     rows = []
     for n in n_list:
-        n = int(n)
+        if n % 1:
+            raise ValueError(f"voronovskaya_check: n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("voronovskaya_check: n must be >= 1")
+        n = int(n)
         nums, dens, exacts = zip(*f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n)))
         if not all(exacts):
             raise CapabilityError(
@@ -548,8 +533,8 @@ def saturation_probe(
     if f.integer_linear:
         reproduced = True
         for n in n_list:
-            model = build_model(f, int(n), kind, tie)
-            samples = tuple(f.eval_exact(Fraction(k, int(n))) for k in range(int(n) + 1))
+            model = build_model(f, n, kind, tie)
+            samples = tuple(f.eval_exact(Fraction(k, model.n)) for k in range(model.n + 1))
             if model.coeffs != samples:
                 reproduced = False
                 break
@@ -623,7 +608,7 @@ def boundary_interpolation_check(
         raise ValueError("boundary_interpolation_check: s must be >= 1")
     endpoints = [f.endpoint_deriv(i) for i in range(s)]
     rows = []
-    for n in sorted(int(n) for n in n_list):
+    for n in sorted(n_list):
         model = build_model(f, n, kind, tie)
         if not model.coeffs_exact:
             raise CapabilityError(
@@ -635,7 +620,7 @@ def boundary_interpolation_check(
             matches.append(
                 (dm.coeffs[0] == endpoints[i][0], dm.coeffs[-1] == endpoints[i][1])
             )
-        rows.append(BoundaryRow(n=n, matches=tuple(matches)))
+        rows.append(BoundaryRow(n=model.n, matches=tuple(matches)))
     threshold = None
     for row in reversed(rows):
         if all(a and b for a, b in row.matches):

@@ -20,21 +20,25 @@ holder_interior(g)       |2x - 1|^g + p x + q for non-integer g in (0,2):
                          rescaling the argument keeps the smoothness class
                          and makes the endpoints integers.)
 
+A spec's ``kink`` only describes f (list-fns reports it): every derivative
+order a built-in spec serves is continuous there.
+
 Every spec has a node bracket oracle, scaled_bracket(k, n, bits, c) for
 any integer c >= 1: integers (num, den, exact) with num = floor(den c f(k/n)),
 so num/den <= c f(k/n) < (num + 1)/den, equality exactly when ``exact``,
-and den depending on (n, bits) alone.  The polynomials and abs_shift give
-their exact value (one Horner sum, or |2k - n| c over n), and the
-polynomials give a whole row of them in one pass (forward differences in
-k, scaled_bracket_row); the Hoelder entries give den = n 2^bits and an
-integer root, so their bracket is 2^-bits / n wide.  operators builds the
-integer-kind models and the gap from the brackets at c = C(n,k), and
-Classic models from those of f(k/n) itself, at c = 1; analysis decides each node inequality of hypothesis_check
-f(k/n) >= p/q from the bracket at c = q, and the spec decides whether f(0)
-and f(1) are integers from their brackets at n = 1, c = 1.  Values of the
-Hoelder entries at rational points are usually irrational; eval_bounds
-returns rigorous enclosures of them, kept as the independent reference that
-the brackets are tested against.
+and den depending on (n, bits) alone (a row of single brackets with two
+dens is refused).  The polynomials and abs_shift give their exact value
+(one Horner sum, or |2k - n| c over n), and the polynomials give a whole
+row of them in one pass (forward differences in k, scaled_bracket_row);
+the Hoelder entries give den = n 2^bits and an integer root, so their
+bracket is 2^-bits / n wide.  operators builds the integer-kind models and
+the gap from the brackets at c = C(n,k), and Classic models from those of
+f(k/n) itself, at c = 1; analysis decides each node inequality of
+hypothesis_check f(k/n) >= p/q from the bracket at c = q, and the spec
+decides whether f(0) and f(1) are integers from their brackets at n = 1,
+c = 1.  Values of the Hoelder entries at rational points are usually
+irrational; eval_bounds returns rigorous enclosures of them, kept as the
+independent reference that the brackets are tested against.
 """
 
 from __future__ import annotations
@@ -49,13 +53,6 @@ import numpy as np
 
 from bernint.exact import (binomial_row, common_denominator, homogeneous_sum, iroot,
                            rational_pow_bounds, rational_pow_exact)
-
-# Full width of the exclusion window centered on a kink: derivative-based
-# sup searches skip |x - kink| < KINK_WINDOW/2 (the derivative oracle is not
-# meaningful arbitrarily close to the kink); evaluation itself is fine
-# everywhere.
-KINK_WINDOW = 1e-6
-
 
 class CapabilityError(Exception):
     """An oracle was asked for something it cannot certify (order, exactness)."""
@@ -73,8 +70,9 @@ class FunctionSpec:
     exact).  An optional ``scaled_bracket_row``, a callable (n, bits, cs)
     -> the n + 1 brackets, builds a whole row in one pass; without it a row
     is one bracket call per node.  ``s_max`` is the largest derivative
-    order served (None = unlimited, polynomials).  ``kink`` marks an
-    interior non-smooth point, or None.  Nothing else is declared:
+    order served (None = unlimited, polynomials).  ``kink``, an interior
+    non-smooth point or None, only describes f: list-fns reports it, and no
+    computation reads it.  Nothing else is declared:
     ``integer_endpoints`` is decided from the brackets of f(0) and f(1),
     and ``integer_linear`` from ``poly_coeffs``.
     """
@@ -175,7 +173,7 @@ class FunctionSpec:
         model's scaled coefficients C(n,k) f(k/n), and cs = (1,) * (n + 1) the
         node values f(k/n) themselves.  A spec with a row oracle (the
         polynomials) builds the row in one pass; the others make one bracket
-        call per node.
+        call per node, and a row whose dens differ raises ValueError.
         """
         self._check_node(0, n, bits)
         if len(cs) != n + 1 or min(cs) < 1:
@@ -184,7 +182,10 @@ class FunctionSpec:
         if self._scaled_bracket_row is not None:
             return self._scaled_bracket_row(n, bits, cs)
         oracle = self._scaled_bracket
-        return [oracle(k, n, bits, c) for k, c in enumerate(cs)]
+        row = [oracle(k, n, bits, c) for k, c in enumerate(cs)]
+        if any(den != row[0][1] for _, den, _ in row):
+            raise ValueError(f"{self.name}: bracket den must depend only on (n, bits)")
+        return row
 
     def _check_node(self, k: int, n: int, bits: int) -> None:
         if not 0 <= k <= n or n < 1:
@@ -506,7 +507,6 @@ def entries() -> tuple[CorpusEntry, ...]:
 
 
 __all__ = [
-    "KINK_WINDOW",
     "CapabilityError",
     "FunctionSpec",
     "CorpusEntry",

@@ -88,9 +88,10 @@ class BernsteinModel:
     ``float_coeffs`` are views derived from (e, D) on first use.
     ``coeffs_exact`` is False only when a Classic model stores the midpoints
     of APPROX_BITS node brackets, some of them inexact, instead of f(k/n).
+    A model does not record the kind that built it: two models are equal
+    exactly when they are the same polynomial.
     """
 
-    kind: OperatorKind
     n: int
     scaled: tuple
     denominator: int = 1
@@ -143,22 +144,24 @@ def build_model(
     coeffs_exact=False: exact at the exact nodes, and each c_k within
     2^-(APPROX_BITS + 1) / n of f(k/n) at the others.
     """
+    if n % 1:
+        raise ValueError(f"build_model: n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("build_model: n must be >= 1")
+    n = int(n)
     row = binomial_row(n)
     if kind is OperatorKind.CLASSIC:
         nums, dens, exacts = zip(*f.scaled_bracket_row(n, APPROX_BITS, (1,) * (n + 1)))
         if all(exacts):
-            return BernsteinModel(kind=kind, n=n, denominator=dens[0],
+            return BernsteinModel(n=n, denominator=dens[0],
                                   scaled=tuple(b * num for b, num in zip(row, nums)))
         return BernsteinModel(
-            kind=kind, n=n, denominator=2 * dens[0], coeffs_exact=False,
+            n=n, denominator=2 * dens[0], coeffs_exact=False,
             scaled=tuple(b * (2 * num + (0 if exact else 1))
                          for b, num, exact in zip(row, nums, exacts)),
         )
     mode = kind.value
     return BernsteinModel(
-        kind=kind,
         n=n,
         scaled=tuple(round_bracket(*b, mode, tie) for b in f.scaled_bracket_row(n, 1, row)),
     )
@@ -400,8 +403,8 @@ def derivative_model(model: BernsteinModel, s: int) -> BernsteinModel:
         for _ in range(s):
             e = [(j + 1) * e[j + 1] - (m - j) * e[j] for j in range(m)]
             m -= 1
-    return BernsteinModel(kind=model.kind, n=m, scaled=tuple(e),
-                          denominator=model.denominator, coeffs_exact=model.coeffs_exact)
+    return BernsteinModel(n=m, scaled=tuple(e), denominator=model.denominator,
+                          coeffs_exact=model.coeffs_exact)
 
 
 def require_integer_endpoints(f) -> None:

@@ -28,11 +28,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 _ACCEPTANCE_LINES: list[str] = []
 
 
-def model_from_coeffs(kind, n: int, coeffs) -> BernsteinModel:
+def model_from_coeffs(n: int, coeffs) -> BernsteinModel:
     """The degree-n model with Bernstein coefficients c_0, ..., c_n."""
     row = binomial_row(max(len(coeffs) - 1, 0))  # a wrong length fails in the model
     scaled, d = common_denominator([Fraction(c) * b for c, b in zip(coeffs, row)])
-    return BernsteinModel(kind=kind, n=n, scaled=tuple(scaled), denominator=d)
+    return BernsteinModel(n=n, scaled=tuple(scaled), denominator=d)
 
 
 def record_criterion(num: int, ok: bool, detail: str) -> None:

@@ -146,7 +146,7 @@ def test_sup_norm_refinement_is_monotone():
     # a kernel target holds this too: the value at a point does not depend
     # on the batch it is evaluated in; its sup is at most max |c_k|
     lo, _, den = gap_interval(X2, 16, FLOOR)
-    gap = BernsteinModel(kind=FLOOR, n=16, scaled=lo, denominator=den)
+    gap = BernsteinModel(n=16, scaled=lo, denominator=den)
     targets = [
         (lambda x: np.abs(np.sin(47.0 * np.pi * x)), 1.0),
         (lambda x: evaluate(gap, x), float(max(abs(c) for c in gap.coeffs))),
@@ -485,6 +485,22 @@ def test_voronovskaya_refuses_a_degree_below_one():
             voronovskaya_check(X2, F(1, 2), ns)
 
 
+def test_experiments_take_integral_degrees_only():
+    x3 = builtin("monomial(3)")
+    rep = voronovskaya_check(x3, F(1, 3), [8.0, np.int64(16)])
+    assert rep == voronovskaya_check(x3, F(1, 3), [8, 16])
+    assert [type(r.n) for r in rep.rows] == [int, int]
+    with pytest.raises(ValueError, match="voronovskaya_check: n must be an integer, got 8.5"):
+        voronovskaya_check(x3, F(1, 3), [8.5, 8])
+    assert error_curve(X2, FLOOR, 0, [8.0, np.int64(16)]) == error_curve(X2, FLOOR, 0, [8, 16])
+    for call in (lambda: error_curve(X2, FLOOR, 1, [8.5]),
+                 lambda: saturation_probe(X2, FLOOR, 0, [8.5, 16]),
+                 lambda: saturation_probe(builtin("integer_linear(3,2)"), FLOOR, 0, [8.5, 16]),
+                 lambda: boundary_interpolation_check(X2, FLOOR, 1, [8.5])):
+        with pytest.raises(ValueError, match="build_model: n must be an integer, got 8.5"):
+            call()
+
+
 def test_voronovskaya_residual_decays_like_one_over_n():
     # away from x=1/2 the next-order term of x^3 is x(1-x)(1-2x)/n^2 exactly
     rep = voronovskaya_check(builtin("monomial(3)"), F(1, 3), [8, 16, 32, 64, 128])
@@ -562,6 +578,26 @@ def test_hypothesis_check_frozen_reports():
     bad = hypothesis_check(builtin("monomial(3)"), 2, range(1, 65))
     assert not bad.passed
     assert ("f''(1)", "6", False) in bad.vanishing
+
+
+def test_hypothesis_check_reports_failed_node_inequalities():
+    # f = x - x^2 has the integers f(0) = f(1) = 0, f'(0) = 1 and f'(1) = -1,
+    # but f(k/n) = k/n - (k/n)^2 lies below both tangent lines at every node
+    f = FunctionSpec(
+        "x_minus_x2", s_max=1,
+        deriv_exact=lambda s, x: x - x * x if s == 0 else 1 - 2 * x,
+        deriv_float=lambda s, xs: xs - xs * xs if s == 0 else 1 - 2 * xs,
+        scaled_bracket=lambda k, n, bits, c: ((k * n - k * k) * c, n * n, True),
+    )
+    rep = hypothesis_check(f, 1, range(2, 9))
+    assert rep.passed is False and rep.n0 is None
+    assert all(ok for *_, ok in rep.integrality)
+    assert [(n, k) for n, k, _ in rep.violations] == [
+        (n, k) for n in range(2, 9) for k in (1, n - 1)]
+    assert [text for n, _, text in rep.violations if n == 2] == [
+        "f(1/2) < f(0) + (k/n) f'(0) = 1/2",
+        "f(1/2) < f(1) - (1-k/n) f'(1) = 1/2",
+    ]
 
 
 HOLDER_SPECS = ["holder_interior(1/2)", "holder_interior(3/2)",

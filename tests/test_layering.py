@@ -4,7 +4,7 @@ included.  The package itself re-exports everything up to analysis, so only
 cli may import it.  Every name a module exports in __all__ exists.  The
 certified enclosures are a reference oracle: only exact and corpus name them.
 No module brings back the removed test-only rounding helpers and model
-aliases."""
+aliases, or the kink exclusion window."""
 
 import ast
 import importlib
@@ -22,9 +22,10 @@ RANK["bernint"] = RANK["bernint.analysis"] + 0.5
 REFERENCE_ORACLE = {"eval_bounds", "value_bounds", "rational_pow_bounds"}
 # Rounding goes through round_ratio and round_bracket, and a model is read
 # through its scaled and denominator fields; tests build models from
-# coefficients with conftest.model_from_coeffs.
+# coefficients with conftest.model_from_coeffs.  Sup norms run over all of
+# [0, 1]: no window around a kink is skipped.
 REMOVED = {"guarded_round", "PrecisionInsufficient", "floor_int", "nearest_int",
-           "from_coeffs", "integer_form"}
+           "from_coeffs", "integer_form", "KINK_WINDOW", "_masked_difference"}
 
 
 def imported_modules(tree):

@@ -95,7 +95,7 @@ unit_points = st.one_of(st.sampled_from([F(0), F(1)]),
 @example([F(1, 2), F(-1, 3), F(0), F(7, 5)], F(1))
 def test_evaluate_exact_matches_term_by_term_sum(coeffs, x):
     # mixed denominators, signs and zeros, n = 0..40, both ends included
-    model = model_from_coeffs(OperatorKind.CLASSIC, len(coeffs) - 1, coeffs)
+    model = model_from_coeffs(len(coeffs) - 1, coeffs)
     assert evaluate_exact(model, x) == bernstein_sum(coeffs, x)
 
 
@@ -282,7 +282,7 @@ def test_gap_enclosure_width_is_below_the_bracket_width(name):
             xs = [F(0), F(1, 2), F(1), F(1, 3)] + [F(rng.randrange(q + 1), q)
                                                   for q in rng.sample(range(2, 1024), 8)]
             row_lo, row_hi, den = gap_interval(f, n, kind)
-            gap_lo, gap_hi = (BernsteinModel(kind=kind, n=n, scaled=row, denominator=den)
+            gap_lo, gap_hi = (BernsteinModel(n=n, scaled=row, denominator=den)
                               for row in (row_lo, row_hi))
             pairs = proximity_gap_exact(f, n, kind, xs)
             for x, (lo, hi) in zip(xs, pairs):
@@ -385,9 +385,7 @@ def test_proximity_gap_measures_integer_minus_classic(name):
         for n in (3, 17, 64):
             other = build_model(f, n, kind)
             classic = build_model(f, n, CLASSIC)
-            diff = model_from_coeffs(
-                kind, n, [a - b for a, b in zip(other.coeffs, classic.coeffs)]
-            )
+            diff = model_from_coeffs(n, [a - b for a, b in zip(other.coeffs, classic.coeffs)])
             want = sup_norm(lambda xs: evaluate(diff, xs))
             got = proximity_gap(f, n, kind)
             assert (got.value, got.argmax) == (want.value, want.argmax)
@@ -492,18 +490,59 @@ def test_model_rejects_malformed_integer_form():
         dict(n=1, scaled=(0, 1.0)),
     ):
         with pytest.raises(ValueError):
-            BernsteinModel(kind=CLASSIC, **bad)
+            BernsteinModel(**bad)
     with pytest.raises(ValueError, match="coefficient count"):
-        model_from_coeffs(CLASSIC, 3, [F(1), F(2)])
+        model_from_coeffs(3, [F(1), F(2)])
 
 
 def test_model_data_is_kept_in_lowest_terms():
     # x^2 at n = 4 is built over D_f n^deg = 16 and stored over 4
     m = build_model(X2, 4, CLASSIC)
     assert (m.scaled, m.denominator) == ((0, 1, 6, 9, 4), 4)
-    assert m == model_from_coeffs(CLASSIC, 4, m.coeffs)
-    zero = BernsteinModel(kind=CLASSIC, n=1, scaled=(0, 0), denominator=6)
+    assert m == model_from_coeffs(4, m.coeffs)
+    zero = BernsteinModel(n=1, scaled=(0, 0), denominator=6)
     assert (zero.scaled, zero.denominator) == ((0, 0), 1)
+
+
+def test_models_of_one_polynomial_compare_equal_across_kinds():
+    # 3x + 2 is reproduced by every kind, and a model does not record its kind
+    f = builtin("integer_linear(3,2)")
+    assert build_model(f, 4, CLASSIC) == build_model(f, 4, FLOOR)
+
+
+def test_build_model_takes_integral_degrees_only():
+    want = build_model(X3, 8, NEAREST)
+    for n in (8.0, np.int64(8), F(8)):
+        got = build_model(X3, n, NEAREST)
+        assert got == want and type(got.n) is int
+    for n in (8.5, F(17, 2), float("nan")):
+        with pytest.raises(ValueError, match="build_model: n must be an integer"):
+            build_model(X3, n, CLASSIC)
+
+
+def _x_over_3(den_of):
+    """f = x/3 with the node bracket over den_of(n, k), exact at every node."""
+    def bracket(k, n, bits, c):
+        den = den_of(n, k)
+        return k * den * c // (3 * n), den, True
+
+    return corpus.FunctionSpec("x_over_3", s_max=0, scaled_bracket=bracket,
+                               deriv_float=lambda s, xs: xs / 3,
+                               deriv_exact=lambda s, x: x / 3)
+
+
+def test_a_bracket_row_with_two_dens_is_refused():
+    # den = 3n stays put over a row; den = 3n(k+1) moves with k, which would
+    # read every bracket over den_0 = 3n: coefficients (0, 1/6, 1/2, 1, 5/3)
+    steady = _x_over_3(lambda n, k: 3 * n)
+    assert build_model(steady, 4, CLASSIC).coeffs == (0, F(1, 12), F(1, 6), F(1, 4), F(1, 3))
+    f = _x_over_3(lambda n, k: 3 * n * (k + 1))
+    for call in (lambda: f.scaled_bracket_row(4, 1, (1,) * 5),
+                 lambda: build_model(f, 4, CLASSIC),
+                 lambda: gap_interval(f, 4, FLOOR),
+                 lambda: proximity_gap_exact(f, 4, FLOOR, [F(1, 2)])):
+        with pytest.raises(ValueError, match="x_over_3: bracket den must depend only on"):
+            call()
 
 
 def test_integer_kinds_carry_denominator_one():
@@ -566,7 +605,7 @@ def test_derivative_model_degenerate():
     m = build_model(X2, 2, CLASSIC)
     for s in (3, 4, 50):
         dm = derivative_model(m, s)
-        assert (dm.n, dm.scaled, dm.denominator, dm.kind) == (0, (0,), 1, CLASSIC)
+        assert (dm.n, dm.scaled, dm.denominator) == (0, (0,), 1)
         assert evaluate_exact(dm, F(1, 3)) == 0
     assert derivative_model(m, 0) is m
     with pytest.raises(ValueError, match="order must be >= 0"):
