@@ -24,8 +24,12 @@ proximity bounds, saturation and moduli live:
   boundary_interpolation_check, converse_experiment, hypothesis_check)
   wiring the operators and corpus together.  error_curve measures every
   point of [0, 1], a spec's kink included.  voronovskaya_check builds no
-  model: it reads B_n f(x) off one row of node brackets at c = C(n,k), the
-  row gap_interval reads, with one homogeneous_sum per n.
+  model.  For a polynomial of degree deg it reads B_n f(x) off the Newton
+  form B_n f(x) = sum_{j<=m} C(n,j) Delta^j_{1/n} f(0) x^j, m = min(deg, n),
+  from the first m + 1 node brackets: O(deg) small-integer work per n.
+  Any other spec (only custom specs reach it: no other built-in one has an
+  exact f'') takes one row of n + 1 node brackets at c = C(n,k), the row
+  gap_interval reads, with one homogeneous_sum per n.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from bernint.corpus import CapabilityError, FunctionSpec
-from bernint.exact import DEFAULT_TIE, TiePolicy, binomial_row, homogeneous_sum
+from bernint.exact import (DEFAULT_TIE, TiePolicy, _forward_differences, binomial_row,
+                           homogeneous_sum)
 from bernint.operators import (
     APPROX_BITS,
     BernsteinModel,
@@ -454,14 +459,27 @@ class VoronovskayaReport:
 def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> VoronovskayaReport:
     """Exact-rational convergence of n (B_n f(x) - f(x)) to x(1-x) f''(x)/2.
 
-    Each n reads one row of node brackets at c = C(n,k) (APPROX_BITS, as
-    gap_interval does).  An exact bracket's numerator is C(n,k) den f(k/n),
-    the Classic model's scaled coefficient, so at x = a/b the value is
-    B_n f(x) = S / d with S = homogeneous_sum(nums, a, b - a) and
-    d = den b^n, and with f(x) = p/q each row's scaled gap is the one
-    Fraction n (S q - p d) / (d q).  No model is built.  Raises
-    CapabilityError when f(x) or f''(x) is not exactly known or a node
-    bracket is inexact, and ValueError unless 0 < x < 1 and every n >= 1.
+    Each n reads B_n f(x) at x = a/b as one ratio S / d of integers from
+    exact node brackets (APPROX_BITS), and with f(x) = p/q each row's
+    scaled gap is the one Fraction n (S q - p d) / (d q).  No model is
+    built.  Two paths give S and d:
+
+    * A polynomial spec (``poly_coeffs`` set) of degree deg takes the
+      brackets of f(k/n) at c = 1 for k = 0..m, m = min(deg, n), whose
+      numerators are P(k) = den f(k/n).  B_n f is a polynomial of degree at
+      most m, B_n f(x) = sum_{j<=m} C(n,j) Delta^j_{1/n} f(0) x^j (Lorentz,
+      Bernstein Polynomials, 1.3), so with D_j = Delta^j P(0),
+      S = homogeneous_sum([C(n,j) D_j], a, b) and d = den b^m: O(deg)
+      small-integer work per n.
+    * Any other spec reads the row of n + 1 brackets at c = C(n,k), the row
+      gap_interval reads; an exact bracket's numerator is the Classic
+      model's scaled coefficient C(n,k) den f(k/n), so
+      S = homogeneous_sum(nums, a, b - a) and d = den b^n.
+
+    Both give the same Fraction for a polynomial.  Raises CapabilityError
+    when f(x) or f''(x) is not exactly known or a node bracket is inexact,
+    ValueError when two node brackets of one n have different dens, and
+    ValueError unless 0 < x < 1 and every n is an integer >= 1.
     """
     x = Fraction(x)
     if not 0 < x < 1:
@@ -475,6 +493,7 @@ def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> Voronovskay
     limit = x * (1 - x) * d2 / 2
     a, b = x.numerator, x.denominator
     p, q = fx.numerator, fx.denominator
+    poly = f.poly_coeffs is not None
     rows = []
     for n in n_list:
         if n % 1:
@@ -482,13 +501,21 @@ def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> Voronovskay
         if n < 1:
             raise ValueError("voronovskaya_check: n must be >= 1")
         n = int(n)
-        nums, dens, exacts = zip(*f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n)))
+        m = min(len(f.poly_coeffs) - 1, n) if poly else n
+        brackets = ([f.scaled_bracket(k, n, APPROX_BITS, 1) for k in range(m + 1)] if poly
+                    else f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n)))
+        nums, _, exacts = zip(*brackets)
         if not all(exacts):
             raise CapabilityError(
                 f"{f.name}: voronovskaya_check needs exact node values"
             )
-        d = dens[0] * b ** n
-        scaled = Fraction(n * (homogeneous_sum(nums, a, b - a) * q - p * d), d * q)
+        d = f.row_den(brackets) * b ** m
+        if poly:
+            e = [math.comb(n, j) * dj for j, dj in enumerate(_forward_differences(nums))]
+            s = homogeneous_sum(e, a, b)
+        else:
+            s = homogeneous_sum(nums, a, b - a)
+        scaled = Fraction(n * (s * q - p * d), d * q)
         rows.append(VoronovskayaRow(n=n, scaled_gap=scaled, residual=abs(scaled - limit)))
     return VoronovskayaReport(x=x, limit=limit, rows=tuple(rows))
 
@@ -769,7 +796,8 @@ def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:
     f(k/n) >= f(1) - (1 - k/n) f'(1) (k = n-s..n-1) over the given n range
     (only n >= max(s, 1) can be checked), each decided on the integer node
     bracket (_certified_ge).  Reports the least n0 from which every larger n
-    in the range passes, or the violations.
+    in the range passes, or the violations.  Raises ValueError when an n is
+    not an integer.
     """
     if s < 0:
         raise ValueError("hypothesis_check: s must be >= 0")
@@ -788,7 +816,13 @@ def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:
         vanishing.append((_dlabel(i, 0), str(v0), v0 == 0))
         vanishing.append((_dlabel(i, 1), str(v1), v1 == 0))
 
-    ns = sorted({int(n) for n in n_range if int(n) >= max(s, 1)})
+    checked = set()
+    for n in n_range:
+        if n % 1:
+            raise ValueError(f"hypothesis_check: n must be an integer, got {n!r}")
+        if n >= max(s, 1):
+            checked.add(int(n))
+    ns = sorted(checked)
     violations = []
     ok_by_n = {}
     for n in ns:

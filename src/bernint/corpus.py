@@ -26,14 +26,15 @@ order a built-in spec serves is continuous there.
 Every spec has a node bracket oracle, scaled_bracket(k, n, bits, c) for
 any integer c >= 1: integers (num, den, exact) with num = floor(den c f(k/n)),
 so num/den <= c f(k/n) < (num + 1)/den, equality exactly when ``exact``,
-and den depending on (n, bits) alone (a row of single brackets with two
-dens is refused).  The polynomials and abs_shift give their exact value
-(one Horner sum, or |2k - n| c over n), and the polynomials give a whole
-row of them in one pass (forward differences in k, scaled_bracket_row);
-the Hoelder entries give den = n 2^bits and an integer root, so their
-bracket is 2^-bits / n wide.  operators builds the integer-kind models and
-the gap from the brackets at c = C(n,k), and Classic models from those of
-f(k/n) itself, at c = 1; analysis decides each node inequality of
+and den depending on (n, bits) alone (a row with two dens is refused).
+The polynomials and abs_shift give their exact value (one Horner sum, or
+|2k - n| c over n), and the polynomials give a whole row of them in one
+pass (forward differences in k, scaled_bracket_row); the Hoelder entries
+give den = n 2^bits and an integer root, so their bracket is 2^-bits / n
+wide.  operators builds the integer-kind models and the gap from the
+brackets at c = C(n,k), and Classic models from those of f(k/n) itself, at
+c = 1; analysis reads B_n f of a polynomial off its first deg + 1 brackets
+at c = 1 (voronovskaya_check), decides each node inequality of
 hypothesis_check f(k/n) >= p/q from the bracket at c = q, and the spec
 decides whether f(0) and f(1) are integers from their brackets at n = 1,
 c = 1.  Values of the Hoelder entries at rational points are usually
@@ -51,8 +52,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from bernint.exact import (binomial_row, common_denominator, homogeneous_sum, iroot,
-                           rational_pow_bounds, rational_pow_exact)
+from bernint.exact import (_forward_differences, binomial_row, common_denominator,
+                           homogeneous_sum, iroot, rational_pow_bounds, rational_pow_exact)
 
 class CapabilityError(Exception):
     """An oracle was asked for something it cannot certify (order, exactness)."""
@@ -173,19 +174,31 @@ class FunctionSpec:
         model's scaled coefficients C(n,k) f(k/n), and cs = (1,) * (n + 1) the
         node values f(k/n) themselves.  A spec with a row oracle (the
         polynomials) builds the row in one pass; the others make one bracket
-        call per node, and a row whose dens differ raises ValueError.
+        call per node.  Either way a row whose dens differ raises ValueError
+        (row_den).
         """
         self._check_node(0, n, bits)
         if len(cs) != n + 1 or min(cs) < 1:
             raise ValueError(f"{self.name}: a bracket row needs n + 1 = {n + 1} "
                              f"multipliers c >= 1")
         if self._scaled_bracket_row is not None:
-            return self._scaled_bracket_row(n, bits, cs)
-        oracle = self._scaled_bracket
-        row = [oracle(k, n, bits, c) for k, c in enumerate(cs)]
-        if any(den != row[0][1] for _, den, _ in row):
-            raise ValueError(f"{self.name}: bracket den must depend only on (n, bits)")
+            row = self._scaled_bracket_row(n, bits, cs)
+        else:
+            oracle = self._scaled_bracket
+            row = [oracle(k, n, bits, c) for k, c in enumerate(cs)]
+        self.row_den(row)
         return row
+
+    def row_den(self, brackets) -> int:
+        """The one den of brackets of this spec at one (n, bits).
+
+        Raises ValueError naming the spec when two of them differ: read over
+        the first den, such a row would give wrong values without an error.
+        """
+        den = brackets[0][1]
+        if any(d != den for _, d, _ in brackets):
+            raise ValueError(f"{self.name}: bracket den must depend only on (n, bits)")
+        return den
 
     def _check_node(self, k: int, n: int, bits: int) -> None:
         if not 0 <= k <= n or n < 1:
@@ -273,10 +286,7 @@ def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
         # den f(k/n) = P(k) = homogeneous_sum(e0, k, n), a degree-deg integer
         # polynomial in k: its forward differences at 0, then its values at
         # k = 0..n by deg running sums
-        diffs = [homogeneous_sum(e0, k, n) for k in range(deg + 1)]
-        for i in range(1, deg + 1):
-            for j in range(deg, i - 1, -1):
-                diffs[j] -= diffs[j - 1]
+        diffs = _forward_differences(homogeneous_sum(e0, k, n) for k in range(deg + 1))
         values = repeat(diffs[deg], n + 1)
         for d in reversed(diffs[:deg]):
             values = accumulate(islice(values, n), initial=d)

@@ -8,6 +8,8 @@ lack:
 * cached binomial rows (multiplicative recurrence, exact),
 * homogeneous_sum, the one exact evaluator of Bernstein and power sums:
   Horner on short rows, block dot products on long ones,
+* _forward_differences, the one differencing rule of integer values
+  v(0..m), shared by the polynomial bracket rows and the Voronovskaya rows,
 * round_ratio, floor and nearest-integer rounding of an integer ratio with
   an explicit tie policy, and round_bracket, the same rounding of a value
   known through an integer bracket num/den <= v < (num + 1)/den,
@@ -115,6 +117,18 @@ def homogeneous_sum(e: Sequence[int], p: int, q: int) -> int:
         acc = acc * p + ek * qj
         qj *= q
     return acc
+
+
+def _forward_differences(values) -> list[int]:
+    """[Delta^j v(0) for j = 0..m] from the m + 1 integers v(0), ..., v(m).
+
+    Differenced in place, highest order first, on one list of m + 1 ints.
+    """
+    diffs = list(values)
+    for i in range(1, len(diffs)):
+        for j in range(len(diffs) - 1, i - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    return diffs
 
 
 def round_ratio(num: int, den: int, mode: str, policy: TiePolicy = DEFAULT_TIE) -> int:

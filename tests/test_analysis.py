@@ -445,18 +445,40 @@ def test_voronovskaya_requires_second_derivative_oracle():
 @pytest.mark.parametrize("name", [e.spec.name for e in entries()
                                   if e.spec.poly_coeffs is not None])
 def test_voronovskaya_matches_the_model_route(name):
-    # each row equals n (B_n f(x) - f(x)) read off the exact Classic model
+    # each row equals n (B_n f(x) - f(x)) read off the exact Classic model,
+    # at every n up to deg + 1 (so n < deg for monomial(5) and
+    # poly_boundary_flat(2), where B_n f has degree n) and on long rows
     f = builtin(name)
-    ns = [1, 2, 8, 255, 256, 300]
+    deg = len(f.poly_coeffs) - 1
+    ns = [*range(1, deg + 2), 8, 255, 256, 300, 4096]
+    models = {n: build_model(f, n, CLASSIC) for n in ns}
     for x in (F(1, 2), F(1, 3), F(601, 999), F(389, 877)):
         rep = voronovskaya_check(f, x, ns)
         assert rep.x == x and rep.limit == x * (1 - x) * f.deriv_exact(2, x) / 2
         assert [r.n for r in rep.rows] == ns
         for r in rep.rows:
-            model = build_model(f, r.n, CLASSIC)
-            want = r.n * (evaluate_exact(model, x) - f.eval_exact(x))
+            want = r.n * (evaluate_exact(models[r.n], x) - f.eval_exact(x))
             assert type(r.scaled_gap) is F and r.scaled_gap == want
             assert type(r.residual) is F and r.residual == abs(want - rep.limit)
+
+
+def test_voronovskaya_reads_a_polynomial_off_its_first_deg_plus_one_brackets(monkeypatch):
+    # a polynomial row costs O(deg) per n: the brackets of k = 0..min(deg, n)
+    # at c = 1, and never a row of n + 1
+    f = builtin("monomial(5)")
+    want = voronovskaya_check(f, F(601, 999), [1, 4, 5, 6, 64, 4096])
+    calls = []
+    bracket = f.scaled_bracket
+
+    def counted(k, n, bits, c):
+        calls.append((k, n, c))
+        return bracket(k, n, bits, c)
+
+    monkeypatch.setattr(f, "scaled_bracket", counted)
+    monkeypatch.setattr(f, "scaled_bracket_row",
+                        lambda *a: pytest.fail("read a row of n + 1 brackets"))
+    assert voronovskaya_check(f, F(601, 999), [r.n for r in want.rows]) == want
+    assert calls == [(k, n, 1) for n in (1, 4, 5, 6, 64, 4096) for k in range(min(5, n) + 1)]
 
 
 def _x2_with_brackets(inexact_k):
@@ -479,6 +501,23 @@ def test_voronovskaya_refuses_an_inexact_node_bracket(monkeypatch):
         voronovskaya_check(_x2_with_brackets(1), x, ns)
 
 
+def test_voronovskaya_checks_the_brackets_of_a_polynomial():
+    # the polynomial path checks its deg + 1 brackets as the row path checks a row
+    def x2(bracket):
+        return FunctionSpec("x2_poly", s_max=None, poly_coeffs=X2.poly_coeffs,
+                            deriv_exact=X2.deriv_exact, deriv_float=X2.deriv_float,
+                            scaled_bracket=bracket)
+
+    x, ns = F(1, 3), [1, 4, 16]
+    assert voronovskaya_check(x2(lambda k, n, bits, c: (k * k * c, n * n, True)), x, ns) \
+        == voronovskaya_check(X2, x, ns)
+    with pytest.raises(CapabilityError, match="needs exact node values"):
+        voronovskaya_check(x2(lambda k, n, bits, c: (k * k * c, n * n, k != 1)), x, ns)
+    with pytest.raises(ValueError, match="x2_poly: bracket den must depend only on"):
+        voronovskaya_check(x2(lambda k, n, bits, c: (k * k * (k + 1) * c, n * n * (k + 1), True)),
+                           x, ns)
+
+
 def test_voronovskaya_refuses_a_degree_below_one():
     for ns in ([0], [4, 0], [-1]):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -492,6 +531,11 @@ def test_experiments_take_integral_degrees_only():
     assert [type(r.n) for r in rep.rows] == [int, int]
     with pytest.raises(ValueError, match="voronovskaya_check: n must be an integer, got 8.5"):
         voronovskaya_check(x3, F(1, 3), [8.5, 8])
+    rep = hypothesis_check(X2, 1, [8.0, np.int64(16)])
+    assert rep == hypothesis_check(X2, 1, [8, 16])
+    assert [type(n) for n in rep.checked_n] == [int, int]
+    with pytest.raises(ValueError, match="hypothesis_check: n must be an integer, got 8.5"):
+        hypothesis_check(X2, 1, [8.5])
     assert error_curve(X2, FLOOR, 0, [8.0, np.int64(16)]) == error_curve(X2, FLOOR, 0, [8, 16])
     for call in (lambda: error_curve(X2, FLOOR, 1, [8.5]),
                  lambda: saturation_probe(X2, FLOOR, 0, [8.5, 16]),

@@ -269,6 +269,20 @@ def test_voronovskaya_exact_strings(capsys):
     assert all(row["scaled_gap"] == "3/8" and row["residual"] == "0" for row in doc["rows"])
 
 
+def test_voronovskaya_rows_equal_the_closed_form(capsys):
+    # n (B_n x^3 - x^3) = 3x^2(1-x) + x(1-x)(1-2x)/n exactly, on rows up to 2^14
+    rc, doc = run_json(["voronovskaya", "--fn", "monomial(3)", "--x", "601/999",
+                        "--n-max", "16384"], capsys)
+    assert rc == 0
+    x = Fraction(601, 999)
+    assert Fraction(doc["x"]) == x and Fraction(doc["limit"]) == 3 * x * x * (1 - x)
+    assert [row["n"] for row in doc["rows"]] == [1 << i for i in range(4, 15)]
+    for row in doc["rows"]:
+        tail = x * (1 - x) * (1 - 2 * x) / row["n"]
+        assert Fraction(row["scaled_gap"]) == 3 * x * x * (1 - x) + tail
+        assert Fraction(row["residual"]) == abs(tail)
+
+
 def test_converse_reports_slopes(capsys):
     rc, doc = run_json(
         ["converse", "--fn", "monomial(2)", "--kind", "nearest", "--s", "1",

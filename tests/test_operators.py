@@ -520,13 +520,18 @@ def test_build_model_takes_integral_degrees_only():
             build_model(X3, n, CLASSIC)
 
 
-def _x_over_3(den_of):
-    """f = x/3 with the node bracket over den_of(n, k), exact at every node."""
+def _x_over_3(den_of, row_oracle=False):
+    """f = x/3 with the node bracket over den_of(n, k), exact at every node;
+    with ``row_oracle`` the spec also serves whole rows of those brackets."""
     def bracket(k, n, bits, c):
         den = den_of(n, k)
         return k * den * c // (3 * n), den, True
 
+    def row(n, bits, cs):
+        return [bracket(k, n, bits, c) for k, c in enumerate(cs)]
+
     return corpus.FunctionSpec("x_over_3", s_max=0, scaled_bracket=bracket,
+                               scaled_bracket_row=row if row_oracle else None,
                                deriv_float=lambda s, xs: xs / 3,
                                deriv_exact=lambda s, x: x / 3)
 
@@ -537,6 +542,19 @@ def test_a_bracket_row_with_two_dens_is_refused():
     steady = _x_over_3(lambda n, k: 3 * n)
     assert build_model(steady, 4, CLASSIC).coeffs == (0, F(1, 12), F(1, 6), F(1, 4), F(1, 3))
     f = _x_over_3(lambda n, k: 3 * n * (k + 1))
+    for call in (lambda: f.scaled_bracket_row(4, 1, (1,) * 5),
+                 lambda: build_model(f, 4, CLASSIC),
+                 lambda: gap_interval(f, 4, FLOOR),
+                 lambda: proximity_gap_exact(f, 4, FLOOR, [F(1, 2)])):
+        with pytest.raises(ValueError, match="x_over_3: bracket den must depend only on"):
+            call()
+
+
+def test_a_row_oracle_with_two_dens_is_refused():
+    # the spec's own row oracle is checked as single bracket calls are
+    steady = _x_over_3(lambda n, k: 3 * n, row_oracle=True)
+    assert build_model(steady, 4, CLASSIC).coeffs == (0, F(1, 12), F(1, 6), F(1, 4), F(1, 3))
+    f = _x_over_3(lambda n, k: 3 * n * (k + 1), row_oracle=True)
     for call in (lambda: f.scaled_bracket_row(4, 1, (1,) * 5),
                  lambda: build_model(f, 4, CLASSIC),
                  lambda: gap_interval(f, 4, FLOOR),
