@@ -56,6 +56,7 @@ from bernint.operators import (
     HypothesisViolation,
     OperatorKind,
     build_model,
+    classic_power_form,
     derivative_model,
     evaluate,
     evaluate_exact,
@@ -70,7 +71,7 @@ __all__ = [
     # operators
     "OperatorKind", "BernsteinModel", "HypothesisViolation",
     "build_model", "evaluate", "evaluate_exact", "derivative_model",
-    "proximity_gap_exact",
+    "classic_power_form", "proximity_gap_exact",
     # corpus
     "FunctionSpec", "CorpusEntry", "CapabilityError", "builtin", "entries",
     # analysis

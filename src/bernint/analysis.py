@@ -5,10 +5,12 @@ sup norm and modulus is taken over the whole of [0, 1], where the paper's
 proximity bounds, saturation and moduli live:
 
 * sup_norm: dense-grid max of |F| on [0, 1] plus zoom rounds around the
-  argmax (one 32-point call per round).  Estimates are honest lower bounds
-  of the true sup (only evaluated points count); refining the grid never
-  decreases them.  The grid is built once per point count and shared,
-  read-only, by every call.
+  argmax (one 32-point call per round).  Estimates are lower bounds of the
+  sup of the float values F returned at the evaluated points, and refining
+  the grid never decreases them.  They are not certified lower bounds of
+  the true sup: F's own rounding (the kernel's, or a Horner sum's) is not
+  bounded, so a value may lie above the true one by that rounding.  The
+  grid is built once per point count and shared, read-only, by every call.
 * proximity_gap: sup_norm of the gap between an integer kind and B_n f,
   measured on the midpoint of the integer rows of operators.gap_interval.
 * omega1 / omega_phi2: moduli of smoothness on [0, 1], sampled on uniform
@@ -23,12 +25,18 @@ proximity bounds, saturation and moduli live:
 * experiment procedures (error_curve, voronovskaya_check, saturation_probe,
   boundary_interpolation_check, converse_experiment, hypothesis_check)
   wiring the operators and corpus together.  error_curve measures every
-  point of [0, 1], a spec's kink included.  voronovskaya_check builds no
-  model.  For a polynomial of degree deg it reads B_n f(x) off the Newton
-  form B_n f(x) = sum_{j<=m} C(n,j) Delta^j_{1/n} f(0) x^j, m = min(deg, n),
-  from the first m + 1 node brackets: O(deg) small-integer work per n.
-  Any other spec (only custom specs reach it: no other built-in one has an
-  exact f'') takes one row of n + 1 node brackets at c = C(n,k), the row
+  point of [0, 1], a spec's kink included.  For a polynomial of degree deg
+  both error_curve (Classic kind, and every kind for an integer-linear f)
+  and voronovskaya_check read B_n f off its power form
+  (operators.classic_power_form), the Newton form
+  B_n f(x) = sum_{j<=m} C(n,j) Delta^j_{1/n} f(0) x^j, m = min(deg, n),
+  built from the first m + 1 node brackets: O(deg) small-integer work per n
+  and no model.  error_curve takes E_n = B_n f - f exactly and its s-th
+  derivative to floats, and runs a degree deg - s Horner sum per point in
+  place of the O(n) kernel; every other (spec, kind) builds the model and
+  runs the kernel.  voronovskaya_check evaluates the power form exactly at
+  x; any other spec (only custom specs reach it: no other built-in one has
+  an exact f'') takes one row of n + 1 node brackets at c = C(n,k), the row
   gap_interval reads, with one homogeneous_sum per n.
 """
 
@@ -39,18 +47,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bernint.corpus import CapabilityError, FunctionSpec
-from bernint.exact import (DEFAULT_TIE, TiePolicy, _forward_differences, binomial_row,
+from bernint.corpus import CapabilityError, FunctionSpec, _horner
+from bernint.exact import (DEFAULT_TIE, TiePolicy, binomial_row, common_denominator,
                            homogeneous_sum)
 from bernint.operators import (
     APPROX_BITS,
     BernsteinModel,
     OperatorKind,
     build_model,
+    classic_power_form,
     derivative_model,
     evaluate,
     gap_interval,
@@ -117,7 +127,7 @@ def grid_points(grid: GridConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupEstimate:
-    """Lower-bound estimate of a sup norm: best value seen and where."""
+    """Estimate of a sup norm: the best float value seen, and where."""
 
     value: float
     argmax: float
@@ -151,7 +161,9 @@ def sup_norm(F, grid: GridConfig = DEFAULT_GRID) -> SupEstimate:
     neighbours of the round's best point, so every round shrinks the bracket
     by 2/(_REFINE_POINTS + 1).  Refinement ends early once a round leaves
     the bracket as it was.  Every evaluated point contributes, so the result
-    is a lower bound of the true sup.  Raises ValueError if F yields a NaN or
+    is a lower bound of the sup of F's float values over the evaluated
+    points; it bounds the true sup only as far as F's own rounding allows,
+    which is not bounded here.  Raises ValueError if F yields a NaN or
     an infinity at any evaluated point.  F receives the grid as a read-only
     array, shared between calls (grid_points gives a writable copy).
     """
@@ -417,6 +429,22 @@ class ErrorPoint:
     argmax: float
 
 
+def _power_error(form, fe, fd, s: int) -> np.ndarray:
+    """Float coefficients of E^(s), lowest order first, for E = B_n f - f.
+
+    form = (e, den) is B_n f = sum_j e_j x^j / den (classic_power_form)
+    and f = sum_j fe_j x^j / fd.  E is formed exactly on ints over
+    d = lcm(den, fd) and differentiated there (x^j gains j!/(j-s)!); each
+    coefficient then becomes a float by one correctly rounded int / int
+    division.
+    """
+    e, den = form
+    d = math.lcm(den, fd)
+    err = [u * (d // den) - v * (d // fd) for u, v in zip_longest(e, fe, fillvalue=0)]
+    err = [math.perm(j, s) * c for j, c in enumerate(err)][s:] or [0]
+    return np.array([c / d for c in err])
+
+
 def error_curve(
     f: FunctionSpec,
     kind: OperatorKind,
@@ -428,16 +456,39 @@ def error_curve(
     """Per n: sup-norm estimate of |(model)^(s) - f^(s)| on [0, 1].
 
     Every point of [0, 1] counts, a kink included: each served derivative
-    order of a built-in spec is continuous there.  At n < s the model's s-th
-    derivative is the zero model, so the curve is total over n_list.
+    order of a built-in spec is continuous there.  Two paths:
+
+    * the power-form path, for a polynomial spec (``poly_coeffs``) under the
+      Classic kind, and for an integer-linear f under every kind (each kind
+      reproduces it, so its model is B_n f = f and every error is exactly
+      0.0).  E_n = B_n f - f is read exactly off classic_power_form and
+      poly_coeffs, differentiated s times on ints and converted to floats
+      coefficient by coefficient (_power_error); sup_norm then runs the
+      in-place float Horner of the polynomial deriv_float on it, deg - s
+      steps per point.  No model is built and the kernel is not called.
+    * the model path, for every other (spec, kind): sup_norm of
+      evaluate(derivative_model(build_model(f, n, kind, tie), s))
+      - f.deriv_float(s), the O(n)-per-point kernel.
+
+    At n < s the model's s-th derivative is zero (on the power-form path,
+    B_n f has degree below s), so the curve is total over n_list.  The
+    power-form path raises CapabilityError when a polynomial spec's node
+    bracket is inexact.
     """
     if s < 0:
         raise ValueError("error_curve: s must be >= 0")
     f.require(s)
+    power = f.poly_coeffs is not None and (kind is OperatorKind.CLASSIC or f.integer_linear)
+    if power:
+        fe, fd = common_denominator(f.poly_coeffs)
     out = []
     for n in n_list:
-        dm = derivative_model(build_model(f, n, kind, tie), s)
-        est = sup_norm(lambda xs: evaluate(dm, xs) - f.deriv_float(s, xs), grid)
+        if power:
+            c = _power_error(classic_power_form(f, n), fe, fd, s)
+            est = sup_norm(lambda xs: _horner(c, xs), grid)
+        else:
+            dm = derivative_model(build_model(f, n, kind, tie), s)
+            est = sup_norm(lambda xs: evaluate(dm, xs) - f.deriv_float(s, xs), grid)
         out.append(ErrorPoint(n=int(n), error=est.value, argmax=est.argmax))
     return out
 
@@ -464,13 +515,11 @@ def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> Voronovskay
     scaled gap is the one Fraction n (S q - p d) / (d q).  No model is
     built.  Two paths give S and d:
 
-    * A polynomial spec (``poly_coeffs`` set) of degree deg takes the
-      brackets of f(k/n) at c = 1 for k = 0..m, m = min(deg, n), whose
-      numerators are P(k) = den f(k/n).  B_n f is a polynomial of degree at
-      most m, B_n f(x) = sum_{j<=m} C(n,j) Delta^j_{1/n} f(0) x^j (Lorentz,
-      Bernstein Polynomials, 1.3), so with D_j = Delta^j P(0),
-      S = homogeneous_sum([C(n,j) D_j], a, b) and d = den b^m: O(deg)
-      small-integer work per n.
+    * A polynomial spec (``poly_coeffs`` set) evaluates its power form
+      B_n f = sum_j e_j x^j / den, j <= m = min(deg, n) (classic_power_form,
+      read off the first m + 1 node brackets at c = 1), at x:
+      S = homogeneous_sum(e, a, b) and d = den b^m, O(deg) small-integer
+      work per n.
     * Any other spec reads the row of n + 1 brackets at c = C(n,k), the row
       gap_interval reads; an exact bracket's numerator is the Classic
       model's scaled coefficient C(n,k) den f(k/n), so
@@ -501,20 +550,19 @@ def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> Voronovskay
         if n < 1:
             raise ValueError("voronovskaya_check: n must be >= 1")
         n = int(n)
-        m = min(len(f.poly_coeffs) - 1, n) if poly else n
-        brackets = ([f.scaled_bracket(k, n, APPROX_BITS, 1) for k in range(m + 1)] if poly
-                    else f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n)))
-        nums, _, exacts = zip(*brackets)
-        if not all(exacts):
-            raise CapabilityError(
-                f"{f.name}: voronovskaya_check needs exact node values"
-            )
-        d = f.row_den(brackets) * b ** m
         if poly:
-            e = [math.comb(n, j) * dj for j, dj in enumerate(_forward_differences(nums))]
-            s = homogeneous_sum(e, a, b)
+            e, den = classic_power_form(f, n)
+            m, c = len(e) - 1, b
         else:
-            s = homogeneous_sum(nums, a, b - a)
+            brackets = f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n))
+            e, dens, exacts = zip(*brackets)
+            if not all(exacts):
+                raise CapabilityError(
+                    f"{f.name}: voronovskaya_check needs exact node values"
+                )
+            m, c, den = n, b - a, dens[0]
+        d = den * b ** m
+        s = homogeneous_sum(e, a, c)
         scaled = Fraction(n * (s * q - p * d), d * q)
         rows.append(VoronovskayaRow(n=n, scaled_gap=scaled, residual=abs(scaled - limit)))
     return VoronovskayaReport(x=x, limit=limit, rows=tuple(rows))

@@ -33,8 +33,8 @@ pass (forward differences in k, scaled_bracket_row); the Hoelder entries
 give den = n 2^bits and an integer root, so their bracket is 2^-bits / n
 wide.  operators builds the integer-kind models and the gap from the
 brackets at c = C(n,k), and Classic models from those of f(k/n) itself, at
-c = 1; analysis reads B_n f of a polynomial off its first deg + 1 brackets
-at c = 1 (voronovskaya_check), decides each node inequality of
+c = 1, and B_n f of a polynomial from its first deg + 1 brackets at c = 1
+(classic_power_form); analysis decides each node inequality of
 hypothesis_check f(k/n) >= p/q from the bracket at c = q, and the spec
 decides whether f(0) and f(1) are integers from their brackets at n = 1,
 c = 1.  Values of the Hoelder entries at rational points are usually
@@ -246,6 +246,20 @@ class CorpusEntry:
 # polynomial machinery
 
 
+def _horner(c, xs):
+    """sum_k c[k] xs^k for float coefficients c, lowest order first.
+
+    Horner in place: the float operations of numpy's polyval, in its order,
+    without a new array per degree.
+    """
+    out = xs * 0.0
+    out += c[-1]
+    for ck in c[-2::-1]:
+        out *= xs
+        out += ck
+    return out
+
+
 def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
     coeffs = tuple(Fraction(c) for c in coeffs)
     # chain[i] = (e, D): the i-th derivative is sum_k e[k] x^k / D
@@ -261,15 +275,7 @@ def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
         return chain[i], fchain[i]
 
     def deriv_float(s, xs):
-        # Horner in place: the float operations of numpy's polyval, in its
-        # order, without a new array per degree
-        _, c = _order(s)
-        out = xs * 0.0
-        out += c[-1]
-        for ck in c[-2::-1]:
-            out *= xs
-            out += ck
-        return out
+        return _horner(_order(s)[1], xs)
 
     def deriv_exact(s, x):
         (e, d), _ = _order(s)

@@ -9,7 +9,8 @@ lack:
 * homogeneous_sum, the one exact evaluator of Bernstein and power sums:
   Horner on short rows, block dot products on long ones,
 * _forward_differences, the one differencing rule of integer values
-  v(0..m), shared by the polynomial bracket rows and the Voronovskaya rows,
+  v(0..m), shared by the polynomial bracket rows and the power form of
+  B_n f (operators.classic_power_form),
 * round_ratio, floor and nearest-integer rounding of an integer ratio with
   an explicit tie policy, and round_bracket, the same rounding of a value
   known through an integer bracket num/den <= v < (num + 1)/den,

@@ -36,9 +36,12 @@ The gap between an integer kind and B_n f is built once, by gap_interval:
 two unreduced integer rows over one den from one APPROX_BITS bracket per
 node, hi_k = m_k den - num_k and lo_k the same less 1 at the inexact nodes.
 proximity_gap_exact evaluates both rows exactly by homogeneous_sum (none
-at all when both rows are zero), and analysis.proximity_gap
-(above this module, which imports only exact) measures their midpoint
-(lo_k + hi_k) / (2 den) on a grid.
+at all when both rows are zero), and analysis.proximity_gap (above this
+module) measures their midpoint (lo_k + hi_k) / (2 den) on a grid.
+
+classic_power_form reads B_n f of a polynomial spec in the power basis from
+its first deg + 1 node brackets, O(deg) work per n; analysis evaluates it
+exactly (voronovskaya_check) and in floats (error_curve).
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ from typing import Sequence
 
 import numpy as np
 
+from bernint.corpus import CapabilityError
 from bernint.exact import (
     DEFAULT_TIE,
     TiePolicy,
+    _forward_differences,
     binomial_row,
     homogeneous_sum,
     round_bracket,
@@ -165,6 +170,39 @@ def build_model(
         n=n,
         scaled=tuple(round_bracket(*b, mode, tie) for b in f.scaled_bracket_row(n, 1, row)),
     )
+
+
+def classic_power_form(f, n: int) -> tuple[list, int]:
+    """B_n f of a polynomial spec in the power basis, as ints (e, den).
+
+    For f of degree deg (``f.poly_coeffs``), B_n f is a polynomial of degree
+    at most m = min(deg, n), B_n f(x) = sum_{j<=m} C(n,j) Delta^j_{1/n} f(0) x^j
+    (Lorentz, Bernstein Polynomials, 1.3).  The m + 1 node brackets
+    f.scaled_bracket(k, n, APPROX_BITS, 1), k = 0..m, share one den
+    (FunctionSpec.row_den) and have numerators P(k) = den f(k/n), so with
+    D_j = Delta^j P(0) the m + 1 ints e_j = C(n,j) D_j give
+    B_n f(x) = sum_j e_j x^j / den; at x = a/b that is
+    homogeneous_sum(e, a, b) / (den b^m), the value of
+    build_model(f, n, CLASSIC) there.  O(deg) small-integer work per n, and
+    no row of n + 1 brackets.  Raises CapabilityError when a bracket is
+    inexact (node values that are not those of a polynomial do not fix B_n f
+    by their first m + 1), and ValueError unless f has poly_coeffs and n is
+    an integer >= 1, or when two brackets have different dens.
+    """
+    if f.poly_coeffs is None:
+        raise ValueError(f"classic_power_form: {f.name} is not a polynomial spec")
+    if n % 1:
+        raise ValueError(f"classic_power_form: n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("classic_power_form: n must be >= 1")
+    n = int(n)
+    brackets = [f.scaled_bracket(k, n, APPROX_BITS, 1)
+                for k in range(min(len(f.poly_coeffs) - 1, n) + 1)]
+    nums, _, exacts = zip(*brackets)
+    if not all(exacts):
+        raise CapabilityError(f"{f.name}: the power form of B_n f needs exact node values")
+    den = f.row_den(brackets)
+    return [math.comb(n, j) * d for j, d in enumerate(_forward_differences(nums))], den
 
 
 # The kernel's weights grow by at most C(n, L) over L degree steps (u <= 1).
@@ -492,6 +530,7 @@ __all__ = [
     "OperatorKind",
     "BernsteinModel",
     "build_model",
+    "classic_power_form",
     "evaluate",
     "evaluate_exact",
     "derivative_model",

@@ -18,6 +18,7 @@ from bernint import (
     build_model,
     builtin,
     converse_experiment,
+    derivative_model,
     entries,
     error_curve,
     evaluate,
@@ -33,6 +34,7 @@ from bernint import (
     voronovskaya_check,
 )
 import bernint.analysis as analysis
+import bernint.operators as operators
 from bernint.analysis import _MAX_GRID_POINTS, SaturationVerdict, _omega1_window_max
 from bernint.operators import BernsteinModel, gap_interval
 
@@ -416,6 +418,50 @@ def test_error_curve_classic_x2_frozen():
     curve = error_curve(X2, CLASSIC, 0, [16, 32])
     assert abs(curve[0].error - 1.0 / 64) <= 1e-15
     assert abs(curve[1].error - 1.0 / 128) <= 1e-15
+
+
+POLYNOMIALS = [e.spec.name for e in entries() if e.spec.poly_coeffs is not None]
+
+
+@pytest.mark.parametrize("name", POLYNOMIALS)
+def test_classic_error_curve_matches_the_model_route(name):
+    # the power-form path against sup_norm of the Classic model's s-th
+    # derivative minus f^(s), at every order up to the first that vanishes
+    f = builtin(name)
+    deg = len(f.poly_coeffs) - 1
+    for s in range(deg + 2):
+        for p in error_curve(f, CLASSIC, s, [1, 2, 3, 16, 512]):
+            dm = derivative_model(build_model(f, p.n, CLASSIC), s)
+            want = sup_norm(lambda xs: evaluate(dm, xs) - f.deriv_float(s, xs)).value
+            if f.integer_linear or s > deg:  # E_n^(s) is the zero polynomial
+                assert p.error == 0.0 and want <= 1e-13
+            else:
+                assert p.error == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_power_form_errors_call_no_kernel(monkeypatch):
+    calls = []
+    kernel = operators._bernstein_linear
+
+    def counted(coeffs, xs):
+        calls.append(xs.size)
+        return kernel(coeffs, xs)
+
+    monkeypatch.setattr(operators, "_bernstein_linear", counted)
+    with monkeypatch.context() as m:
+        for name in ("build_model", "derivative_model", "evaluate"):
+            m.setattr(analysis, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+        for name in POLYNOMIALS:
+            f = builtin(name)
+            for s in range(len(f.poly_coeffs) + 1):
+                error_curve(f, CLASSIC, s, [1, 16, 512])
+        for kind in (FLOOR, NEAREST):
+            assert {p.error for p in error_curve(builtin("integer_linear(3,2)"), kind, 0,
+                                                 [16, 512])} == {0.0}
+    assert calls == []
+    # the integer kinds of any other spec keep the model path
+    error_curve(X2, FLOOR, 0, [16])
+    assert calls
 
 
 def test_error_curve_capability_check():

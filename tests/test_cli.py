@@ -241,6 +241,20 @@ def test_rate_insufficient_data_is_annotated_not_fatal(capsys):
     assert doc["fit"] is None and "note" in doc
 
 
+@pytest.mark.parametrize("kind", ["classic", "floor"])
+def test_trivial_class_errors_are_exactly_zero(kind, capsys):
+    # every kind reproduces an integer-linear f, so B_n f - f is 0, not
+    # rounding noise, and no rate is fitted to it
+    argv = ["--fn", "integer_linear(3,2)", "--kind", kind]
+    rc, doc = run_json(["rate", *argv], capsys)
+    assert rc == 0
+    assert [(r["n"], r["error"]) for r in doc["errors"]] == [(16 << i, 0.0) for i in range(6)]
+    assert doc["fit"] is None
+    assert doc["note"] == "fit_rate: need >= 4 positive pairs, got 0 (6 exact zeros)"
+    rc, doc = run_json(["error", *argv], capsys)
+    assert rc == 0 and [r["error"] for r in doc["rows"]] == [0.0] * 6
+
+
 def test_coeffs_floor_drops_half(capsys):
     rc, doc = run_json(
         ["coeffs", "--fn", "monomial(2)", "--kind", "floor", "--n", "2"], capsys

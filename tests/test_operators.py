@@ -19,6 +19,7 @@ from bernint import (
     binomial_row,
     build_model,
     builtin,
+    classic_power_form,
     derivative_model,
     evaluate,
     evaluate_exact,
@@ -27,7 +28,7 @@ from bernint import (
     saturation_probe,
     sup_norm,
 )
-from bernint.exact import round_ratio
+from bernint.exact import homogeneous_sum, round_ratio
 from bernint.operators import APPROX_BITS, gap_interval
 
 from conftest import model_from_coeffs
@@ -520,9 +521,44 @@ def test_build_model_takes_integral_degrees_only():
             build_model(X3, n, CLASSIC)
 
 
-def _x_over_3(den_of, row_oracle=False):
+@pytest.mark.parametrize("name", [e.spec.name for e in corpus.entries()
+                                  if e.spec.poly_coeffs is not None])
+def test_classic_power_form_is_the_classic_model(name):
+    # B_n f = sum_j e_j x^j / den, of degree min(deg, n), at n < deg too
+    f = builtin(name)
+    deg = len(f.poly_coeffs) - 1
+    for n in (*range(1, deg + 2), 8, 255, 4096):
+        e, den = classic_power_form(f, n)
+        assert len(e) == min(deg, n) + 1
+        assert all(type(v) is int for v in (*e, den))
+        model = build_model(f, n, CLASSIC)
+        for x in (F(1, 2), F(1, 3), F(601, 999)):
+            a, b = x.numerator, x.denominator
+            assert F(homogeneous_sum(e, a, b), den * b ** (len(e) - 1)) == evaluate_exact(model, x)
+
+
+def test_classic_power_form_refuses_what_it_cannot_read():
+    for n in (8.5, 0):
+        with pytest.raises(ValueError, match="classic_power_form: n must be"):
+            classic_power_form(X3, n)
+    assert classic_power_form(X3, np.int64(8)) == classic_power_form(X3, 8)
+    with pytest.raises(ValueError, match="abs_shift is not a polynomial spec"):
+        classic_power_form(builtin("abs_shift"), 8)
+    with pytest.raises(ValueError, match="x_over_3: bracket den must depend only on"):
+        classic_power_form(_x_over_3(lambda n, k: 3 * n * (k + 1), poly=True), 4)
+    # inexact node values are not a polynomial's, so their first deg + 1 do
+    # not fix B_n f: x^2 with its bracket at k = 1 flagged inexact
+    f = corpus.FunctionSpec("x2_inexact", s_max=None, poly_coeffs=X2.poly_coeffs,
+                            deriv_float=X2.deriv_float, deriv_exact=X2.deriv_exact,
+                            scaled_bracket=lambda k, n, bits, c: (2 * k * k * c, 2 * n * n, k != 1))
+    with pytest.raises(corpus.CapabilityError, match="x2_inexact: the power form of B_n f needs"):
+        classic_power_form(f, 4)
+
+
+def _x_over_3(den_of, row_oracle=False, poly=False):
     """f = x/3 with the node bracket over den_of(n, k), exact at every node;
-    with ``row_oracle`` the spec also serves whole rows of those brackets."""
+    with ``row_oracle`` the spec also serves whole rows of those brackets,
+    and with ``poly`` it declares its coefficients (0, 1/3)."""
     def bracket(k, n, bits, c):
         den = den_of(n, k)
         return k * den * c // (3 * n), den, True
@@ -532,6 +568,7 @@ def _x_over_3(den_of, row_oracle=False):
 
     return corpus.FunctionSpec("x_over_3", s_max=0, scaled_bracket=bracket,
                                scaled_bracket_row=row if row_oracle else None,
+                               poly_coeffs=(F(0), F(1, 3)) if poly else None,
                                deriv_float=lambda s, xs: xs / 3,
                                deriv_exact=lambda s, x: x / 3)
 
