@@ -16,10 +16,12 @@ proximity bounds, saturation and moduli live:
 * omega1 / omega_phi2: moduli of smoothness on [0, 1], sampled on uniform
   grids.  omega1 takes the largest max - min over sliding windows, with
   running maxima and minima built by doubling (O(m log w) for m points and
-  w steps); the second-order Ditzian-Totik modulus applies the paper rule
-  "difference = 0 when a node leaves [0,1]" literally.  Both raise
-  ValueError, as sup_norm does, when the target is NaN or infinite at a
-  sampled point.
+  w steps), and refuses a t below its finest step 2^-18; the second-order
+  Ditzian-Totik modulus applies the paper rule "difference = 0 when a node
+  leaves [0,1]" literally, and takes the second difference of a
+  polynomial spec's derivative in its exact Taylor form, free of the
+  cancellation of target differences at small t.  Both raise ValueError,
+  as sup_norm does, when the target is NaN or infinite at a sampled point.
 * fit_rate: least-squares slope of log error against log n, with exact zeros
   excluded (they signal the trivial class, not a rate).
 * experiment procedures (error_curve, voronovskaya_check, saturation_probe,
@@ -59,6 +61,7 @@ from bernint.operators import (
     APPROX_BITS,
     BernsteinModel,
     OperatorKind,
+    _degree,
     build_model,
     classic_power_form,
     derivative_model,
@@ -280,7 +283,12 @@ def omega1(F, t: float, points: Optional[int] = None) -> ModulusEstimate:
 def omega1_sweep(
     F, ts: Sequence[float], points: Optional[int] = None
 ) -> list[ModulusEstimate]:
-    """omega1 at several t on one shared grid (makes monotonicity exact)."""
+    """omega1 at several t on one shared grid (makes monotonicity exact).
+
+    The grid has at most _MAX_GRID_POINTS points, so its finest step is
+    2^-18; a t below it (no two grid points within t) raises ValueError
+    naming that step, rather than reading an empty window as 0.0.
+    """
     ts = [float(t) for t in ts]
     if not ts:
         raise ValueError("omega1: need at least one t")
@@ -289,38 +297,119 @@ def omega1_sweep(
             raise ValueError(f"omega1: need 0 < t <= 1, got t={t}")
     need = int(math.ceil(_OMEGA1_MIN_WINDOW / min(ts))) + 1
     m = min(max(points or DEFAULT_GRID.points, need), _MAX_GRID_POINTS)
-    xs = np.linspace(0.0, 1.0, m)
     step = 1.0 / (m - 1)
+    windows = [int(math.floor(t / step + 1e-9)) for t in ts]
+    if min(windows) == 0:
+        # no two grid points lie within t: the window max would read 0.0
+        raise ValueError(f"omega1: t={min(ts)!r} is below the finest grid step; "
+                         f"the smallest t it resolves is {step!r}")
+    xs = np.linspace(0.0, 1.0, m)
     vals = _finite_values(_as_eval(F), xs, "omega1")
-    return [
-        ModulusEstimate(t=t, value=_omega1_window_max(vals, int(math.floor(t / step + 1e-9))))
-        for t in ts
-    ]
+    return [ModulusEstimate(t=t, value=_omega1_window_max(vals, w)) for t, w in zip(ts, windows)]
 
 
-def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimate:
-    """Second-order Ditzian-Totik modulus with step weight phi(x) = sqrt(x(1-x)).
+def _taylor_rows(coeffs, s: int) -> list[list[float]]:
+    """Float coefficients of A_j = 2 g^(2j) / (2j)!, j = 1..deg(g) // 2, for
+    g = f^(s) of the polynomial f = sum_k coeffs[k] x^k; row j - 1, lowest
+    order first.
+
+    Then Delta^2_d g(x) = g(x + d) - 2 g(x) + g(x - d) = sum_j A_j(x) d^(2j)
+    exactly.  With f = sum_k e_k x^k / D on ints, g has the integer
+    coefficients g_k = (k + s)!/k! e_(k+s) over D, and A_j the coefficients
+    2 C(i + 2j, 2j) g_(i+2j), i >= 0, each turned into a float by one
+    correctly rounded int / int division.  A g of degree below 2 has no row.
+    """
+    e, d = common_denominator(coeffs)
+    g = [math.perm(k, s) * c for k, c in enumerate(e)][s:]
+    return [[2 * math.comb(k, 2 * j) * g[k] / d for k in range(2 * j, len(g))]
+            for j in range(1, (len(g) + 1) // 2)]
+
+
+def omega_phi2(f, t: float, grid: Optional[GridConfig] = None, s: int = 0) -> ModulusEstimate:
+    """Second-order Ditzian-Totik modulus of g = f^(s), phi(x) = sqrt(x(1-x)).
 
     sup over 64 log-spaced h in (t/100, t] and a uniform x grid of
-    |f(x + h phi(x)) - 2 f(x) + f(x - h phi(x))|, the difference taken as 0
-    whenever a node leaves [0, 1] (the paper's "0, otherwise" rule).  Raises
-    ValueError if f yields a NaN or an infinity at any evaluated point.
-    The steps run _H_BLOCK at a time, one target call on the clipped
-    x + h phi and x - h phi of the whole block, which needs a target whose
-    value at a point does not depend on the batch.  Every block reuses one
-    node array, and the second differences are taken in place in it.
+    |Delta^2 g(x)| = |g(x + h phi(x)) - 2 g(x) + g(x - h phi(x))|, the
+    difference taken as 0 whenever a node leaves [0, 1] (the paper's "0,
+    otherwise" rule; the test is (x - h phi >= 0) & (x + h phi <= 1) in
+    floats).  f is a FunctionSpec or a callable; order s > 0 needs a spec
+    (ValueError for a callable; CapabilityError above the spec's s_max).
+    Two paths give the value:
+
+    * the Taylor path, for a spec with ``poly_coeffs``: Delta^2 g(x) =
+      sum_{j>=1} A_j(x) d^(2j) with d = fl(h phi(x)) and A_j = 2 g^(2j)/(2j)!
+      (_taylor_rows), each A_j evaluated once on the grid, then one Horner
+      sum of degree deg(g) // 2 in y = fl(d^2) per point and step.  No
+      target call and no cancellation: each value lies within
+      4 (deg(g) + 1) u sum_j |A_j|~(x) d^(2j) of the exact |Delta^2_d g(x)|
+      at that d, where |A_j|~ has the absolute values of A_j's coefficients
+      and u = 2^-53 (the rounding of the coefficients, of both Horner sums
+      and of y), so the value keeps its relative accuracy as t shrinks.  A
+      g of degree below 2 gives exactly 0.0.
+    * the direct path, for a callable or any other spec: the difference of
+      target values at the float nodes fl(x +- h phi(x)), clipped to [0, 1].
+      Each target value carries its own rounding, of order u sup |g|
+      whatever t is, so the relative error of the result is unbounded as t
+      shrinks: for x^2 at t = 1e-6 it reads 5.000444502911705e-13, above
+      the exact sup t^2/2 = 5e-13, and at t = 1e-7 the result falls under
+      the noise floor below.  A max at most 32 eps max(1, max |g|) is
+      reported as 0.0, the honest lower bound for a second difference that
+      vanishes exactly (a linear g).  The steps run _H_BLOCK at a time, one
+      target call on the clipped x + h phi and x - h phi of the whole
+      block, which needs a target whose value at a point does not depend on
+      the batch.
+
+    Raises ValueError if g is NaN or infinite at an evaluated point (a
+    coefficient row A_j, on the Taylor path).
     """
     t = float(t)
     if not (0.0 < t <= 1.0):
         raise ValueError(f"omega_phi2: need 0 < t <= 1, got {t}")
-    fn = _as_eval(f)
+    spec = isinstance(f, FunctionSpec)
+    if s and not spec:
+        raise ValueError(f"omega_phi2: order s = {s} needs a FunctionSpec, not a callable")
+    if spec:
+        f.require(s)
     m = grid.points if grid is not None else DEFAULT_GRID.points
     xs = np.linspace(0.0, 1.0, m)
     phi = np.sqrt(xs * (1.0 - xs))
-    mid = _finite_values(fn, xs, "omega_phi2")
-    mid2 = 2.0 * mid
     hs = np.geomspace(t / _H_SPAN, t, _H_COUNT)
     hs[-1] = t * _H_BACKOFF
+    if spec and f.poly_coeffs is not None:
+        rows = [_finite_values(lambda x, a=a: _horner(a, x), xs, "omega_phi2")
+                for a in _taylor_rows(f.poly_coeffs, s)]
+        return ModulusEstimate(t=t, value=_omega_phi2_taylor(rows, xs, phi, hs))
+    fn = (lambda x: f.deriv_float(s, x)) if spec else _as_eval(f)
+    return ModulusEstimate(t=t, value=_omega_phi2_direct(fn, xs, phi, hs))
+
+
+def _omega_phi2_taylor(rows, xs, phi, hs) -> float:
+    """max over hs and feasible x of |sum_j rows[j-1] (h phi)^(2j)| (Taylor path)."""
+    if not rows:
+        return 0.0
+    best = 0.0
+    for i in range(0, _H_COUNT, _H_BLOCK):
+        off = hs[i:i + _H_BLOCK, None] * phi
+        # the direct path's test: xs - off >= 0 in floats is off <= xs,
+        # since a float difference is 0 only when it is exactly 0
+        feasible = off <= xs
+        feasible &= xs + off <= 1.0
+        y = np.multiply(off, off, out=off)
+        acc = rows[-1] * y
+        for a in rows[-2::-1]:
+            acc += a
+            acc *= y
+        np.abs(acc, out=acc)
+        acc *= feasible
+        best = max(best, float(acc.max()))
+    return best
+
+
+def _omega_phi2_direct(fn, xs, phi, hs) -> float:
+    """omega_phi2 from target values at the float nodes (direct path)."""
+    m = xs.size
+    mid = _finite_values(fn, xs, "omega_phi2")
+    mid2 = 2.0 * mid
     best = 0.0
     # one node array for every block: pts[0] is x + h phi and pts[1] is
     # x - h phi, one row per step
@@ -346,7 +435,7 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None) -> ModulusEstimat
     scale = max(1.0, float(np.max(np.abs(mid))))
     if best <= 32.0 * np.finfo(np.float64).eps * scale:
         best = 0.0
-    return ModulusEstimate(t=t, value=best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +634,7 @@ def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> Voronovskay
     poly = f.poly_coeffs is not None
     rows = []
     for n in n_list:
-        if n % 1:
-            raise ValueError(f"voronovskaya_check: n must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError("voronovskaya_check: n must be >= 1")
-        n = int(n)
+        n = _degree(n, "voronovskaya_check")
         if poly:
             e, den = classic_power_form(f, n)
             m, c = len(e) - 1, b
@@ -585,6 +670,23 @@ class SaturationReport:
     notes: str
 
 
+def _reproduces(f: FunctionSpec, n: int, kind: OperatorKind) -> bool:
+    """Whether the degree-n model of an integer-linear f = px + q equals f,
+    coefficient for coefficient; O(deg) per n and no model.
+
+    Classic: B_n f, read off classic_power_form, has f's power coefficients.
+    Integer kinds: the scaled node value C(n,k) f(k/n) = C(n,k)(pk/n + q)
+    = p C(n-1,k-1) + q C(n,k) is an integer, which floor and nearest (under
+    every tie policy) round to itself, so every coefficient is f(k/n): the
+    model is f at every n, and no computation is needed.
+    """
+    if kind is not OperatorKind.CLASSIC:
+        return True
+    e, den = classic_power_form(f, n)
+    fe, fd = common_denominator(f.poly_coeffs)
+    return all(u * fd == v * den for u, v in zip_longest(e, fe, fillvalue=0))
+
+
 def saturation_probe(
     f: FunctionSpec,
     kind: OperatorKind,
@@ -595,8 +697,8 @@ def saturation_probe(
 ) -> SaturationReport:
     """Classify the decay of n * ||(model)^(s) - f^(s)|| over ``n_list``.
 
-    TrivialClass: integer-linear f reproduced exactly at every n (verified by
-    coefficient comparison, not by measurement).  SaturatedRate: n*error
+    TrivialClass: integer-linear f reproduced exactly at every n (decided
+    exactly by _reproduces, not by measurement).  SaturatedRate: n*error
     stays in a band ("bounded" = max/min over the top half of the sweep
     < 10).  SubSaturated: n*error decays (last < first/10); for a
     non-integer-linear f this contradicts the saturation theorem and is
@@ -606,14 +708,8 @@ def saturation_probe(
         raise ValueError("saturation_probe: need at least two n values")
     require_integer_endpoints(f)
     if f.integer_linear:
-        reproduced = True
-        for n in n_list:
-            model = build_model(f, n, kind, tie)
-            samples = tuple(f.eval_exact(Fraction(k, model.n)) for k in range(model.n + 1))
-            if model.coeffs != samples:
-                reproduced = False
-                break
-        if reproduced:
+        # each n is a model degree, refused as build_model refuses it
+        if all(_reproduces(f, _degree(n, "build_model"), kind) for n in n_list):
             return SaturationReport(
                 verdict=SaturationVerdict.TRIVIAL_CLASS,
                 rows=tuple((int(n), 0.0) for n in n_list),
@@ -782,7 +878,7 @@ def converse_experiment(
         )
     deriv = lambda xs: f.deriv_float(s, xs)  # noqa: E731
     ts = [float(t) for t in t_list]
-    w2_pairs = tuple((t, omega_phi2(deriv, t, grid).value) for t in ts)
+    w2_pairs = tuple((t, omega_phi2(f, t, grid, s).value) for t in ts)
     w1_pairs = tuple((e.t, e.value) for e in omega1_sweep(deriv, ts, grid.points))
     slope_w2, w2_zero = _fit_loglog([t for t, _ in w2_pairs], [v for _, v in w2_pairs])
     slope_w1, w1_zero = _fit_loglog([t for t, _ in w1_pairs], [v for _, v in w1_pairs])

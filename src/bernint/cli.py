@@ -510,7 +510,7 @@ def _cmd_modulus(cfg: RunConfig):
     f.require(cfg.s)
     target = f if cfg.s == 0 else (lambda xs: f.deriv_float(cfg.s, xs))
     w1 = omega1_sweep(target, cfg.t_list, points=cfg.grid.points)
-    w2 = [omega_phi2(target, t, cfg.grid) for t in cfg.t_list]
+    w2 = [omega_phi2(f, t, cfg.grid, cfg.s) for t in cfg.t_list]
     rows = [
         {"t": t, "omega1": a.value, "omega_phi2": b.value}
         for t, a, b in zip(cfg.t_list, w1, w2)

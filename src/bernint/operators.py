@@ -131,6 +131,15 @@ class BernsteinModel:
         )
 
 
+def _degree(n, who: str) -> int:
+    """n as an int degree; ValueError naming ``who`` unless n is an integer >= 1."""
+    if n % 1:
+        raise ValueError(f"{who}: n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{who}: n must be >= 1")
+    return int(n)
+
+
 def build_model(
     f,
     n: int,
@@ -149,11 +158,7 @@ def build_model(
     coeffs_exact=False: exact at the exact nodes, and each c_k within
     2^-(APPROX_BITS + 1) / n of f(k/n) at the others.
     """
-    if n % 1:
-        raise ValueError(f"build_model: n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("build_model: n must be >= 1")
-    n = int(n)
+    n = _degree(n, "build_model")
     row = binomial_row(n)
     if kind is OperatorKind.CLASSIC:
         nums, dens, exacts = zip(*f.scaled_bracket_row(n, APPROX_BITS, (1,) * (n + 1)))
@@ -191,11 +196,7 @@ def classic_power_form(f, n: int) -> tuple[list, int]:
     """
     if f.poly_coeffs is None:
         raise ValueError(f"classic_power_form: {f.name} is not a polynomial spec")
-    if n % 1:
-        raise ValueError(f"classic_power_form: n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("classic_power_form: n must be >= 1")
-    n = int(n)
+    n = _degree(n, "classic_power_form")
     brackets = [f.scaled_bracket(k, n, APPROX_BITS, 1)
                 for k in range(min(len(f.poly_coeffs) - 1, n) + 1)]
     nums, _, exacts = zip(*brackets)

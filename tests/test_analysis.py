@@ -14,6 +14,7 @@ from bernint import (
     GridConfig,
     InsufficientData,
     OperatorKind,
+    TiePolicy,
     boundary_interpolation_check,
     build_model,
     builtin,
@@ -366,6 +367,81 @@ def test_omega_phi2_checks_every_offset_point(step, side):
         omega_phi2(target, t, GridConfig(points=m))
 
 
+POLY_ENTRIES = [e.spec.name for e in entries() if e.spec.poly_coeffs is not None]
+
+
+@pytest.mark.parametrize("name", POLY_ENTRIES)
+def test_omega_phi2_taylor_path_matches_the_per_step_sweep(name):
+    """A polynomial spec's Taylor-form modulus is the direct one to 1e-8 relative."""
+    f = builtin(name)
+    for s in range(len(f.poly_coeffs)):
+        fn = lambda xs, s=s: f.deriv_float(s, xs)
+        for m in (33, 4097):
+            for t in (0.003, 0.05, 0.4, 1.0):
+                got = omega_phi2(f, t, GridConfig(points=m), s).value
+                want = _omega_phi2_per_step(fn, t, m)
+                assert abs(got - want) <= 1e-8 * want, (s, m, t, got, want)
+
+
+def test_omega_phi2_taylor_path_is_the_exact_difference_within_its_rounding_bound():
+    """At one (x, h), the Taylor value is the exact Delta^2 g at d = fl(h phi(x))
+    within 4 (deg g + 1) u sum_j |A_j|~(x) d^(2j) (the omega_phi2 docstring)."""
+    rng = np.random.default_rng(2205)
+    cases = [(builtin(name), s) for name in POLY_ENTRIES
+             for s in range(len(builtin(name).poly_coeffs) - 2)]
+    u = F(1, 2 ** 53)
+    checked = 0
+    while checked < 50:
+        f, s = cases[rng.integers(len(cases))]
+        x, h = float(rng.uniform(0.0, 1.0)), float(10.0 ** rng.uniform(-8.0, 0.0))
+        xs = np.array([x])
+        phi = np.sqrt(xs * (1.0 - xs))
+        d = F(float(h * phi[0]))
+        if not (d <= F(x) and F(x) + d <= 1):
+            continue
+        rows = [analysis._horner(a, xs) for a in analysis._taylor_rows(f.poly_coeffs, s)]
+        got = analysis._omega_phi2_taylor(rows, xs, phi, np.full(64, h))
+        g = [F(math.perm(k, s)) * c for k, c in enumerate(f.poly_coeffs)][s:]
+        at = lambda z: sum(c * z ** k for k, c in enumerate(g))  # noqa: E731
+        exact = abs(at(F(x) + d) - 2 * at(F(x)) + at(F(x) - d))
+        terms = sum(abs(2 * math.comb(k, 2 * j) * g[k]) * F(x) ** (k - 2 * j) * d ** (2 * j)
+                    for j in range(1, (len(g) + 1) // 2) for k in range(2 * j, len(g)))
+        assert abs(F(got) - exact) <= 4 * len(g) * u * terms, (f.name, s, x, h)
+        checked += 1
+
+
+def test_omega_phi2_taylor_path_keeps_x2_at_small_t():
+    # the direct path reads 5.000444502911705e-13 at t = 1e-6 and 0.0 at 1e-7
+    for t in (1e-7, 1e-6, 1e-3, 1.0):
+        assert t * t / 2 * (1.0 - 1e-3) <= omega_phi2(X2, t).value <= t * t / 2, t
+    assert omega_phi2(X2, 1e-6).value <= 5e-13
+
+
+def test_omega_phi2_of_a_linear_derivative_is_exactly_zero():
+    for name, s in (("integer_linear(3,2)", 0), ("monomial(2)", 1), ("monomial(3)", 2),
+                    ("monomial(3)", 3), ("monomial(3)", 4), ("poly_boundary_flat(2)", 5)):
+        assert omega_phi2(builtin(name), 0.4, s=s).value == 0.0, (name, s)
+
+
+def test_omega_phi2_orders_need_a_spec():
+    with pytest.raises(ValueError, match="omega_phi2: order s = 1 needs a FunctionSpec"):
+        omega_phi2(X2.eval_float, 0.1, s=1)
+    with pytest.raises(CapabilityError):
+        omega_phi2(builtin("abs_shift"), 0.1, s=1)
+    # a non-polynomial spec takes the direct path: the callable's value
+    f = builtin("holder_interior(3/2)")
+    assert omega_phi2(f, 0.2, s=1).value == omega_phi2(lambda xs: f.deriv_float(1, xs), 0.2).value
+
+
+def test_omega1_refuses_a_t_below_its_finest_step():
+    step = 1.0 / (_MAX_GRID_POINTS - 1)
+    for ts in ([1e-7], [0.1, 2e-7], [step * 0.99]):
+        with pytest.raises(ValueError, match=f"omega1: t=.* is below the finest grid step; "
+                                             f"the smallest t it resolves is {step!r}"):
+            omega1_sweep(lambda x: 3.0 * x * x, ts)
+    assert omega1_sweep(lambda x: x, [step])[0].value == pytest.approx(step)
+
+
 def test_omega1_subadditive_on_corpus_functions():
     for name in ("abs_shift", "holder_interior(1/2)", "poly_boundary_flat(2)"):
         f = builtin(name).eval_float
@@ -618,6 +694,25 @@ def test_saturation_trivial_class():
     assert rep.verdict is SaturationVerdict.TRIVIAL_CLASS
     assert all(v == 0.0 for _, v in rep.rows)
     assert not rep.inconsistent
+
+
+@pytest.mark.parametrize("name", ["integer_linear(3,2)", "integer_linear(-2,0)",
+                                  "integer_linear(0,5)", "integer_linear(7,-3)"])
+def test_trivial_class_check_agrees_with_the_models(name):
+    """The O(deg) reproduction check equals the per-node model comparison."""
+    f = builtin(name)
+    ns = range(1, 65)
+    for kind in OperatorKind:
+        for tie in TiePolicy:
+            for n in ns:
+                model = build_model(f, n, kind, tie)
+                samples = tuple(f.eval_exact(F(k, n)) for k in range(n + 1))
+                assert analysis._reproduces(f, n, kind) == (model.coeffs == samples)
+            rep = saturation_probe(f, kind, 0, ns, tie=tie)
+            assert rep.verdict is SaturationVerdict.TRIVIAL_CLASS
+            assert rep.rows == tuple((n, 0.0) for n in ns)
+            assert rep.notes == ("integer-linear function reproduced exactly at every n "
+                                 "(coefficient comparison)")
 
 
 def test_saturation_band_x2():

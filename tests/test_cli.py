@@ -338,6 +338,19 @@ def test_converse_moduli_use_its_grid(capsys):
         assert all(a["value"] != b["value"] for a, b in zip(coarse[key], default[key]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["converse", "--fn", "monomial(3)", "--s", "1", "--t", "1e-7,2e-7",
+     "--n-min", "16", "--n-max", "128"],
+    ["modulus", "--fn", "monomial(2)", "--t", "1e-6"],
+])
+def test_t_below_the_omega1_grid_exits_2(argv, capsys):
+    # omega1's finest step is 2^-18: a smaller t used to read as an exact zero
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the smallest t it resolves is 3.814697265625e-06" in captured.err
+
+
 def test_saturation_trivial_json(capsys):
     rc, doc = run_json(
         ["saturation", "--fn", "integer_linear(3,2)", "--kind", "floor",
