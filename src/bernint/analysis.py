@@ -12,7 +12,9 @@ proximity bounds, saturation and moduli live:
   bounded, so a value may lie above the true one by that rounding.  The
   grid is built once per point count and shared, read-only, by every call.
 * proximity_gap: sup_norm of the gap between an integer kind and B_n f,
-  measured on the midpoint of the integer rows of operators.gap_interval.
+  measured on the midpoint of the integer rows of operators.gap_interval,
+  summed by operators._endpoint_sum: from degree 70 on, the terms near the
+  end each point is on, within 2^-64 max_k |e_k| / den of the full sum.
 * omega1 / omega_phi2: moduli of smoothness on [0, 1], sampled on uniform
   grids.  omega1 takes the largest max - min over sliding windows, with
   running maxima and minima built by doubling (O(m log w) for m points and
@@ -28,18 +30,21 @@ proximity bounds, saturation and moduli live:
   boundary_interpolation_check, converse_experiment, hypothesis_check)
   wiring the operators and corpus together.  error_curve measures every
   point of [0, 1], a spec's kink included.  For a polynomial of degree deg
-  both error_curve (Classic kind, and every kind for an integer-linear f)
-  and voronovskaya_check read B_n f off its power form
+  both error_curve and voronovskaya_check read B_n f off its power form
   (operators.classic_power_form), the Newton form
   B_n f(x) = sum_{j<=m} C(n,j) Delta^j_{1/n} f(0) x^j, m = min(deg, n),
   built from the first m + 1 node brackets: O(deg) small-integer work per n
   and no model.  error_curve takes E_n = B_n f - f exactly and its s-th
   derivative to floats, and runs a degree deg - s Horner sum per point in
-  place of the O(n) kernel; every other (spec, kind) builds the model and
-  runs the kernel.  voronovskaya_check evaluates the power form exactly at
-  x; any other spec (only custom specs reach it: no other built-in one has
-  an exact f'') takes one row of n + 1 node brackets at c = C(n,k), the row
-  gap_interval reads, with one homogeneous_sum per n.
+  place of the O(n) kernel.  Under FloorInt and NearestInt (for an f that
+  is not integer-linear) it adds the s-th derivative of the exact gap row
+  of gap_interval, summed by operators._endpoint_sum (from degree 70 on,
+  near each end with kernel calls of degree at most 30).  Every other
+  (spec, kind) builds the model and runs the degree-n kernel.
+  voronovskaya_check evaluates the power form exactly at x; any other spec
+  (only custom specs reach it: no other built-in one has an exact f'')
+  takes one row of n + 1 node brackets at c = C(n,k), the row gap_interval
+  reads, with one homogeneous_sum per n.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ from bernint.exact import (DEFAULT_TIE, TiePolicy, binomial_row, common_denomina
                            homogeneous_sum)
 from bernint.operators import (
     APPROX_BITS,
-    BernsteinModel,
     OperatorKind,
     _degree,
+    _derivative_row,
+    _endpoint_sum,
     build_model,
     classic_power_form,
     derivative_model,
@@ -205,14 +211,18 @@ def proximity_gap(
     """Sup-norm estimate of |integer-kind model - B_n f| on [0, 1].
 
     Requires integer endpoint values f(0), f(1) (hypothesis of the 1/n and
-    1/(2n) proximity bounds).  Measures the midpoint of the gap_interval
-    rows, (lo_k + hi_k) / (2 den): c_k - f(k/n), with the bracket midpoint
-    for an irrational f(k/n).
+    1/(2n) proximity bounds) and an integer n >= 1 (ValueError).  Measures
+    the midpoint of the gap_interval rows, (lo_k + hi_k) / (2 den):
+    c_k - f(k/n), with the bracket midpoint for an irrational f(k/n).  The
+    gap is summed by operators._endpoint_sum: one kernel call over the whole
+    row up to n = 69, and from n = 70 on the terms near the end each point
+    is on, within 2^-64 max_k |lo_k + hi_k| / (2 den) of the full sum.
     """
+    n = _degree(n, "proximity_gap")
     require_integer_endpoints(f)
     lo, hi, den = gap_interval(f, n, kind, tie)
-    gap = BernsteinModel(n=n, scaled=tuple(a + b for a, b in zip(lo, hi)), denominator=2 * den)
-    return sup_norm(lambda xs: evaluate(gap, xs), grid)
+    mid = [a + b for a, b in zip(lo, hi)]
+    return sup_norm(lambda xs: _endpoint_sum(mid, 2 * den, xs), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +290,13 @@ def omega1(F, t: float, points: Optional[int] = None) -> ModulusEstimate:
     return omega1_sweep(F, [t], points)[0]
 
 
-def omega1_sweep(
-    F, ts: Sequence[float], points: Optional[int] = None
-) -> list[ModulusEstimate]:
-    """omega1 at several t on one shared grid (makes monotonicity exact).
+def _omega1_grid(ts: list[float], points: Optional[int]) -> tuple[int, list[int]]:
+    """The uniform grid size m and the window of each t that omega1_sweep uses.
 
-    The grid has at most _MAX_GRID_POINTS points, so its finest step is
-    2^-18; a t below it (no two grid points within t) raises ValueError
-    naming that step, rather than reading an empty window as 0.0.
+    Raises ValueError for an empty ts, a t outside (0, 1], and a t below the
+    finest step of the grid (no two grid points within t).  No target is
+    evaluated, so callers can refuse a t list before any costly work.
     """
-    ts = [float(t) for t in ts]
     if not ts:
         raise ValueError("omega1: need at least one t")
     for t in ts:
@@ -303,6 +310,20 @@ def omega1_sweep(
         # no two grid points lie within t: the window max would read 0.0
         raise ValueError(f"omega1: t={min(ts)!r} is below the finest grid step; "
                          f"the smallest t it resolves is {step!r}")
+    return m, windows
+
+
+def omega1_sweep(
+    F, ts: Sequence[float], points: Optional[int] = None
+) -> list[ModulusEstimate]:
+    """omega1 at several t on one shared grid (makes monotonicity exact).
+
+    The grid has at most _MAX_GRID_POINTS points, so its finest step is
+    2^-18; a t below it (no two grid points within t) raises ValueError
+    naming that step, rather than reading an empty window as 0.0.
+    """
+    ts = [float(t) for t in ts]
+    m, windows = _omega1_grid(ts, points)
     xs = np.linspace(0.0, 1.0, m)
     vals = _finite_values(_as_eval(F), xs, "omega1")
     return [ModulusEstimate(t=t, value=_omega1_window_max(vals, w)) for t, w in zip(ts, windows)]
@@ -545,7 +566,7 @@ def error_curve(
     """Per n: sup-norm estimate of |(model)^(s) - f^(s)| on [0, 1].
 
     Every point of [0, 1] counts, a kink included: each served derivative
-    order of a built-in spec is continuous there.  Two paths:
+    order of a built-in spec is continuous there.  Three paths:
 
     * the power-form path, for a polynomial spec (``poly_coeffs``) under the
       Classic kind, and for an integer-linear f under every kind (each kind
@@ -555,26 +576,46 @@ def error_curve(
       coefficient by coefficient (_power_error); sup_norm then runs the
       in-place float Horner of the polynomial deriv_float on it, deg - s
       steps per point.  No model is built and the kernel is not called.
+    * the gap path, for a polynomial spec that is not integer-linear under
+      FloorInt or NearestInt.  The model is B_n f plus the gap G_n of
+      gap_interval, so (model)^(s) - f^(s) = G_n^(s) + E_n^(s): E_n^(s) as
+      on the power-form path, and G_n^(s) from the exact gap row (lo == hi
+      for a polynomial), differentiated s times on ints by the rule of
+      derivative_model (operators._derivative_row) and summed near the end
+      each point is on (operators._endpoint_sum): from n - s = 70 on, one
+      kernel call of degree at most 30 (10 at n - s = 512) per side in
+      place of the degree-n pass, within 2^-64 max_j |e_j| / den of the
+      full sum of the differentiated row (e, den).  No model is built.
     * the model path, for every other (spec, kind): sup_norm of
       evaluate(derivative_model(build_model(f, n, kind, tie), s))
       - f.deriv_float(s), the O(n)-per-point kernel.
 
     At n < s the model's s-th derivative is zero (on the power-form path,
     B_n f has degree below s), so the curve is total over n_list.  The
-    power-form path raises CapabilityError when a polynomial spec's node
-    bracket is inexact.
+    power-form and gap paths raise CapabilityError when a polynomial spec's
+    node bracket is inexact; the gap and model paths raise ValueError
+    naming build_model unless n is an integer >= 1.
     """
     if s < 0:
         raise ValueError("error_curve: s must be >= 0")
     f.require(s)
-    power = f.poly_coeffs is not None and (kind is OperatorKind.CLASSIC or f.integer_linear)
-    if power:
+    poly = f.poly_coeffs is not None
+    power = poly and (kind is OperatorKind.CLASSIC or f.integer_linear)
+    if poly:
         fe, fd = common_denominator(f.poly_coeffs)
     out = []
     for n in n_list:
         if power:
             c = _power_error(classic_power_form(f, n), fe, fd, s)
             est = sup_norm(lambda xs: _horner(c, xs), grid)
+        elif poly:
+            n = _degree(n, "build_model")
+            lo, hi, den = gap_interval(f, n, kind, tie)
+            if lo != hi:
+                raise CapabilityError(f"{f.name}: the gap rows of B_n f need exact node values")
+            e, _ = _derivative_row(hi, n, s)
+            c = _power_error(classic_power_form(f, n), fe, fd, s)
+            est = sup_norm(lambda xs: _endpoint_sum(e, den, xs) + _horner(c, xs), grid)
         else:
             dm = derivative_model(build_model(f, n, kind, tie), s)
             est = sup_norm(lambda xs: evaluate(dm, xs) - f.deriv_float(s, xs), grid)
@@ -835,7 +876,12 @@ def converse_experiment(
     grid: GridConfig = DEFAULT_GRID,
     tie: TiePolicy = DEFAULT_TIE,
 ) -> ConverseReport:
-    """Compare the error-decay exponent with modulus-of-smoothness slopes."""
+    """Compare the error-decay exponent with modulus-of-smoothness slopes.
+
+    Unless f is in the trivial class (whose report skips the moduli), the t
+    list is checked as omega1_sweep checks it before the error curve is
+    measured, so a t the omega1 grid cannot resolve costs no sweep.
+    """
     if s < 1:
         raise ValueError("converse_experiment: s must be >= 1")
     f.require(s)
@@ -855,6 +901,8 @@ def converse_experiment(
             w1_pairs=(),
             notes="trivial class: errors identically zero, fits skipped",
         )
+    ts = [float(t) for t in t_list]
+    _omega1_grid(ts, grid.points)
     curve = error_curve(f, kind, s, n_list, grid, tie)
     pairs = [(p.n, p.error) for p in curve]
     try:
@@ -877,7 +925,6 @@ def converse_experiment(
             notes=f"error curve unusable for a fit: {e}",
         )
     deriv = lambda xs: f.deriv_float(s, xs)  # noqa: E731
-    ts = [float(t) for t in t_list]
     w2_pairs = tuple((t, omega_phi2(f, t, grid, s).value) for t in ts)
     w1_pairs = tuple((e.t, e.value) for e in omega1_sweep(deriv, ts, grid.points))
     slope_w2, w2_zero = _fit_loglog([t for t, _ in w2_pairs], [v for _, v in w2_pairs])

@@ -37,7 +37,14 @@ two unreduced integer rows over one den from one APPROX_BITS bracket per
 node, hi_k = m_k den - num_k and lo_k the same less 1 at the inexact nodes.
 proximity_gap_exact evaluates both rows exactly by homogeneous_sum (none
 at all when both rows are zero), and analysis.proximity_gap (above this
-module) measures their midpoint (lo_k + hi_k) / (2 den) on a grid.
+module) measures their midpoint (lo_k + hi_k) / (2 den) on a grid.  Such a
+row sum_k e_k x^k (1-x)^(m-k) / den is summed in floats by _endpoint_sum:
+its scaled weights x^k (1-x)^(m-k) are tiny away from the ends, so from
+degree 70 on a point x <= 1/2 keeps the terms k < J(m) and a point x > 1/2
+the top J(m), one kernel call of degree J(m) - 1 <= 30 per side (J = 11 at
+m = 512), and the dropped terms total at most 2^-64 max_k |e_k| / den.
+analysis.error_curve sums the s-th derivative of the gap row of a
+polynomial spec the same way, next to its exact E_n.
 
 classic_power_form reads B_n f of a polynomial spec in the power basis from
 its first deg + 1 node brackets, O(deg) work per n; analysis evaluates it
@@ -50,7 +57,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -406,6 +413,78 @@ def evaluate(model: BernsteinModel, x):
     return float(out[0]) if scalar else out
 
 
+@lru_cache(maxsize=None)
+def _endpoint_terms(m: int) -> int:
+    """J(m): the least J <= m/2 with (m+1-J) J^J (m-J)^(m-J) 2^64 <= m^m, else m + 1.
+
+    Decided on integers.  J^J (m-J)^(m-J) / m^m is the largest value
+    B(J) of x^J (1-x)^(m-J) on [0, 1], and the left side falls with J up to
+    m/2, so a bisection finds the least J.  No J qualifies for m <= 69, the
+    first truncating degree is m = 70 (J = 31), and J is 11 at m = 512.
+    """
+    top = m ** m
+
+    def fits(j):
+        return ((m + 1 - j) * j ** j * (m - j) ** (m - j)) << 64 <= top
+
+    lo, hi = 1, m // 2
+    if hi < 1 or not fits(hi):
+        return m + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _endpoint_sum(e, den: int, xs: np.ndarray) -> np.ndarray:
+    """sum_k e_k x^k (1-x)^(m-k) / den at each x of xs, m = len(e) - 1.
+
+    e holds ints and den is an int > 0; the points must lie in [0, 1] (not
+    checked).  With J = _endpoint_terms(m), a point x <= 1/2 keeps the
+    terms k < J:
+
+        (1-x)^(m-J+1) sum_{j<J} c_j C(J-1,j) x^j (1-x)^(J-1-j),
+        c_j = e_j / (den C(J-1,j)),
+
+    one kernel call of degree J - 1 (_bernstein_linear) on the points of
+    its side, times a power factor; a point x > 1/2 keeps, by symmetry, the
+    top J terms k > m - J, x^(m-J+1) times one call on e_(m-J+1..m).  Each
+    c_j is one correctly rounded int / int division, and the factor is
+    exp((m-J+1) log1p(-t)), with t = x on the left and the exact 1 - x on
+    the right.
+
+    Truncation bound: at every x in [0, 1] the dropped terms total at most
+    2^-64 max_j |e_j| / den.  For x <= 1/2 they are the m + 1 - J terms
+    k >= J.  The weight x^k (1-x)^(m-k) is at most B(k) <= B(J) for
+    J <= k <= m/2, where B(k) = k^k (m-k)^(m-k) / m^m is its largest value
+    on [0, 1] and falls up to m/2; for k >= m/2 it is
+    (x(1-x))^(m-k) x^(2k-m) <= 2^-m = B(m/2) <= B(J).  So the dropped terms
+    total at most (m+1-J) B(J) max|e_j| / den, which J(m) keeps under
+    2^-64 max|e_j| / den; x > 1/2 is the mirror image.  At J = m + 1
+    (every m <= 69) nothing is dropped: the value is one kernel call on
+    the coefficients e_k / (den C(m,k)), the call evaluate makes on the
+    BernsteinModel of (e, den), bit for bit.
+    """
+    m = len(e) - 1
+    terms = _endpoint_terms(m)
+    if terms > m:
+        return _bernstein_linear(
+            np.array([v / (den * b) for v, b in zip(e, binomial_row(m))]), xs)
+    row = binomial_row(terms - 1)
+    right = xs > 0.5
+    t = np.where(right, 1.0 - xs, xs)
+    factor = np.exp((m - terms + 1) * np.log1p(-t))
+    out = np.empty_like(xs)
+    for side, ends in ((~right, e[:terms]), (right, e[m - terms + 1:])):
+        if side.any():
+            c = np.array([v / (den * b) for v, b in zip(ends, row)])
+            out[side] = factor[side] * _bernstein_linear(c, xs[side])
+    return out
+
+
 def evaluate_exact(model: BernsteinModel, x) -> Fraction:
     """Exact rational evaluation at rational x = a/b; no rounding anywhere.
 
@@ -435,15 +514,24 @@ def derivative_model(model: BernsteinModel, s: int) -> BernsteinModel:
         raise ValueError(f"derivative_model: order must be >= 0, got {s}")
     if s == 0:
         return model
-    e, m = model.scaled, model.n
-    if s > m:
-        e, m = (0,), 0
-    else:
-        for _ in range(s):
-            e = [(j + 1) * e[j + 1] - (m - j) * e[j] for j in range(m)]
-            m -= 1
-    return BernsteinModel(n=m, scaled=tuple(e), denominator=model.denominator,
+    e, m = _derivative_row(model.scaled, model.n, s)
+    return BernsteinModel(n=m, scaled=e, denominator=model.denominator,
                           coeffs_exact=model.coeffs_exact)
+
+
+def _derivative_row(e, m: int, s: int) -> tuple[tuple, int]:
+    """The integers and degree of the s-th derivative of sum_k e_k x^k (1-x)^(m-k).
+
+    Each step maps e_0..e_m to e'_j = (j+1) e_{j+1} - (m-j) e_j, one degree
+    lower; s > m gives the zero row ((0,), 0).  The rule of derivative_model,
+    shared with the gap rows of analysis.error_curve.
+    """
+    if s > m:
+        return (0,), 0
+    for _ in range(s):
+        e = [(j + 1) * e[j + 1] - (m - j) * e[j] for j in range(m)]
+        m -= 1
+    return tuple(e), m
 
 
 def require_integer_endpoints(f) -> None:
@@ -472,10 +560,13 @@ def gap_interval(
     1, and lo == hi exactly when every bracket is exact.  The basis weights
     are nonnegative, so sum_k e_k x^k (1-x)^(n-k) / den encloses the gap at
     every x between e = lo and e = hi, and the two ends differ by at most
-    2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.
+    2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.  Raises ValueError
+    for the Classic kind and unless n is an integer >= 1 (8.0 and
+    numpy.int64(8) are taken as 8).
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_interval: kind must be FloorInt or NearestInt")
+    n = _degree(n, "gap_interval")
     mode = kind.value
     brackets = f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n))
     den = brackets[0][1]
@@ -503,8 +594,10 @@ def proximity_gap_exact(
     give (0, 0) at every point without a sum.  Points are read as
     evaluate_exact reads them: int and Fraction points as they are, others
     through Fraction(x).  Fully rigorous, which is what lets tests verify
-    the 1/n and 1/(2n) bounds without floats.
+    the 1/n and 1/(2n) bounds without floats.  n is checked as gap_interval
+    checks it, under this function's name.
     """
+    n = _degree(n, "proximity_gap_exact")
     lo, hi, den = gap_interval(f, n, kind, tie)
     width = None if lo == hi else [b - a for a, b in zip(lo, hi)]
     zero = width is None and not any(lo)

@@ -216,6 +216,11 @@ def test_criterion_07_modulus_oracles():
         if not (target * (1.0 - 1e-3) <= v <= target):
             ok = False
             worst = f" omega_phi2({t})={v!r}"
+        # the spec itself takes the Taylor path
+        v = omega_phi2(X2, t).value
+        if not (target * (1.0 - 1e-3) <= v <= target):
+            ok = False
+            worst = f" omega_phi2(monomial(2), {t})={v!r}"
     w1 = omega1(f, 0.25).value
     if not (0.4375 * (1.0 - 1e-3) <= w1 <= 0.4375):
         ok = False
@@ -241,6 +246,13 @@ def test_criterion_08_characterization_band():
         if not all(0.05 <= r <= 20.0 for r in ratios) or band >= 10.0:
             ok = False
         detail.append(f"{name}: ratios [{min(ratios):.3f},{max(ratios):.3f}] band {band:.3f}")
+        # the same band with the spec itself: the Taylor path for polynomials
+        ratios = [(p.error + 1.0 / p.n) / (omega_phi2(f, p.n ** -0.5).value + 1.0 / p.n)
+                  for p in curve]
+        band = max(ratios) / min(ratios)
+        if not all(0.05 <= r <= 20.0 for r in ratios) or band >= 10.0:
+            ok = False
+            detail.append(f"{name} (spec): ratios [{min(ratios):.3f},{max(ratios):.3f}]")
     record_criterion(8, ok, "; ".join(detail) + " (must sit in [1/20,20], band < 10)")
     assert ok
 

@@ -30,6 +30,8 @@ from bernint import (
     omega1,
     omega1_sweep,
     omega_phi2,
+    proximity_gap,
+    proximity_gap_exact,
     saturation_probe,
     sup_norm,
     voronovskaya_check,
@@ -535,9 +537,59 @@ def test_power_form_errors_call_no_kernel(monkeypatch):
             assert {p.error for p in error_curve(builtin("integer_linear(3,2)"), kind, 0,
                                                  [16, 512])} == {0.0}
     assert calls == []
-    # the integer kinds of any other spec keep the model path
+    # the integer kinds of any other polynomial sum their gap row in the kernel
     error_curve(X2, FLOOR, 0, [16])
     assert calls
+
+
+NONLINEAR_POLYNOMIALS = [n for n in POLYNOMIALS if not builtin(n).integer_linear]
+
+
+@pytest.mark.parametrize("kind", [FLOOR, NEAREST])
+@pytest.mark.parametrize("name", NONLINEAR_POLYNOMIALS)
+def test_integer_kind_error_curve_matches_the_model_route(name, kind):
+    # the gap path (exact E_n plus the endpoint gap sum) against sup_norm of
+    # the integer model's s-th derivative minus f^(s)
+    f = builtin(name)
+    for s in range(3):  # a polynomial spec serves every order
+        for p in error_curve(f, kind, s, [16, 32, 64, 128, 256, 512]):
+            dm = derivative_model(build_model(f, p.n, kind), s)
+            want = sup_norm(lambda xs: evaluate(dm, xs) - f.deriv_float(s, xs)).value
+            assert p.error == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_integer_kind_errors_of_polynomials_build_no_model(monkeypatch):
+    # from n - s = 70 on, the gap is summed near each end with kernel calls
+    # of degree at most 30: no model and no degree-n pass
+    degrees = []
+    kernel = operators._bernstein_linear
+
+    def counted(coeffs, xs):
+        degrees.append(coeffs.size - 1)
+        return kernel(coeffs, xs)
+
+    monkeypatch.setattr(operators, "_bernstein_linear", counted)
+    for name in ("build_model", "derivative_model", "evaluate"):
+        monkeypatch.setattr(analysis, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    for name in NONLINEAR_POLYNOMIALS:
+        for kind in (FLOOR, NEAREST):
+            error_curve(builtin(name), kind, 1, [71, 128, 512, 2048])
+    assert degrees and max(degrees) <= 30
+    degrees.clear()
+    error_curve(X2, FLOOR, 0, [16, 69])
+    assert set(degrees) == {16, 69}  # below degree 70 the whole row, as a model would
+
+
+def test_integer_kind_errors_need_exact_gap_rows():
+    # a bracket the power form never reads (k = 5 > deg) still has to be exact
+    def x2(exact):
+        return FunctionSpec("x2_poly", s_max=None, poly_coeffs=X2.poly_coeffs,
+                            deriv_exact=X2.deriv_exact, deriv_float=X2.deriv_float,
+                            scaled_bracket=lambda k, n, bits, c: (k * k * c, n * n, exact(k)))
+
+    assert error_curve(x2(lambda k: True), NEAREST, 1, [16]) == error_curve(X2, NEAREST, 1, [16])
+    with pytest.raises(CapabilityError, match="x2_poly: the gap rows of B_n f need exact node"):
+        error_curve(x2(lambda k: k != 5), NEAREST, 1, [16])
 
 
 def test_error_curve_capability_check():
@@ -667,6 +719,24 @@ def test_experiments_take_integral_degrees_only():
             call()
 
 
+def test_gap_functions_take_integral_degrees_only():
+    h = builtin("holder_interior(1/2)")
+    for f in (X2, h):
+        for n in (8.0, np.int64(8)):
+            assert gap_interval(f, n, FLOOR) == gap_interval(f, 8, FLOOR)
+            assert proximity_gap_exact(f, n, NEAREST, [F(1, 3)]) \
+                == proximity_gap_exact(f, 8, NEAREST, [F(1, 3)])
+            assert proximity_gap(f, n, FLOOR) == proximity_gap(f, 8, FLOOR)
+    for who, call in (("gap_interval", lambda: gap_interval(X2, 8.5, FLOOR)),
+                      ("proximity_gap_exact",
+                       lambda: proximity_gap_exact(X2, 8.5, FLOOR, [F(1, 2)])),
+                      ("proximity_gap", lambda: proximity_gap(X2, 8.5, FLOOR))):
+        with pytest.raises(ValueError, match=f"{who}: n must be an integer, got 8.5"):
+            call()
+    with pytest.raises(ValueError, match="proximity_gap: n must be >= 1"):
+        proximity_gap(X2, 0, FLOOR)
+
+
 def test_voronovskaya_residual_decays_like_one_over_n():
     # away from x=1/2 the next-order term of x^3 is x(1-x)(1-2x)/n^2 exactly
     rep = voronovskaya_check(builtin("monomial(3)"), F(1, 3), [8, 16, 32, 64, 128])
@@ -685,6 +755,10 @@ def test_classic_error_to_modulus_ratio_band():
         for p in curve:
             w = omega_phi2(f.eval_float, p.n ** -0.5).value
             ratios.append(p.error / w)
+        assert all(0.05 <= r <= 20.0 for r in ratios)
+        assert max(ratios) / min(ratios) < band_cap
+        # the same band with the spec itself: the Taylor path for polynomials
+        ratios = [p.error / omega_phi2(f, p.n ** -0.5).value for p in curve]
         assert all(0.05 <= r <= 20.0 for r in ratios)
         assert max(ratios) / min(ratios) < band_cap
 
@@ -745,6 +819,16 @@ def test_converse_quadratic():
     assert rep.w2_exact_zero and rep.slope_w2 is None
     assert rep.slope_w1 == pytest.approx(1.0, abs=0.01)
     assert rep.delta_w1 <= 0.01
+
+
+def test_converse_checks_its_t_list_before_the_error_curve(monkeypatch):
+    monkeypatch.setattr(analysis, "error_curve",
+                        lambda *a: pytest.fail("measured the error curve"))
+    f = builtin("holder_interior(3/2)")
+    with pytest.raises(ValueError, match=r"omega1: t=1e-07 is below the finest grid step"):
+        converse_experiment(f, FLOOR, 1, [16, 32, 64, 128], [0.1, 1e-7])
+    with pytest.raises(ValueError, match=r"omega1: need 0 < t <= 1, got t=2.0"):
+        converse_experiment(f, FLOOR, 1, [16, 32, 64, 128], [2.0])
 
 
 def test_converse_trivial_short_circuit():

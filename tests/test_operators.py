@@ -392,6 +392,95 @@ def test_proximity_gap_measures_integer_minus_classic(name):
             assert (got.value, got.argmax) == (want.value, want.argmax)
 
 
+# ---------------------------------------------------------------------------
+# endpoint gap sums: sum_k e_k x^k (1-x)^(m-k) / den from the terms near x's end
+
+EPS = F(2) ** -52
+TRUNCATION = F(1, 2 ** 64)
+# exact dyadic floats: powers of two towards both ends and a spread between
+ENDPOINT_POINTS = sorted({F(0), F(1)} | {F(1, 2 ** e) for e in range(1, 17)}
+                         | {1 - F(1, 2 ** e) for e in range(1, 17)}
+                         | {F(k, 2 ** 12) for k in range(1, 2 ** 12, 97)})
+
+
+def _fits(m, j):
+    """(m + 1 - j) B(j) <= 2^-64, B(j) = j^j (m-j)^(m-j) / m^m."""
+    return (m + 1 - j) * F(j ** j * (m - j) ** (m - j), m ** m) <= TRUNCATION
+
+
+def _row_sum(e, den, x):
+    """The exact sum_k e_k x^k (1-x)^(m-k) / den at a rational x."""
+    a, b = x.numerator, x.denominator
+    return F(homogeneous_sum(e, a, b - a), den * b ** (len(e) - 1))
+
+
+def test_endpoint_terms_is_the_least_count_within_the_truncation_bound():
+    for m in [*range(0, 300), 512, 1024, 2048]:
+        j = operators._endpoint_terms(m)
+        if j == m + 1:
+            assert not any(_fits(m, i) for i in range(1, m // 2 + 1))
+        else:
+            assert 1 <= j <= m // 2 and _fits(m, j) and not _fits(m, j - 1)
+    assert [operators._endpoint_terms(m) for m in (69, 70, 512, 2048)] == [70, 31, 11, 8]
+
+
+@pytest.mark.parametrize("m", [70, 128, 512])
+def test_endpoint_terms_drop_at_most_the_stated_bound(m):
+    # the all-ones row is the worst case of the bound: every dropped term
+    # counts with |e_k| / den = 1
+    j = operators._endpoint_terms(m)
+    dropped = [0] * j + [1] * (m + 1 - j)  # the terms k >= j of the left side
+    for x in ENDPOINT_POINTS:
+        if x <= F(1, 2):
+            assert _row_sum(dropped, 1, x) <= TRUNCATION
+
+
+def test_endpoint_sum_is_the_kernel_call_up_to_degree_69():
+    # nothing is dropped below the first truncating degree, so the value is
+    # the one evaluate gives for the model of the same row, bit for bit
+    rng = random.Random(23)
+    xs = np.concatenate((np.linspace(0.0, 1.0, 257), [2.0 ** -40, 0.5, 1.0 - 2.0 ** -40]))
+    for m in (1, 16, 63, 64, 69):
+        for den in (1, 3 * 2 ** 70):
+            e = [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(m + 1)]
+            want = evaluate(BernsteinModel(n=m, scaled=tuple(e), denominator=den), xs)
+            assert np.array_equal(operators._endpoint_sum(e, den, xs), want)
+
+
+@pytest.mark.parametrize("kind", [FLOOR, NEAREST])
+@pytest.mark.parametrize("m", [63, 64, 65, 70, 128, 512, 2048])
+def test_endpoint_sum_of_gap_rows_is_exact_within_its_bounds(m, kind):
+    # the s-th derivative rows of a gap, against exact Fractions: within the
+    # kernel's rounding bound 4 (m + 1) eps sum_k |e_k| x^k (1-x)^(m-k) / den
+    # plus the stated truncation bound 2^-64 max |e_k| / den
+    xs = np.array([float(x) for x in ENDPOINT_POINTS])
+    for s in range(3):
+        _, hi, den = gap_interval(X3, m + s, kind)
+        e, deg = operators._derivative_row(hi, m + s, s)
+        assert deg == m
+        got = operators._endpoint_sum(e, den, xs)
+        cut = TRUNCATION * F(max(map(abs, e)), den)
+        size = [abs(v) for v in e]
+        for x, v in zip(ENDPOINT_POINTS, got):
+            bound = 4 * (m + 1) * EPS * _row_sum(size, den, x) + cut
+            assert abs(F(v) - _row_sum(e, den, x)) <= bound
+
+
+@pytest.mark.parametrize("m", [70, 128, 512, 2048])
+def test_endpoint_sum_keeps_each_kept_term_to_rounding(m):
+    # a row with one nonzero entry next to the cut, on either side: its
+    # value is only rounded, never dropped, on the side that keeps it
+    j = operators._endpoint_terms(m)
+    for k in (0, j - 1, m - j + 1, m):
+        e = [0] * (m + 1)
+        e[k] = 7
+        pts = [x for x in ENDPOINT_POINTS if (x <= F(1, 2)) == (k < j)]
+        got = operators._endpoint_sum(e, 3, np.array([float(x) for x in pts]))
+        for x, v in zip(pts, got):
+            want = _row_sum(e, 3, x)
+            assert abs(F(v) - want) <= 4 * (m + 1) * EPS * want + F(2) ** -1000
+
+
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
 def test_integer_kinds_round_each_irrational_node_in_one_attempt(name, monkeypatch):
     # the node bracket rounds every node on integers, so build_model asks for
