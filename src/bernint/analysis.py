@@ -41,10 +41,10 @@ proximity bounds, saturation and moduli live:
   of gap_interval, summed by operators._endpoint_sum (from degree 70 on,
   near each end with kernel calls of degree at most 30).  Every other
   (spec, kind) builds the model and runs the degree-n kernel.
-  voronovskaya_check evaluates the power form exactly at x; any other spec
-  (only custom specs reach it: no other built-in one has an exact f'')
-  takes one row of n + 1 node brackets at c = C(n,k), the row gap_interval
-  reads, with one homogeneous_sum per n.
+  voronovskaya_check evaluates the power form exactly at x, and refuses a
+  spec without poly_coeffs; analysis reads no row of node brackets.
+  saturation_probe, like converse_experiment, puts an integer-linear f in
+  the trivial class from its coefficients alone: every kind reproduces it.
 """
 
 from __future__ import annotations
@@ -60,10 +60,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from bernint.corpus import CapabilityError, FunctionSpec, _horner
-from bernint.exact import (DEFAULT_TIE, TiePolicy, binomial_row, common_denominator,
-                           homogeneous_sum)
+from bernint.exact import DEFAULT_TIE, TiePolicy, common_denominator, homogeneous_sum
 from bernint.operators import (
-    APPROX_BITS,
     OperatorKind,
     _degree,
     _derivative_row,
@@ -640,25 +638,17 @@ class VoronovskayaReport:
 def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> VoronovskayaReport:
     """Exact-rational convergence of n (B_n f(x) - f(x)) to x(1-x) f''(x)/2.
 
-    Each n reads B_n f(x) at x = a/b as one ratio S / d of integers from
-    exact node brackets (APPROX_BITS), and with f(x) = p/q each row's
-    scaled gap is the one Fraction n (S q - p d) / (d q).  No model is
-    built.  Two paths give S and d:
+    Each n evaluates the power form B_n f = sum_j e_j x^j / den,
+    j <= m = min(deg, n) (classic_power_form, read off the first m + 1 node
+    brackets at c = 1), at x = a/b as one ratio S / d of integers,
+    S = homogeneous_sum(e, a, b) and d = den b^m: O(deg) small-integer work
+    per n and no model.  With f(x) = p/q each row's scaled gap is the one
+    Fraction n (S q - p d) / (d q).
 
-    * A polynomial spec (``poly_coeffs`` set) evaluates its power form
-      B_n f = sum_j e_j x^j / den, j <= m = min(deg, n) (classic_power_form,
-      read off the first m + 1 node brackets at c = 1), at x:
-      S = homogeneous_sum(e, a, b) and d = den b^m, O(deg) small-integer
-      work per n.
-    * Any other spec reads the row of n + 1 brackets at c = C(n,k), the row
-      gap_interval reads; an exact bracket's numerator is the Classic
-      model's scaled coefficient C(n,k) den f(k/n), so
-      S = homogeneous_sum(nums, a, b - a) and d = den b^n.
-
-    Both give the same Fraction for a polynomial.  Raises CapabilityError
-    when f(x) or f''(x) is not exactly known or a node bracket is inexact,
-    ValueError when two node brackets of one n have different dens, and
-    ValueError unless 0 < x < 1 and every n is an integer >= 1.
+    Raises CapabilityError when f(x) or f''(x) is not exactly known, when f
+    has no ``poly_coeffs`` or when a node bracket is inexact, ValueError
+    when two node brackets of one n have different dens, and ValueError
+    unless 0 < x < 1 and every n is an integer >= 1.
     """
     x = Fraction(x)
     if not 0 < x < 1:
@@ -669,26 +659,17 @@ def voronovskaya_check(f: FunctionSpec, x, n_list: Sequence[int]) -> Voronovskay
         raise CapabilityError(
             f"{f.name}: voronovskaya_check needs exact f(x) and f''(x)"
         )
+    if f.poly_coeffs is None:
+        raise CapabilityError(f"{f.name}: voronovskaya_check needs a polynomial spec")
     limit = x * (1 - x) * d2 / 2
     a, b = x.numerator, x.denominator
     p, q = fx.numerator, fx.denominator
-    poly = f.poly_coeffs is not None
     rows = []
     for n in n_list:
         n = _degree(n, "voronovskaya_check")
-        if poly:
-            e, den = classic_power_form(f, n)
-            m, c = len(e) - 1, b
-        else:
-            brackets = f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n))
-            e, dens, exacts = zip(*brackets)
-            if not all(exacts):
-                raise CapabilityError(
-                    f"{f.name}: voronovskaya_check needs exact node values"
-                )
-            m, c, den = n, b - a, dens[0]
-        d = den * b ** m
-        s = homogeneous_sum(e, a, c)
+        e, den = classic_power_form(f, n)
+        d = den * b ** (len(e) - 1)
+        s = homogeneous_sum(e, a, b)
         scaled = Fraction(n * (s * q - p * d), d * q)
         rows.append(VoronovskayaRow(n=n, scaled_gap=scaled, residual=abs(scaled - limit)))
     return VoronovskayaReport(x=x, limit=limit, rows=tuple(rows))
@@ -711,23 +692,6 @@ class SaturationReport:
     notes: str
 
 
-def _reproduces(f: FunctionSpec, n: int, kind: OperatorKind) -> bool:
-    """Whether the degree-n model of an integer-linear f = px + q equals f,
-    coefficient for coefficient; O(deg) per n and no model.
-
-    Classic: B_n f, read off classic_power_form, has f's power coefficients.
-    Integer kinds: the scaled node value C(n,k) f(k/n) = C(n,k)(pk/n + q)
-    = p C(n-1,k-1) + q C(n,k) is an integer, which floor and nearest (under
-    every tie policy) round to itself, so every coefficient is f(k/n): the
-    model is f at every n, and no computation is needed.
-    """
-    if kind is not OperatorKind.CLASSIC:
-        return True
-    e, den = classic_power_form(f, n)
-    fe, fd = common_denominator(f.poly_coeffs)
-    return all(u * fd == v * den for u, v in zip_longest(e, fe, fillvalue=0))
-
-
 def saturation_probe(
     f: FunctionSpec,
     kind: OperatorKind,
@@ -738,10 +702,13 @@ def saturation_probe(
 ) -> SaturationReport:
     """Classify the decay of n * ||(model)^(s) - f^(s)|| over ``n_list``.
 
-    TrivialClass: integer-linear f reproduced exactly at every n (decided
-    exactly by _reproduces, not by measurement).  SaturatedRate: n*error
-    stays in a band ("bounded" = max/min over the top half of the sweep
-    < 10).  SubSaturated: n*error decays (last < first/10); for a
+    TrivialClass: integer-linear f = px + q, decided from f's coefficients
+    alone, not by measurement: B_n reproduces px + q, and the scaled node
+    values C(n,k) f(k/n) = p C(n-1,k-1) + q C(n,k) are integers, which floor
+    and nearest (under every tie policy) round to themselves, so every kind
+    reproduces f at every n.  SaturatedRate: n*error stays in a band
+    ("bounded" = max/min over the top half of the sweep < 10).
+    SubSaturated: n*error decays (last < first/10); for a
     non-integer-linear f this contradicts the saturation theorem and is
     flagged inconsistent rather than silently accepted.
     """
@@ -750,17 +717,18 @@ def saturation_probe(
     require_integer_endpoints(f)
     if f.integer_linear:
         # each n is a model degree, refused as build_model refuses it
-        if all(_reproduces(f, _degree(n, "build_model"), kind) for n in n_list):
-            return SaturationReport(
-                verdict=SaturationVerdict.TRIVIAL_CLASS,
-                rows=tuple((int(n), 0.0) for n in n_list),
-                band_ratio=None,
-                bounded=None,
-                vanishing=True,
-                inconsistent=False,
-                notes="integer-linear function reproduced exactly at every n "
-                "(coefficient comparison)",
-            )
+        for n in n_list:
+            _degree(n, "build_model")
+        return SaturationReport(
+            verdict=SaturationVerdict.TRIVIAL_CLASS,
+            rows=tuple((int(n), 0.0) for n in n_list),
+            band_ratio=None,
+            bounded=None,
+            vanishing=True,
+            inconsistent=False,
+            notes="integer-linear function reproduced exactly at every n "
+            "(coefficient comparison)",
+        )
     curve = error_curve(f, kind, s, n_list, grid, tie)
     rows = tuple((p.n, p.n * p.error) for p in curve)
     scaled = [v for _, v in rows]

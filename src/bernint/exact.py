@@ -78,14 +78,11 @@ def common_denominator(values) -> tuple[list[int], int]:
 # n = 100 (0.97x at 96, 1.03x at 112), and are 1.15x faster at n = 128,
 # 1.6x at 256 and 2.2x at 512.  The cutoff must be at least _BLOCK, so that
 # the low part of fewer than _BLOCK coefficients takes the Horner loop.
-# When neither p nor q has more than one bit (x = 1/2 and the end points)
-# Horner's accumulator never grows, and blocks pay only on longer rows: on
-# the same host they take 1.05-2.1x Horner's time on the Classic and floor
-# monomial(3), Hoelder and gap rows at n = 101..640, are within 20% of it
-# at 768-2048, and run 1.3-1.4x faster at 4096.
+# The rule holds at every point: at x = 1/2 and the end points, where
+# neither p nor q has more than one bit, blocks cost a few microseconds more
+# per point than Horner on rows of 101-1024 coefficients.
 _BLOCK = 16
 _BLOCK_CUTOFF = 100
-_UNIT_BLOCK_CUTOFF = 1024
 
 
 def homogeneous_sum(e: Sequence[int], p: int, q: int) -> int:
@@ -94,16 +91,16 @@ def homogeneous_sum(e: Sequence[int], p: int, q: int) -> int:
     A degree-n Bernstein form at x = a/b is homogeneous_sum(e, a, b-a) / b^n
     with e[k] = c_k C(n,k); a power-basis polynomial is (e, a, b) / b^m.
 
-    A short row is summed by Horner, and so is a row of up to 1024
-    coefficients when p and q have at most one bit.  A longer row is split
-    into its r = len(e) % 16 low-order coefficients and blocks of 16 above them:
-    each block is one dot product with the weights w_i = p^i q^(15-i), the
-    block values are summed as a homogeneous sum s in (p^16, q^16), and the
-    result is s p^r + homogeneous_sum(e[:r], p, q) q^(len(e)-r).  Both
-    paths give the same integer.
+    A row of at most 100 coefficients is summed by Horner, whatever p and
+    q are.  A longer row is split into its r = len(e) % 16 low-order
+    coefficients and blocks of 16 above them: each block is one dot product
+    with the weights w_i = p^i q^(15-i), the block values are summed as a
+    homogeneous sum s in (p^16, q^16), and the result is
+    s p^r + homogeneous_sum(e[:r], p, q) q^(len(e)-r).  Both paths give the
+    same integer.
     """
     m = len(e)
-    if m > _BLOCK_CUTOFF and (m > _UNIT_BLOCK_CUTOFF or p.bit_length() > 1 or q.bit_length() > 1):
+    if m > _BLOCK_CUTOFF:
         r = m % _BLOCK
         ps = list(accumulate(repeat(p, _BLOCK), mul, initial=1))  # p^0 .. p^16
         qs = list(accumulate(repeat(q, _BLOCK), mul, initial=1))

@@ -485,18 +485,28 @@ def _endpoint_sum(e, den: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_exact(model: BernsteinModel, x) -> Fraction:
-    """Exact rational evaluation at rational x = a/b; no rounding anywhere.
+def _unit_point(x, message: str) -> tuple[int, int]:
+    """(a, b) with x = a/b, b > 0; raises ValueError(message) unless 0 <= x <= 1.
 
-    The value is homogeneous_sum(scaled, a, b-a) / (denominator b^n).  a and
-    b are read off an int or a Fraction as they are; a point of any other
-    type (a float, a string such as "1/3") goes through Fraction(x) first.
+    a and b are read off an int or a Fraction as they are; a point of any
+    other type (a float, a string such as "1/3") goes through Fraction(x)
+    first.
     """
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     a, b = x.numerator, x.denominator
     if not 0 <= a <= b:  # 0 <= x <= 1 on integers, as b > 0
-        raise ValueError("evaluate_exact: point must lie in [0, 1]")
+        raise ValueError(message)
+    return a, b
+
+
+def evaluate_exact(model: BernsteinModel, x) -> Fraction:
+    """Exact rational evaluation at rational x = a/b; no rounding anywhere.
+
+    The value is homogeneous_sum(scaled, a, b-a) / (denominator b^n), with
+    x read by _unit_point.
+    """
+    a, b = _unit_point(x, "evaluate_exact: point must lie in [0, 1]")
     return Fraction(homogeneous_sum(model.scaled, a, b - a), model.denominator * b ** model.n)
 
 
@@ -603,11 +613,7 @@ def proximity_gap_exact(
     zero = width is None and not any(lo)
     out = []
     for x in xs:
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        a, b = x.numerator, x.denominator
-        if not 0 <= a <= b:
-            raise ValueError("proximity_gap_exact: points must lie in [0, 1]")
+        a, b = _unit_point(x, "proximity_gap_exact: points must lie in [0, 1]")
         if zero:
             out.append((_ZERO, _ZERO))
             continue

@@ -655,28 +655,20 @@ def test_voronovskaya_reads_a_polynomial_off_its_first_deg_plus_one_brackets(mon
     assert calls == [(k, n, 1) for n in (1, 4, 5, 6, 64, 4096) for k in range(min(5, n) + 1)]
 
 
-def _x2_with_brackets(inexact_k):
-    """x^2 with exact values and derivatives, its node bracket at k = inexact_k
-    flagged inexact (its value there not exactly known)."""
-    def bracket(k, n, bits, c):
-        return 2 * k * k * c, 2 * n * n, k != inexact_k
-
-    return FunctionSpec("x2_bracketed", s_max=None, deriv_exact=X2.deriv_exact,
-                        deriv_float=X2.deriv_float, scaled_bracket=bracket)
-
-
-def test_voronovskaya_refuses_an_inexact_node_bracket(monkeypatch):
-    x, ns = F(1, 3), [4, 8, 16]
-    # with every bracket exact the spec is x^2 itself
-    assert voronovskaya_check(_x2_with_brackets(None), x, ns) == voronovskaya_check(X2, x, ns)
-    monkeypatch.setattr(analysis, "homogeneous_sum",
-                        lambda *a: pytest.fail("summed a row with an inexact bracket"))
-    with pytest.raises(CapabilityError, match="needs exact node values"):
-        voronovskaya_check(_x2_with_brackets(1), x, ns)
+def test_voronovskaya_refuses_a_spec_without_poly_coeffs(monkeypatch):
+    # x^2 with exact values and f'' but no poly_coeffs has no power form: it
+    # is refused, naming the spec, before any node bracket is read
+    f = FunctionSpec("x2_unlisted", s_max=None, deriv_exact=X2.deriv_exact,
+                     deriv_float=X2.deriv_float, scaled_bracket=X2.scaled_bracket)
+    for oracle in ("scaled_bracket", "scaled_bracket_row"):
+        monkeypatch.setattr(f, oracle, lambda *a: pytest.fail("read a node bracket"))
+    with pytest.raises(CapabilityError,
+                       match="x2_unlisted: voronovskaya_check needs a polynomial spec"):
+        voronovskaya_check(f, F(1, 3), [4, 8, 16])
 
 
 def test_voronovskaya_checks_the_brackets_of_a_polynomial():
-    # the polynomial path checks its deg + 1 brackets as the row path checks a row
+    # the power form reads deg + 1 brackets and refuses an inexact one
     def x2(bracket):
         return FunctionSpec("x2_poly", s_max=None, poly_coeffs=X2.poly_coeffs,
                             deriv_exact=X2.deriv_exact, deriv_float=X2.deriv_float,
@@ -773,7 +765,8 @@ def test_saturation_trivial_class():
 @pytest.mark.parametrize("name", ["integer_linear(3,2)", "integer_linear(-2,0)",
                                   "integer_linear(0,5)", "integer_linear(7,-3)"])
 def test_trivial_class_check_agrees_with_the_models(name):
-    """The O(deg) reproduction check equals the per-node model comparison."""
+    """Every kind reproduces an integer-linear f at every n and tie, the
+    theorem the TrivialClass verdict, read off f's coefficients, rests on."""
     f = builtin(name)
     ns = range(1, 65)
     for kind in OperatorKind:
@@ -781,7 +774,7 @@ def test_trivial_class_check_agrees_with_the_models(name):
             for n in ns:
                 model = build_model(f, n, kind, tie)
                 samples = tuple(f.eval_exact(F(k, n)) for k in range(n + 1))
-                assert analysis._reproduces(f, n, kind) == (model.coeffs == samples)
+                assert model.coeffs == samples, (kind, tie, n)
             rep = saturation_probe(f, kind, 0, ns, tie=tie)
             assert rep.verdict is SaturationVerdict.TRIVIAL_CLASS
             assert rep.rows == tuple((n, 0.0) for n in ns)

@@ -31,10 +31,10 @@ def test_homogeneous_sum_edge_cases():
     assert homogeneous_sum([-9], 4, 6) == -9  # one coefficient: degree 0
     assert homogeneous_sum([], 4, 6) == 0
     assert homogeneous_sum(e, 2, 3) == 3 * 27 - 1 * 2 * 9 + 0 + 7 * 8
-    # rows either side of the block cutoff (100, and 1024 when p and q have
-    # at most one bit), every low-order remainder 0..15, and rows either
-    # side of multiples of the block length 16; past 16 * 101 coefficients
-    # the block values themselves are summed in blocks
+    # rows either side of the block cutoff 100, every low-order remainder
+    # 0..15, rows either side of multiples of the block length 16 (1024 and
+    # 1025 among them), and one-bit p and q on long rows; past 16 * 101
+    # coefficients the block values themselves are summed in blocks
     rng = random.Random(29)
     lengths = set(range(96, 120)) | {1024, 1025, 1041, 1616, 1617, 1700}
     lengths |= {16 * j + d for j in range(8, 20) for d in (-1, 0, 1)}

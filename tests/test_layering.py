@@ -4,7 +4,8 @@ included.  The package itself re-exports everything up to analysis, so only
 cli may import it.  Every name a module exports in __all__ exists.  The
 certified enclosures are a reference oracle: only exact and corpus name them.
 No module brings back the removed test-only rounding helpers and model
-aliases, or the kink exclusion window."""
+aliases, the kink exclusion window, the old trivial-class check or the
+one-bit block cutoff, and analysis reads no row of node brackets."""
 
 import ast
 import importlib
@@ -23,9 +24,14 @@ REFERENCE_ORACLE = {"eval_bounds", "value_bounds", "rational_pow_bounds"}
 # Rounding goes through round_ratio and round_bracket, and a model is read
 # through its scaled and denominator fields; tests build models from
 # coefficients with conftest.model_from_coeffs.  Sup norms run over all of
-# [0, 1]: no window around a kink is skipped.
+# [0, 1]: no window around a kink is skipped.  The trivial class is read off
+# f's coefficients, and homogeneous_sum has one size rule for every point.
 REMOVED = {"guarded_round", "PrecisionInsufficient", "floor_int", "nearest_int",
-           "from_coeffs", "integer_form", "KINK_WINDOW", "_masked_difference"}
+           "from_coeffs", "integer_form", "KINK_WINDOW", "_masked_difference",
+           "_reproduces", "_UNIT_BLOCK_CUTOFF"}
+# Voronovskaya rows come only from the power form (classic_power_form), so
+# analysis takes no row of node brackets and no bracket precision of its own.
+NODE_ROWS = {"scaled_bracket_row", "APPROX_BITS"}
 
 
 def imported_modules(tree):
@@ -102,3 +108,8 @@ def test_only_exact_and_corpus_name_the_reference_enclosures(module):
 def test_no_module_names_the_removed_helpers(module):
     found = named(module, REMOVED)
     assert found == [], f"bernint {module} names a removed helper: {found}"
+
+
+def test_analysis_reads_no_row_of_node_brackets():
+    found = named("analysis", NODE_ROWS)
+    assert found == [], f"bernint.analysis names a node-row reader: {found}"
