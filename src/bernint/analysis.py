@@ -12,9 +12,9 @@ proximity bounds, saturation and moduli live:
   bounded, so a value may lie above the true one by that rounding.  The
   grid is built once per point count and shared, read-only, by every call.
 * proximity_gap: sup_norm of the gap between an integer kind and B_n f,
-  measured on the midpoint of the integer rows of operators.gap_interval,
-  summed by operators._endpoint_sum: from degree 70 on, the terms near the
-  end each point is on, within 2^-64 max_k |e_k| / den of the full sum.
+  read through operators.gap_sum, the one float reader of the gap rows:
+  from degree 70 on, the terms near the end each point is on, within
+  2^-64 max_k |e_k| / den of the full sum.
 * omega1 / omega_phi2: moduli of smoothness on [0, 1], sampled on uniform
   grids.  omega1 takes the largest max - min over sliding windows, with
   running maxima and minima built by doubling (O(m log w) for m points and
@@ -34,13 +34,13 @@ proximity bounds, saturation and moduli live:
   (operators.classic_power_form), the Newton form
   B_n f(x) = sum_{j<=m} C(n,j) Delta^j_{1/n} f(0) x^j, m = min(deg, n),
   built from the first m + 1 node brackets: O(deg) small-integer work per n
-  and no model.  error_curve takes E_n = B_n f - f exactly and its s-th
-  derivative to floats, and runs a degree deg - s Horner sum per point in
-  place of the O(n) kernel.  Under FloorInt and NearestInt (for an f that
-  is not integer-linear) it adds the s-th derivative of the exact gap row
-  of gap_interval, summed by operators._endpoint_sum (from degree 70 on,
-  near each end with kernel calls of degree at most 30).  Every other
-  (spec, kind) builds the model and runs the degree-n kernel.
+  and no model.  error_curve has two routes.  For a polynomial spec it
+  takes E_n = B_n f - f exactly and its s-th derivative to floats, and runs
+  a degree deg - s Horner sum per point in place of the O(n) kernel; under
+  FloorInt and NearestInt (for an f that is not integer-linear) it adds the
+  s-th derivative of the gap, operators.gap_sum (from degree 70 on, near
+  each end with kernel calls of degree at most 30).  Every other spec
+  builds the model and runs the degree-n kernel.
   voronovskaya_check evaluates the power form exactly at x, and refuses a
   spec without poly_coeffs; analysis reads no row of node brackets.
   saturation_probe, like converse_experiment, puts an integer-linear f in
@@ -60,17 +60,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from bernint.corpus import CapabilityError, FunctionSpec, _horner
-from bernint.exact import DEFAULT_TIE, TiePolicy, common_denominator, homogeneous_sum
+from bernint.exact import (DEFAULT_TIE, TiePolicy, _power_derivative, common_denominator,
+                           homogeneous_sum)
 from bernint.operators import (
     OperatorKind,
     _degree,
-    _derivative_row,
-    _endpoint_sum,
     build_model,
     classic_power_form,
     derivative_model,
     evaluate,
-    gap_interval,
+    gap_sum,
     require_integer_endpoints,
 )
 
@@ -210,17 +209,15 @@ def proximity_gap(
 
     Requires integer endpoint values f(0), f(1) (hypothesis of the 1/n and
     1/(2n) proximity bounds) and an integer n >= 1 (ValueError).  Measures
-    the midpoint of the gap_interval rows, (lo_k + hi_k) / (2 den):
-    c_k - f(k/n), with the bracket midpoint for an irrational f(k/n).  The
-    gap is summed by operators._endpoint_sum: one kernel call over the whole
-    row up to n = 69, and from n = 70 on the terms near the end each point
-    is on, within 2^-64 max_k |lo_k + hi_k| / (2 den) of the full sum.
+    operators.gap_sum at s = 0, the midpoint of the gap_interval rows:
+    c_k - f(k/n), with the bracket midpoint for an irrational f(k/n).  One
+    kernel call over the whole row up to n = 69, and from n = 70 on the
+    terms near the end each point is on, within
+    2^-64 max_k |lo_k + hi_k| / (2 den) of the full sum.
     """
     n = _degree(n, "proximity_gap")
     require_integer_endpoints(f)
-    lo, hi, den = gap_interval(f, n, kind, tie)
-    mid = [a + b for a, b in zip(lo, hi)]
-    return sup_norm(lambda xs: _endpoint_sum(mid, 2 * den, xs), grid)
+    return sup_norm(gap_sum(f, n, kind, 0, tie), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +336,7 @@ def _taylor_rows(coeffs, s: int) -> list[list[float]]:
     correctly rounded int / int division.  A g of degree below 2 has no row.
     """
     e, d = common_denominator(coeffs)
-    g = [math.perm(k, s) * c for k, c in enumerate(e)][s:]
+    g = _power_derivative(e, s)
     return [[2 * math.comb(k, 2 * j) * g[k] / d for k in range(2 * j, len(g))]
             for j in range(1, (len(g) + 1) // 2)]
 
@@ -549,8 +546,7 @@ def _power_error(form, fe, fd, s: int) -> np.ndarray:
     e, den = form
     d = math.lcm(den, fd)
     err = [u * (d // den) - v * (d // fd) for u, v in zip_longest(e, fe, fillvalue=0)]
-    err = [math.perm(j, s) * c for j, c in enumerate(err)][s:] or [0]
-    return np.array([c / d for c in err])
+    return np.array([c / d for c in _power_derivative(err, s)])
 
 
 def error_curve(
@@ -564,60 +560,48 @@ def error_curve(
     """Per n: sup-norm estimate of |(model)^(s) - f^(s)| on [0, 1].
 
     Every point of [0, 1] counts, a kink included: each served derivative
-    order of a built-in spec is continuous there.  Three paths:
+    order of a built-in spec is continuous there.  Two routes:
 
-    * the power-form path, for a polynomial spec (``poly_coeffs``) under the
-      Classic kind, and for an integer-linear f under every kind (each kind
-      reproduces it, so its model is B_n f = f and every error is exactly
-      0.0).  E_n = B_n f - f is read exactly off classic_power_form and
+    * the power-form route, for a polynomial spec (``poly_coeffs``).
+      E_n = B_n f - f is read exactly off classic_power_form and
       poly_coeffs, differentiated s times on ints and converted to floats
-      coefficient by coefficient (_power_error); sup_norm then runs the
-      in-place float Horner of the polynomial deriv_float on it, deg - s
-      steps per point.  No model is built and the kernel is not called.
-    * the gap path, for a polynomial spec that is not integer-linear under
-      FloorInt or NearestInt.  The model is B_n f plus the gap G_n of
-      gap_interval, so (model)^(s) - f^(s) = G_n^(s) + E_n^(s): E_n^(s) as
-      on the power-form path, and G_n^(s) from the exact gap row (lo == hi
-      for a polynomial), differentiated s times on ints by the rule of
-      derivative_model (operators._derivative_row) and summed near the end
-      each point is on (operators._endpoint_sum): from n - s = 70 on, one
-      kernel call of degree at most 30 (10 at n - s = 512) per side in
-      place of the degree-n pass, within 2^-64 max_j |e_j| / den of the
-      full sum of the differentiated row (e, den).  No model is built.
-    * the model path, for every other (spec, kind): sup_norm of
+      coefficient by coefficient (_power_error); sup_norm runs the in-place
+      float Horner of the polynomial deriv_float on it, deg - s steps per
+      point.  Under FloorInt and NearestInt the model is B_n f plus the gap
+      G_n, so (model)^(s) - f^(s) = G_n^(s) + E_n^(s), and G_n^(s) is
+      operators.gap_sum: from n - s = 70 on, one kernel call of degree at
+      most 30 (10 at n - s = 512) per side in place of the degree-n pass.
+      The Classic kind has no gap, and neither has an integer-linear f
+      under any kind (each kind reproduces it, so every error is exactly
+      0.0).  No model is built.
+    * the model route, for every other spec: sup_norm of
       evaluate(derivative_model(build_model(f, n, kind, tie), s))
       - f.deriv_float(s), the O(n)-per-point kernel.
 
-    At n < s the model's s-th derivative is zero (on the power-form path,
-    B_n f has degree below s), so the curve is total over n_list.  The
-    power-form and gap paths raise CapabilityError when a polynomial spec's
-    node bracket is inexact; the gap and model paths raise ValueError
-    naming build_model unless n is an integer >= 1.
+    At n < s the model's s-th derivative is zero (on the power-form route,
+    B_n f has degree below s), so the curve is total over n_list.  Every
+    route raises ValueError naming build_model unless n is an integer
+    >= 1, and the power-form route raises CapabilityError when one of the
+    first deg + 1 node brackets of a polynomial spec is inexact.
     """
     if s < 0:
         raise ValueError("error_curve: s must be >= 0")
     f.require(s)
     poly = f.poly_coeffs is not None
-    power = poly and (kind is OperatorKind.CLASSIC or f.integer_linear)
+    has_gap = kind is not OperatorKind.CLASSIC and not f.integer_linear
     if poly:
         fe, fd = common_denominator(f.poly_coeffs)
     out = []
     for n in n_list:
-        if power:
+        n = _degree(n, "build_model")
+        if poly:
             c = _power_error(classic_power_form(f, n), fe, fd, s)
-            est = sup_norm(lambda xs: _horner(c, xs), grid)
-        elif poly:
-            n = _degree(n, "build_model")
-            lo, hi, den = gap_interval(f, n, kind, tie)
-            if lo != hi:
-                raise CapabilityError(f"{f.name}: the gap rows of B_n f need exact node values")
-            e, _ = _derivative_row(hi, n, s)
-            c = _power_error(classic_power_form(f, n), fe, fd, s)
-            est = sup_norm(lambda xs: _endpoint_sum(e, den, xs) + _horner(c, xs), grid)
+            g = gap_sum(f, n, kind, s, tie) if has_gap else None
+            est = sup_norm(lambda xs: _horner(c, xs) if g is None else g(xs) + _horner(c, xs), grid)
         else:
             dm = derivative_model(build_model(f, n, kind, tie), s)
             est = sup_norm(lambda xs: evaluate(dm, xs) - f.deriv_float(s, xs), grid)
-        out.append(ErrorPoint(n=int(n), error=est.value, argmax=est.argmax))
+        out.append(ErrorPoint(n=n, error=est.value, argmax=est.argmax))
     return out
 
 
@@ -736,26 +720,17 @@ def saturation_probe(
     vanishing = last < first / 10.0 if first > 0.0 else all(v == 0.0 for v in scaled)
     top = scaled[len(scaled) // 2 :]
     band_ratio = (max(top) / min(top)) if min(top) > 0.0 else math.inf
-    if vanishing:
-        return SaturationReport(
-            verdict=SaturationVerdict.SUB_SATURATED,
-            rows=rows,
-            band_ratio=band_ratio,
-            bounded=band_ratio < 10.0,
-            vanishing=True,
-            inconsistent=True,
-            notes="n*error decays although f is not integer-linear: contradicts "
-            "the saturation theorem; flagged for investigation",
-        )
     return SaturationReport(
-        verdict=SaturationVerdict.SATURATED_RATE,
+        verdict=SaturationVerdict.SUB_SATURATED if vanishing else SaturationVerdict.SATURATED_RATE,
         rows=rows,
         band_ratio=band_ratio,
         bounded=band_ratio < 10.0,
-        vanishing=False,
-        inconsistent=False,
-        notes="n*error non-vanishing; band ratio over the top half of the sweep "
-        f"= {band_ratio:.3g} (bounded means < 10)",
+        vanishing=vanishing,
+        inconsistent=vanishing,
+        notes=("n*error decays although f is not integer-linear: contradicts "
+               "the saturation theorem; flagged for investigation" if vanishing else
+               "n*error non-vanishing; band ratio over the top half of the sweep "
+               f"= {band_ratio:.3g} (bounded means < 10)"),
     )
 
 
@@ -821,18 +796,18 @@ class ConverseReport:
     """
 
     trivial: bool
-    alpha: Optional[float]
-    alpha_residual: Optional[float]
-    slope_w2: Optional[float]
-    slope_w1: Optional[float]
-    w2_exact_zero: bool
-    w1_exact_zero: bool
-    delta_w2: Optional[float]
-    delta_w1: Optional[float]
-    error_pairs: tuple
-    w2_pairs: tuple
-    w1_pairs: tuple
-    notes: str
+    alpha: Optional[float] = None
+    alpha_residual: Optional[float] = None
+    slope_w2: Optional[float] = None
+    slope_w1: Optional[float] = None
+    w2_exact_zero: bool = False
+    w1_exact_zero: bool = False
+    delta_w2: Optional[float] = None
+    delta_w1: Optional[float] = None
+    error_pairs: tuple = ()
+    w2_pairs: tuple = ()
+    w1_pairs: tuple = ()
+    notes: str = ""
 
 
 def converse_experiment(
@@ -856,17 +831,8 @@ def converse_experiment(
     if f.integer_linear:
         return ConverseReport(
             trivial=True,
-            alpha=None,
-            alpha_residual=None,
-            slope_w2=None,
-            slope_w1=None,
             w2_exact_zero=True,
             w1_exact_zero=True,
-            delta_w2=None,
-            delta_w1=None,
-            error_pairs=(),
-            w2_pairs=(),
-            w1_pairs=(),
             notes="trivial class: errors identically zero, fits skipped",
         )
     ts = [float(t) for t in t_list]
@@ -879,17 +845,7 @@ def converse_experiment(
     except InsufficientData as e:
         return ConverseReport(
             trivial=False,
-            alpha=None,
-            alpha_residual=None,
-            slope_w2=None,
-            slope_w1=None,
-            w2_exact_zero=False,
-            w1_exact_zero=False,
-            delta_w2=None,
-            delta_w1=None,
             error_pairs=tuple(pairs),
-            w2_pairs=(),
-            w1_pairs=(),
             notes=f"error curve unusable for a fit: {e}",
         )
     deriv = lambda xs: f.deriv_float(s, xs)  # noqa: E731

@@ -52,8 +52,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from bernint.exact import (_forward_differences, binomial_row, common_denominator,
-                           homogeneous_sum, iroot, rational_pow_bounds, rational_pow_exact)
+from bernint.exact import (_forward_differences, _power_derivative, binomial_row,
+                           common_denominator, homogeneous_sum, iroot, rational_pow_bounds,
+                           rational_pow_exact)
 
 class CapabilityError(Exception):
     """An oracle was asked for something it cannot certify (order, exactness)."""
@@ -263,15 +264,15 @@ def _horner(c, xs):
 def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
     coeffs = tuple(Fraction(c) for c in coeffs)
     # chain[i] = (e, D): the i-th derivative is sum_k e[k] x^k / D
-    chain = [common_denominator(coeffs)]
+    e0, d0 = common_denominator(coeffs)
+    chain = [(e0, d0)]
     fchain = [np.array([float(c) for c in coeffs])]
 
     def _order(i: int):
         while len(chain) <= i:
-            e, d = chain[-1]
-            e = [k * ek for k, ek in enumerate(e)][1:] or [0]
-            chain.append((e, d))
-            fchain.append(np.array([ek / d for ek in e]))  # int / int rounds correctly
+            e = _power_derivative(e0, len(chain))
+            chain.append((e, d0))
+            fchain.append(np.array([ek / d0 for ek in e]))  # int / int rounds correctly
         return chain[i], fchain[i]
 
     def deriv_float(s, xs):
@@ -282,7 +283,6 @@ def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
         b = x.denominator
         return Fraction(homogeneous_sum(e, x.numerator, b), d * b ** (len(e) - 1))
 
-    e0, d0 = chain[0]
     deg = len(e0) - 1
 
     def scaled_bracket(k, n, bits, c):

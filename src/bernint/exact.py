@@ -11,6 +11,9 @@ lack:
 * _forward_differences, the one differencing rule of integer values
   v(0..m), shared by the polynomial bracket rows and the power form of
   B_n f (operators.classic_power_form),
+* _power_derivative, the one derivative rule of an integer power-basis row,
+  shared by the polynomial specs' derivative chains, the Taylor rows of
+  omega_phi2 and the power-form errors of analysis.error_curve,
 * round_ratio, floor and nearest-integer rounding of an integer ratio with
   an explicit tie policy, and round_bracket, the same rounding of a value
   known through an integer bracket num/den <= v < (num + 1)/den,
@@ -127,6 +130,15 @@ def _forward_differences(values) -> list[int]:
         for j in range(len(diffs) - 1, i - 1, -1):
             diffs[j] -= diffs[j - 1]
     return diffs
+
+
+def _power_derivative(e, s: int) -> list[int]:
+    """The s-th derivative of sum_k e_k x^k as its integer coefficients.
+
+    Coefficient k - s is k!/(k-s)! e_k, k >= s; a row of degree below s
+    gives [0].
+    """
+    return [math.perm(k, s) * ek for k, ek in enumerate(e)][s:] or [0]
 
 
 def round_ratio(num: int, den: int, mode: str, policy: TiePolicy = DEFAULT_TIE) -> int:

@@ -36,15 +36,16 @@ The gap between an integer kind and B_n f is built once, by gap_interval:
 two unreduced integer rows over one den from one APPROX_BITS bracket per
 node, hi_k = m_k den - num_k and lo_k the same less 1 at the inexact nodes.
 proximity_gap_exact evaluates both rows exactly by homogeneous_sum (none
-at all when both rows are zero), and analysis.proximity_gap (above this
-module) measures their midpoint (lo_k + hi_k) / (2 den) on a grid.  Such a
-row sum_k e_k x^k (1-x)^(m-k) / den is summed in floats by _endpoint_sum:
-its scaled weights x^k (1-x)^(m-k) are tiny away from the ends, so from
-degree 70 on a point x <= 1/2 keeps the terms k < J(m) and a point x > 1/2
-the top J(m), one kernel call of degree J(m) - 1 <= 30 per side (J = 11 at
-m = 512), and the dropped terms total at most 2^-64 max_k |e_k| / den.
-analysis.error_curve sums the s-th derivative of the gap row of a
-polynomial spec the same way, next to its exact E_n.
+at all when both rows are zero).  gap_sum is the one float reader of the
+rows: the s-th derivative of their midpoint (lo_k + hi_k) / (2 den),
+differentiated on ints by the rule of derivative_model and summed by
+_endpoint_sum.  Its scaled weights x^k (1-x)^(m-k) are tiny away from the
+ends, so from degree 70 on a point x <= 1/2 keeps the terms k < J(m) and a
+point x > 1/2 the top J(m), one kernel call of degree J(m) - 1 <= 30 per
+side (J = 11 at m = 512), and the dropped terms total at most
+2^-64 max_k |e_k| / den.  analysis.proximity_gap measures gap_sum at s = 0,
+and analysis.error_curve adds its s-th derivative to a polynomial spec's
+exact E_n.
 
 classic_power_form reads B_n f of a polynomial spec in the power basis from
 its first deg + 1 node brackets, O(deg) work per n; analysis evaluates it
@@ -534,7 +535,7 @@ def _derivative_row(e, m: int, s: int) -> tuple[tuple, int]:
 
     Each step maps e_0..e_m to e'_j = (j+1) e_{j+1} - (m-j) e_j, one degree
     lower; s > m gives the zero row ((0,), 0).  The rule of derivative_model,
-    shared with the gap rows of analysis.error_curve.
+    shared with the gap rows of gap_sum.
     """
     if s > m:
         return (0,), 0
@@ -584,6 +585,26 @@ def gap_interval(
                for num, _, exact in brackets)
     lo = tuple(e if exact else e - 1 for e, (_, _, exact) in zip(hi, brackets))
     return lo, hi, den
+
+
+def gap_sum(f, n: int, kind: OperatorKind, s: int = 0, tie: TiePolicy = DEFAULT_TIE):
+    """The s-th derivative of the gap (integer-kind model - B_n f), as a float function.
+
+    The midpoint row lo_k + hi_k of gap_interval over 2 den, differentiated
+    s times on ints (_derivative_row) and summed at each point of an array
+    in [0, 1] by _endpoint_sum, within 2^-64 max_j |e_j| / (2 den) of the
+    full sum of the differentiated row e.  At exact nodes the midpoint is
+    the gap itself (lo == hi for a polynomial spec, so the row is 2 hi over
+    2 den); at the others each c_k lies within 2^-(APPROX_BITS + 1) / n of
+    its true value.  s > n gives the zero function.  Raises ValueError for
+    the Classic kind, for s < 0 and unless n is an integer >= 1.
+    """
+    if s < 0:
+        raise ValueError(f"gap_sum: order must be >= 0, got {s}")
+    n = _degree(n, "gap_sum")
+    lo, hi, den = gap_interval(f, n, kind, tie)
+    e, _ = _derivative_row([a + b for a, b in zip(lo, hi)], n, s)
+    return lambda xs: _endpoint_sum(e, 2 * den, xs)
 
 
 def proximity_gap_exact(
@@ -636,5 +657,6 @@ __all__ = [
     "derivative_model",
     "require_integer_endpoints",
     "gap_interval",
+    "gap_sum",
     "proximity_gap_exact",
 ]

@@ -580,16 +580,23 @@ def test_integer_kind_errors_of_polynomials_build_no_model(monkeypatch):
     assert set(degrees) == {16, 69}  # below degree 70 the whole row, as a model would
 
 
-def test_integer_kind_errors_need_exact_gap_rows():
-    # a bracket the power form never reads (k = 5 > deg) still has to be exact
+def test_integer_kind_errors_read_a_lossy_gap_row_at_its_midpoint():
+    # a bracket the power form never reads (k = 5 > deg) may be inexact: the
+    # gap is then read at the midpoint of its rows, within 1/(2 den) of the
+    # true one at that node, so the s-th derivative moves by at most
+    # (2n)^s / (2 den) (den = n^2 here)
     def x2(exact):
         return FunctionSpec("x2_poly", s_max=None, poly_coeffs=X2.poly_coeffs,
                             deriv_exact=X2.deriv_exact, deriv_float=X2.deriv_float,
                             scaled_bracket=lambda k, n, bits, c: (k * k * c, n * n, exact(k)))
 
     assert error_curve(x2(lambda k: True), NEAREST, 1, [16]) == error_curve(X2, NEAREST, 1, [16])
-    with pytest.raises(CapabilityError, match="x2_poly: the gap rows of B_n f need exact node"):
-        error_curve(x2(lambda k: k != 5), NEAREST, 1, [16])
+    n = 16
+    for kind in (FLOOR, NEAREST):
+        for s in range(3):
+            (lossy,) = error_curve(x2(lambda k: k != 5), kind, s, [n])
+            (exact,) = error_curve(X2, kind, s, [n])
+            assert abs(lossy.error - exact.error) <= (2 * n) ** s / (2 * n * n)
 
 
 def test_error_curve_capability_check():
@@ -706,6 +713,8 @@ def test_experiments_take_integral_degrees_only():
     for call in (lambda: error_curve(X2, FLOOR, 1, [8.5]),
                  lambda: saturation_probe(X2, FLOOR, 0, [8.5, 16]),
                  lambda: saturation_probe(builtin("integer_linear(3,2)"), FLOOR, 0, [8.5, 16]),
+                 lambda: error_curve(X2, CLASSIC, 0, [8.5]),
+                 lambda: error_curve(builtin("integer_linear(3,2)"), NEAREST, 1, [8.5]),
                  lambda: boundary_interpolation_check(X2, FLOOR, 1, [8.5])):
         with pytest.raises(ValueError, match="build_model: n must be an integer, got 8.5"):
             call()
@@ -791,6 +800,19 @@ def test_saturation_band_x2():
             assert v == pytest.approx(0.25, abs=1e-9)
 
 
+def test_saturation_flags_a_decaying_curve_as_inconsistent(monkeypatch):
+    ns = [16, 32, 64, 128]
+    monkeypatch.setattr(analysis, "error_curve",
+                        lambda f, kind, s, n_list, grid, tie:
+                        [analysis.ErrorPoint(n=n, error=n ** -3.0, argmax=0.5) for n in n_list])
+    rows = tuple((n, n ** -2.0) for n in ns)
+    assert saturation_probe(X2, FLOOR, 0, ns) == analysis.SaturationReport(
+        verdict=SaturationVerdict.SUB_SATURATED, rows=rows, band_ratio=4.0, bounded=True,
+        vanishing=True, inconsistent=True,
+        notes="n*error decays although f is not integer-linear: contradicts "
+        "the saturation theorem; flagged for investigation")
+
+
 def test_boundary_threshold_x2_nearest():
     rep = boundary_interpolation_check(X2, NEAREST, 2, list(range(2, 65)))
     assert rep.threshold == 3
@@ -828,8 +850,25 @@ def test_converse_trivial_short_circuit():
     rep = converse_experiment(
         builtin("integer_linear(3,2)"), FLOOR, 1, [16, 32, 64, 128], [0.1, 0.2]
     )
-    assert rep.trivial
-    assert rep.alpha is None and rep.w2_exact_zero
+    assert rep == analysis.ConverseReport(
+        trivial=True, alpha=None, alpha_residual=None, slope_w2=None, slope_w1=None,
+        w2_exact_zero=True, w1_exact_zero=True, delta_w2=None, delta_w1=None,
+        error_pairs=(), w2_pairs=(), w1_pairs=(),
+        notes="trivial class: errors identically zero, fits skipped")
+
+
+def test_converse_reports_an_unfittable_error_curve(monkeypatch):
+    ns = [16, 32, 64, 128]
+    monkeypatch.setattr(analysis, "error_curve",
+                        lambda f, kind, s, n_list, grid, tie:
+                        [analysis.ErrorPoint(n=n, error=0.0, argmax=0.5) for n in n_list])
+    rep = converse_experiment(X2, FLOOR, 1, ns, [0.1, 0.2])
+    assert rep == analysis.ConverseReport(
+        trivial=False, alpha=None, alpha_residual=None, slope_w2=None, slope_w1=None,
+        w2_exact_zero=False, w1_exact_zero=False, delta_w2=None, delta_w1=None,
+        error_pairs=tuple((n, 0.0) for n in ns), w2_pairs=(), w1_pairs=(),
+        notes="error curve unusable for a fit: fit_rate: need >= 4 positive pairs, "
+        "got 0 (4 exact zeros)")
 
 
 def test_hypothesis_check_frozen_reports():

@@ -15,8 +15,8 @@ from bernint import (
     rational_pow_bounds,
     rational_pow_exact,
 )
-from bernint.exact import (_iroot_newton, common_denominator, homogeneous_sum,
-                           round_bracket, round_ratio)
+from bernint.exact import (_iroot_newton, _power_derivative, common_denominator,
+                           homogeneous_sum, round_bracket, round_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +63,18 @@ def test_homogeneous_sum_property(e, p, q):
 def test_common_denominator():
     assert common_denominator([F(1, 2), F(-1, 3), 2, 0]) == ([3, -2, 12, 0], 6)
     assert common_denominator([F(5)]) == ([5], 1)
+
+
+def test_power_derivative_is_the_iterated_one_step_rule():
+    # one step maps e_k to k e_k, one degree lower, and a constant to [0]
+    rng = random.Random(25)
+    for e in ([0], [7], [3, -1], [0, 0, 1], *([rng.randrange(-99, 100) for _ in range(d + 1)]
+                                              for d in range(2, 8))):
+        want = list(e)
+        for s in range(len(e) + 1):
+            assert _power_derivative(e, s) == want
+            want = [k * v for k, v in enumerate(want)][1:] or [0]
+    assert _power_derivative([5, 4, 3, 2], 2) == [6, 12]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ cli may import it.  Every name a module exports in __all__ exists.  The
 certified enclosures are a reference oracle: only exact and corpus name them.
 No module brings back the removed test-only rounding helpers and model
 aliases, the kink exclusion window, the old trivial-class check or the
-one-bit block cutoff, and analysis reads no row of node brackets."""
+one-bit block cutoff, and analysis reads no row of node brackets and no row
+of the gap: operators.gap_sum is its one reader of the gap rows."""
 
 import ast
 import importlib
@@ -32,6 +33,8 @@ REMOVED = {"guarded_round", "PrecisionInsufficient", "floor_int", "nearest_int",
 # Voronovskaya rows come only from the power form (classic_power_form), so
 # analysis takes no row of node brackets and no bracket precision of its own.
 NODE_ROWS = {"scaled_bracket_row", "APPROX_BITS"}
+# proximity_gap and error_curve read the gap through operators.gap_sum only.
+GAP_ROWS = {"gap_interval", "_derivative_row", "_endpoint_sum"}
 
 
 def imported_modules(tree):
@@ -113,3 +116,8 @@ def test_no_module_names_the_removed_helpers(module):
 def test_analysis_reads_no_row_of_node_brackets():
     found = named("analysis", NODE_ROWS)
     assert found == [], f"bernint.analysis names a node-row reader: {found}"
+
+
+def test_analysis_reads_the_gap_only_through_gap_sum():
+    found = named("analysis", GAP_ROWS)
+    assert found == [], f"bernint.analysis names a gap-row reader: {found}"

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import bernint.corpus as corpus
 import bernint.operators as operators
 from bernint import (
+    DEFAULT_GRID,
     BernsteinModel,
     HypothesisViolation,
     OperatorKind,
@@ -23,6 +24,7 @@ from bernint import (
     derivative_model,
     evaluate,
     evaluate_exact,
+    grid_points,
     proximity_gap,
     proximity_gap_exact,
     saturation_probe,
@@ -479,6 +481,49 @@ def test_endpoint_sum_keeps_each_kept_term_to_rounding(m):
         for x, v in zip(pts, got):
             want = _row_sum(e, 3, x)
             assert abs(F(v) - want) <= 4 * (m + 1) * EPS * want + F(2) ** -1000
+
+
+NONLINEAR_POLYNOMIALS = [e.spec.name for e in corpus.entries()
+                         if e.spec.poly_coeffs is not None and not e.spec.integer_linear]
+
+
+@pytest.mark.parametrize("kind", [FLOOR, NEAREST])
+@pytest.mark.parametrize("name", NONLINEAR_POLYNOMIALS)
+def test_gap_sum_of_a_polynomial_is_the_sum_of_its_differentiated_hi_row(name, kind):
+    # the rows of a polynomial are equal, so the midpoint row is 2 hi over
+    # 2 den: differentiated on ints and divided once per coefficient, it
+    # gives the floats of the hi row over den at every order
+    f = builtin(name)
+    xs = grid_points(DEFAULT_GRID)
+    for n in (16, 69, 70, 512, 2048):
+        lo, hi, den = gap_interval(f, n, kind)
+        assert lo == hi
+        for s in range(3):
+            want = operators._endpoint_sum(operators._derivative_row(hi, n, s)[0], den, xs)
+            assert np.array_equal(operators.gap_sum(f, n, kind, s)(xs), want)
+
+
+@pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
+def test_gap_sum_of_irrational_nodes_is_the_midpoint_row_sum(name):
+    f = builtin(name)
+    xs = grid_points(DEFAULT_GRID)
+    for kind in (FLOOR, NEAREST):
+        for n in (16, 69, 70, 512, 2048):
+            lo, hi, den = gap_interval(f, n, kind)
+            assert lo != hi
+            want = operators._endpoint_sum([a + b for a, b in zip(lo, hi)], 2 * den, xs)
+            assert np.array_equal(operators.gap_sum(f, n, kind)(xs), want)
+
+
+def test_gap_sum_refusals():
+    assert np.array_equal(operators.gap_sum(X2, 2, FLOOR, 3)(np.array([0.0, 0.3, 1.0])),
+                          np.zeros(3))
+    with pytest.raises(ValueError, match="kind must be FloorInt or NearestInt"):
+        operators.gap_sum(X2, 8, CLASSIC)
+    with pytest.raises(ValueError, match="gap_sum: order must be >= 0, got -1"):
+        operators.gap_sum(X2, 8, FLOOR, -1)
+    with pytest.raises(ValueError, match="gap_sum: n must be an integer, got 8.5"):
+        operators.gap_sum(X2, 8.5, FLOOR)
 
 
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
