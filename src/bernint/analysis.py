@@ -12,9 +12,10 @@ proximity bounds, saturation and moduli live:
   bounded, so a value may lie above the true one by that rounding.  The
   grid is built once per point count and shared, read-only, by every call.
 * proximity_gap: sup_norm of the gap between an integer kind and B_n f,
-  read through operators.gap_sum, the one float reader of the gap rows:
-  from degree 70 on, the terms near the end each point is on, within
-  2^-64 max_k |e_k| / den of the full sum.
+  read through operators.gap_sum, the one float reader of the gap: from
+  degree 70 on, the terms near the end each point is on, within
+  2^-64 max_k |e_k| / den of the full sum, from the brackets of the nodes
+  those terms need and no others.
 * omega1 / omega_phi2: moduli of smoothness on [0, 1], sampled on uniform
   grids.  omega1 takes the largest max - min over sliding windows, with
   running maxima and minima built by doubling (O(m log w) for m points and
@@ -39,8 +40,9 @@ proximity bounds, saturation and moduli live:
   a degree deg - s Horner sum per point in place of the O(n) kernel; under
   FloorInt and NearestInt (for an f that is not integer-linear) it adds the
   s-th derivative of the gap, operators.gap_sum (from degree 70 on, near
-  each end with kernel calls of degree at most 30).  Every other spec
-  builds the model and runs the degree-n kernel.
+  each end with kernel calls of degree at most 30, from 2 (J + s) node
+  brackets, J <= 31).  Every other spec builds the model and runs the
+  degree-n kernel.
   voronovskaya_check evaluates the power form exactly at x, and refuses a
   spec without poly_coeffs; analysis reads no row of node brackets.
   saturation_probe, like converse_experiment, puts an integer-linear f in
@@ -96,13 +98,20 @@ class GridConfig:
 
     Each zoom round evaluates _REFINE_POINTS interior points of the bracket
     around the best point found so far (see sup_norm); the default 6 rounds
-    shrink the initial bracket by (2/33)^6, about 5e-8.
+    shrink the initial bracket by (2/33)^6, about 5e-8.  Both fields are
+    integers: an integral float such as 100.0 is stored as the int 100, and
+    any other non-integer raises ValueError.
     """
 
     points: int = 4097
     refine: int = 6
 
     def __post_init__(self):
+        for name in ("points", "refine"):
+            v = getattr(self, name)
+            if v % 1:
+                raise ValueError(f"GridConfig: {name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if not 33 <= self.points <= _MAX_GRID_POINTS:
             raise ValueError(f"GridConfig: points must lie in [33, {_MAX_GRID_POINTS}]")
         if self.refine < 0:
@@ -209,11 +218,13 @@ def proximity_gap(
 
     Requires integer endpoint values f(0), f(1) (hypothesis of the 1/n and
     1/(2n) proximity bounds) and an integer n >= 1 (ValueError).  Measures
-    operators.gap_sum at s = 0, the midpoint of the gap_interval rows:
+    operators.gap_sum at s = 0, the midpoint of the gap rows:
     c_k - f(k/n), with the bracket midpoint for an irrational f(k/n).  One
     kernel call over the whole row up to n = 69, and from n = 70 on the
     terms near the end each point is on, within
-    2^-64 max_k |lo_k + hi_k| / (2 den) of the full sum.
+    2^-64 max_k |lo_k + hi_k| / (2 den) of the full sum; those are the
+    first and last J(n) terms, J(n) <= 31, and gap_sum reads the node
+    brackets of those terms alone.
     """
     n = _degree(n, "proximity_gap")
     require_integer_endpoints(f)
@@ -479,15 +490,18 @@ def fit_rate(pairs) -> RateFit:
     Exact zeros are excluded from the fit and reported in ``zero_pairs``
     (they signal exact interpolation, not a rate).  When at least 8 positive
     pairs are available the 3 smallest n are discarded as pre-asymptotic.
-    Fewer than 4 positive pairs raise InsufficientData.
+    Fewer than 4 positive pairs, or fitted pairs at fewer than two distinct
+    n, raise InsufficientData.  Raises ValueError unless every n is an
+    integer >= 1 (8.0 and numpy.int64(8) are taken as 8) and every error a
+    finite float >= 0.
     """
     cleaned = []
     zeros = []
     for n, e in pairs:
-        n = int(n)
+        n = _degree(n, "fit_rate")
         e = float(e)
-        if n < 1:
-            raise ValueError(f"fit_rate: n must be >= 1, got {n}")
+        if not math.isfinite(e):
+            raise ValueError(f"fit_rate: non-finite error {e} at n={n}")
         if e < 0.0:
             raise ValueError(f"fit_rate: negative error {e} at n={n}")
         (zeros if e == 0.0 else cleaned).append((n, e))
@@ -499,6 +513,8 @@ def fit_rate(pairs) -> RateFit:
             f"({len(zeros)} exact zeros)"
         )
     used = cleaned[3:] if len(cleaned) >= 8 else cleaned
+    if used[0][0] == used[-1][0]:  # sorted, so one n throughout
+        raise InsufficientData(f"fit_rate: the fitted pairs all have n = {used[0][0]}")
     x = np.log([n for n, _ in used])
     y = np.log([e for _, e in used])
     slope, intercept = np.polyfit(x, y, 1)
@@ -570,7 +586,8 @@ def error_curve(
       point.  Under FloorInt and NearestInt the model is B_n f plus the gap
       G_n, so (model)^(s) - f^(s) = G_n^(s) + E_n^(s), and G_n^(s) is
       operators.gap_sum: from n - s = 70 on, one kernel call of degree at
-      most 30 (10 at n - s = 512) per side in place of the degree-n pass.
+      most 30 (10 at n - s = 512) per side in place of the degree-n pass,
+      from the brackets of the 2 (J + s) nodes those calls need.
       The Classic kind has no gap, and neither has an integer-linear f
       under any kind (each kind reproduces it, so every error is exactly
       0.0).  No model is built.

@@ -32,19 +32,23 @@ n!/(n-s)! times the s-th forward difference of the c_k at unit index step;
 for the classic kind this is the usual divided-difference formula with real
 step 1/n, the prefactor absorbing the scaling.
 
-The gap between an integer kind and B_n f is built once, by gap_interval:
-two unreduced integer rows over one den from one APPROX_BITS bracket per
-node, hi_k = m_k den - num_k and lo_k the same less 1 at the inexact nodes.
-proximity_gap_exact evaluates both rows exactly by homogeneous_sum (none
-at all when both rows are zero).  gap_sum is the one float reader of the
-rows: the s-th derivative of their midpoint (lo_k + hi_k) / (2 den),
-differentiated on ints by the rule of derivative_model and summed by
-_endpoint_sum.  Its scaled weights x^k (1-x)^(m-k) are tiny away from the
-ends, so from degree 70 on a point x <= 1/2 keeps the terms k < J(m) and a
-point x > 1/2 the top J(m), one kernel call of degree J(m) - 1 <= 30 per
-side (J = 11 at m = 512), and the dropped terms total at most
-2^-64 max_k |e_k| / den.  analysis.proximity_gap measures gap_sum at s = 0,
-and analysis.error_curve adds its s-th derivative to a polynomial spec's
+The gap between an integer kind and B_n f is read off one APPROX_BITS
+bracket per node: the bracket (num_k, den, exact_k) of C(n,k) f(k/n) and
+its rounded integer m_k give hi_k = m_k den - num_k, and lo_k the same
+less 1 at an inexact node.  gap_interval builds both rows over every node,
+two unreduced integer rows over one den, and proximity_gap_exact, its one
+reader, evaluates both rows exactly by homogeneous_sum (none at all when
+both rows are zero).  gap_sum is the float reader: the s-th derivative of
+the midpoint (lo_k + hi_k) / (2 den), differentiated on ints by the rule of
+derivative_model and summed by _endpoint_sum.  Its scaled weights
+x^k (1-x)^(m-k) are tiny away from the ends, so from degree m = 70 on a
+point x <= 1/2 keeps the terms k < J(m) and a point x > 1/2 the top J(m),
+one kernel call of degree J(m) - 1 <= 30 per side (J = 11 at m = 512), and
+the dropped terms total at most 2^-64 max_k |e_k| / den.  So gap_sum reads
+only the nodes those two ends need, at most 2 (J + s) brackets, and
+differentiates each end on its own; below degree 70 the ends are the
+whole row.  analysis.proximity_gap measures gap_sum at s = 0, and
+analysis.error_curve adds its s-th derivative to a polynomial spec's
 exact E_n.
 
 classic_power_form reads B_n f of a polynomial spec in the power basis from
@@ -78,7 +82,7 @@ class HypothesisViolation(Exception):
     """Input breaks a theorem hypothesis (e.g. non-integer endpoint values)."""
 
 
-# Precision of the node brackets behind Classic models and gap_interval.
+# Precision of the node brackets behind Classic models and the gap.
 APPROX_BITS = 192
 
 _ZERO = Fraction(0)
@@ -440,46 +444,46 @@ def _endpoint_terms(m: int) -> int:
     return lo
 
 
-def _endpoint_sum(e, den: int, xs: np.ndarray) -> np.ndarray:
-    """sum_k e_k x^k (1-x)^(m-k) / den at each x of xs, m = len(e) - 1.
+def _endpoint_sum(left, right, m: int, den: int, xs: np.ndarray) -> np.ndarray:
+    """sum_k e_k x^k (1-x)^(m-k) / den at each x of xs, from the two ends of e.
 
-    e holds ints and den is an int > 0; the points must lie in [0, 1] (not
-    checked).  With J = _endpoint_terms(m), a point x <= 1/2 keeps the
-    terms k < J:
+    left holds the ints e_0..e_(J-1) and right e_(m-J+1)..e_m of a degree-m
+    row, J = len(left) = len(right) (gap_sum takes J = _endpoint_terms(m));
+    den is an int > 0, and the points must lie in [0, 1] (not checked).  A
+    point x <= 1/2 keeps the terms k < J:
 
         (1-x)^(m-J+1) sum_{j<J} c_j C(J-1,j) x^j (1-x)^(J-1-j),
         c_j = e_j / (den C(J-1,j)),
 
     one kernel call of degree J - 1 (_bernstein_linear) on the points of
     its side, times a power factor; a point x > 1/2 keeps, by symmetry, the
-    top J terms k > m - J, x^(m-J+1) times one call on e_(m-J+1..m).  Each
-    c_j is one correctly rounded int / int division, and the factor is
+    top J terms, x^(m-J+1) times one call on right.  Each c_j is one
+    correctly rounded int / int division, and the factor is
     exp((m-J+1) log1p(-t)), with t = x on the left and the exact 1 - x on
-    the right.
+    the right.  The middle of the row is never read.
 
-    Truncation bound: at every x in [0, 1] the dropped terms total at most
-    2^-64 max_j |e_j| / den.  For x <= 1/2 they are the m + 1 - J terms
-    k >= J.  The weight x^k (1-x)^(m-k) is at most B(k) <= B(J) for
-    J <= k <= m/2, where B(k) = k^k (m-k)^(m-k) / m^m is its largest value
-    on [0, 1] and falls up to m/2; for k >= m/2 it is
-    (x(1-x))^(m-k) x^(2k-m) <= 2^-m = B(m/2) <= B(J).  So the dropped terms
-    total at most (m+1-J) B(J) max|e_j| / den, which J(m) keeps under
+    Truncation bound: at J = _endpoint_terms(m) <= m/2 the dropped terms
+    total at most 2^-64 max_j |e_j| / den at every x in [0, 1].  For
+    x <= 1/2 they are the m + 1 - J terms k >= J.  The weight
+    x^k (1-x)^(m-k) is at most B(k) <= B(J) for J <= k <= m/2, where
+    B(k) = k^k (m-k)^(m-k) / m^m is its largest value on [0, 1] and falls
+    up to m/2; for k >= m/2 it is (x(1-x))^(m-k) x^(2k-m) <= 2^-m
+    = B(m/2) <= B(J).  So the dropped terms total at most
+    (m+1-J) B(J) max|e_j| / den, which J(m) keeps under
     2^-64 max|e_j| / den; x > 1/2 is the mirror image.  At J = m + 1
-    (every m <= 69) nothing is dropped: the value is one kernel call on
-    the coefficients e_k / (den C(m,k)), the call evaluate makes on the
-    BernsteinModel of (e, den), bit for bit.
+    (every m <= 69) both ends are the whole row, the factor is exp(0) = 1
+    and nothing is dropped: each side is the kernel call on the
+    coefficients e_k / (den C(m,k)) that evaluate makes on the
+    BernsteinModel of (e, den), whose value at a point does not depend on
+    the batch, so the sum is that call's, bit for bit.
     """
-    m = len(e) - 1
-    terms = _endpoint_terms(m)
-    if terms > m:
-        return _bernstein_linear(
-            np.array([v / (den * b) for v, b in zip(e, binomial_row(m))]), xs)
+    terms = len(left)
     row = binomial_row(terms - 1)
-    right = xs > 0.5
-    t = np.where(right, 1.0 - xs, xs)
+    upper = xs > 0.5
+    t = np.where(upper, 1.0 - xs, xs)
     factor = np.exp((m - terms + 1) * np.log1p(-t))
     out = np.empty_like(xs)
-    for side, ends in ((~right, e[:terms]), (right, e[m - terms + 1:])):
+    for side, ends in ((~upper, left), (upper, right)):
         if side.any():
             c = np.array([v / (den * b) for v, b in zip(ends, row)])
             out[side] = factor[side] * _bernstein_linear(c, xs[side])
@@ -530,17 +534,22 @@ def derivative_model(model: BernsteinModel, s: int) -> BernsteinModel:
                           coeffs_exact=model.coeffs_exact)
 
 
-def _derivative_row(e, m: int, s: int) -> tuple[tuple, int]:
-    """The integers and degree of the s-th derivative of sum_k e_k x^k (1-x)^(m-k).
+def _derivative_row(e, m: int, s: int, start: int = 0) -> tuple[tuple, int]:
+    """The s-th derivative of a run of the row sum_k e_k x^k (1-x)^(m-k), and its degree.
 
-    Each step maps e_0..e_m to e'_j = (j+1) e_{j+1} - (m-j) e_j, one degree
-    lower; s > m gives the zero row ((0,), 0).  The rule of derivative_model,
-    shared with the gap rows of gap_sum.
+    e holds the entries start..start + len(e) - 1 of a degree-m row, by
+    default all of it.  Each step maps them to
+    e'_j = (j+1) e_{j+1} - (m-j) e_j, one degree lower: e'_j needs only e_j
+    and e_{j+1}, so a run loses its last entry and keeps its start.  A
+    prefix (start = 0) stays a prefix of the row one degree lower, and a
+    suffix (start + len(e) = m + 1) a suffix.  s > m gives the zero row
+    ((0,), 0).  The rule of derivative_model, shared with the two row ends
+    of gap_sum.
     """
     if s > m:
         return (0,), 0
     for _ in range(s):
-        e = [(j + 1) * e[j + 1] - (m - j) * e[j] for j in range(m)]
+        e = [(j + 1) * b - (m - j) * a for j, (a, b) in enumerate(zip(e, e[1:]), start)]
         m -= 1
     return tuple(e), m
 
@@ -571,9 +580,10 @@ def gap_interval(
     1, and lo == hi exactly when every bracket is exact.  The basis weights
     are nonnegative, so sum_k e_k x^k (1-x)^(n-k) / den encloses the gap at
     every x between e = lo and e = hi, and the two ends differ by at most
-    2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.  Raises ValueError
-    for the Classic kind and unless n is an integer >= 1 (8.0 and
-    numpy.int64(8) are taken as 8).
+    2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.  proximity_gap_exact
+    is its one reader; gap_sum forms the same entries at the row ends only.
+    Raises ValueError for the Classic kind and unless n is an integer >= 1
+    (8.0 and numpy.int64(8) are taken as 8).
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_interval: kind must be FloorInt or NearestInt")
@@ -590,21 +600,44 @@ def gap_interval(
 def gap_sum(f, n: int, kind: OperatorKind, s: int = 0, tie: TiePolicy = DEFAULT_TIE):
     """The s-th derivative of the gap (integer-kind model - B_n f), as a float function.
 
-    The midpoint row lo_k + hi_k of gap_interval over 2 den, differentiated
-    s times on ints (_derivative_row) and summed at each point of an array
-    in [0, 1] by _endpoint_sum, within 2^-64 max_j |e_j| / (2 den) of the
-    full sum of the differentiated row e.  At exact nodes the midpoint is
-    the gap itself (lo == hi for a polynomial spec, so the row is 2 hi over
-    2 den); at the others each c_k lies within 2^-(APPROX_BITS + 1) / n of
-    its true value.  s > n gives the zero function.  Raises ValueError for
-    the Classic kind, for s < 0 and unless n is an integer >= 1.
+    The gap's midpoint row e_k = lo_k + hi_k over 2 den (the rows of
+    gap_interval; at an exact node the gap itself, elsewhere within
+    2^-(APPROX_BITS + 1) / n of it), differentiated s times on ints and
+    summed at each point of an array in [0, 1] by _endpoint_sum, which
+    reads only the first and last J = _endpoint_terms(n - s) entries of the
+    differentiated row.  Those need the nodes k < J + s and k > n - J - s,
+    and gap_sum reads those alone: one bracket f.scaled_bracket(k, n,
+    APPROX_BITS, C(n,k)) each, on one den (f.row_den), and from it the entry
+    lo_k + hi_k = 2 hi_k - (0 if exact_k else 1) of gap_interval's rows.
+    Each end is differentiated on its own by _derivative_row, the left one
+    as a prefix and the right one as a suffix of the row.  Up to
+    n - s = 69, where J = n - s + 1, the two ends are the whole row.
+
+    The value is within 2^-64 max_j |e_j| / (2 den) of the full sum of the
+    differentiated row e, and that bound has an a priori size: every
+    |lo_k + hi_k| is at most 2 den, and a step from degree d multiplies the
+    largest |e_j| by at most d + 1, so the dropped terms total at most
+    2^-64 (n+1)^s.  s > n gives the zero function.  Raises ValueError for
+    s < 0, unless n is an integer >= 1, and for the Classic kind.
     """
     if s < 0:
         raise ValueError(f"gap_sum: order must be >= 0, got {s}")
     n = _degree(n, "gap_sum")
-    lo, hi, den = gap_interval(f, n, kind, tie)
-    e, _ = _derivative_row([a + b for a, b in zip(lo, hi)], n, s)
-    return lambda xs: _endpoint_sum(e, 2 * den, xs)
+    if kind is OperatorKind.CLASSIC:
+        raise ValueError("gap_sum: kind must be FloorInt or NearestInt")
+    if s > n:
+        return lambda xs: np.zeros(np.shape(xs))
+    m = n - s
+    size = _endpoint_terms(m) + s  # the nodes each end needs, n + 1 up to m = 69
+    nodes = [*range(size), *range(max(n + 1 - size, size), n + 1)]
+    brackets = [f.scaled_bracket(k, n, APPROX_BITS, math.comb(n, k)) for k in nodes]
+    den = f.row_den(brackets)
+    mode = kind.value
+    mid = [2 * (round_bracket(num, den, exact, mode, tie) * den - num) - (0 if exact else 1)
+           for num, _, exact in brackets]
+    left, _ = _derivative_row(mid[:size], n, s)
+    right, _ = _derivative_row(mid[-size:], n, s, n + 1 - size)
+    return lambda xs: _endpoint_sum(left, right, m, 2 * den, xs)
 
 
 def proximity_gap_exact(

@@ -121,6 +121,18 @@ def test_grid_points_capped():
     for points in (_MAX_GRID_POINTS + 1, 10**9):
         with pytest.raises(ValueError, match="points must lie in"):
             GridConfig(points=points)
+    # integral floats and numpy ints are stored as ints; a fractional count
+    # is refused, not rounded into a grid that stops short of x = 1
+    for points, refine in ((100.0, 2.0), (np.int64(100), np.int64(2))):
+        grid = GridConfig(points=points, refine=refine)
+        assert (grid.points, grid.refine) == (100, 2)
+        assert type(grid.points) is int and type(grid.refine) is int
+        assert grid == GridConfig(points=100, refine=2)
+        assert sup_norm(lambda x: x, grid).value == 1.0
+    for field, bad in (("points", 100.5), ("refine", 2.5), ("points", math.nan),
+                       ("refine", math.inf)):
+        with pytest.raises(ValueError, match=f"GridConfig: {field} must be an integer"):
+            GridConfig(**{field: bad})
 
 
 def test_sup_norm_stops_when_bracket_stalls():
@@ -486,6 +498,25 @@ def test_fit_rate_discards_smallest_n_when_long():
 def test_fit_rate_insufficient():
     with pytest.raises(InsufficientData):
         fit_rate([(16, 0.0), (32, 0.0), (64, 1e-3)])
+    # pairs at one n fix no slope, also when the 3 smallest n are trimmed
+    with pytest.raises(InsufficientData, match="all have n = 16"):
+        fit_rate([(16, 1.0 / 16), (16, 1.0 / 32), (16, 1.0 / 64), (16, 1.0 / 128)])
+    with pytest.raises(InsufficientData, match="all have n = 16"):
+        fit_rate([(2, 0.5), (3, 0.3), (4, 0.25)] + [(16, 1.0 / 16)] * 5)
+
+
+def test_fit_rate_refuses_non_finite_errors_and_non_integer_n():
+    law = [(16, 1.0 / 16), (32, 1.0 / 32), (64, 1.0 / 64), (128, 1.0 / 128)]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="fit_rate: non-finite error"):
+            fit_rate(law[:2] + [(64, bad)] + law[3:])
+    for bad in (16.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fit_rate: n must be an integer"):
+            fit_rate([(bad, 1.0 / 16)] + law[1:])
+    # 16.0 and numpy.int64(16) are the integer 16
+    for n in (16.0, np.int64(16)):
+        fit = fit_rate([(n, 1.0 / 16)] + law[1:])
+        assert fit.pairs == tuple(law) and type(fit.pairs[0][0]) is int
 
 
 # ---------------------------------------------------------------------------

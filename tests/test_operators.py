@@ -416,6 +416,13 @@ def _row_sum(e, den, x):
     return F(homogeneous_sum(e, a, b - a), den * b ** (len(e) - 1))
 
 
+def endpoint_sum_of_row(e, den, xs):
+    """operators._endpoint_sum of the whole row e, given the two ends it keeps."""
+    m = len(e) - 1
+    j = operators._endpoint_terms(m)
+    return operators._endpoint_sum(e[:j], e[m + 1 - j:], m, den, xs)
+
+
 def test_endpoint_terms_is_the_least_count_within_the_truncation_bound():
     for m in [*range(0, 300), 512, 1024, 2048]:
         j = operators._endpoint_terms(m)
@@ -446,7 +453,7 @@ def test_endpoint_sum_is_the_kernel_call_up_to_degree_69():
         for den in (1, 3 * 2 ** 70):
             e = [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(m + 1)]
             want = evaluate(BernsteinModel(n=m, scaled=tuple(e), denominator=den), xs)
-            assert np.array_equal(operators._endpoint_sum(e, den, xs), want)
+            assert np.array_equal(endpoint_sum_of_row(e, den, xs), want)
 
 
 @pytest.mark.parametrize("kind", [FLOOR, NEAREST])
@@ -460,7 +467,7 @@ def test_endpoint_sum_of_gap_rows_is_exact_within_its_bounds(m, kind):
         _, hi, den = gap_interval(X3, m + s, kind)
         e, deg = operators._derivative_row(hi, m + s, s)
         assert deg == m
-        got = operators._endpoint_sum(e, den, xs)
+        got = endpoint_sum_of_row(e, den, xs)
         cut = TRUNCATION * F(max(map(abs, e)), den)
         size = [abs(v) for v in e]
         for x, v in zip(ENDPOINT_POINTS, got):
@@ -477,7 +484,7 @@ def test_endpoint_sum_keeps_each_kept_term_to_rounding(m):
         e = [0] * (m + 1)
         e[k] = 7
         pts = [x for x in ENDPOINT_POINTS if (x <= F(1, 2)) == (k < j)]
-        got = operators._endpoint_sum(e, 3, np.array([float(x) for x in pts]))
+        got = endpoint_sum_of_row(e, 3, np.array([float(x) for x in pts]))
         for x, v in zip(pts, got):
             want = _row_sum(e, 3, x)
             assert abs(F(v) - want) <= 4 * (m + 1) * EPS * want + F(2) ** -1000
@@ -485,6 +492,23 @@ def test_endpoint_sum_keeps_each_kept_term_to_rounding(m):
 
 NONLINEAR_POLYNOMIALS = [e.spec.name for e in corpus.entries()
                          if e.spec.poly_coeffs is not None and not e.spec.integer_linear]
+# both ends of the first truncating degrees, and far past them
+GAP_SUM_DEGREES = (1, 2, 16, 69, 70, 71, 72, 73, 512, 2048)
+
+
+def _assert_gap_sum_is_the_full_row_sum(f, kind, row_of):
+    """gap_sum(f, n, kind, s), s <= 2, bit for bit on the default grid and
+    around 1/2, against the whole row (row, scale) = row_of(lo, hi) of the
+    gap_interval rows over scale den, differentiated on ints, of which
+    _endpoint_sum is given the two ends."""
+    xs = np.concatenate((grid_points(DEFAULT_GRID),
+                         [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]))
+    for n in GAP_SUM_DEGREES:
+        lo, hi, den = gap_interval(f, n, kind)
+        row, scale = row_of(lo, hi)
+        for s in range(3):
+            want = endpoint_sum_of_row(operators._derivative_row(row, n, s)[0], scale * den, xs)
+            assert np.array_equal(operators.gap_sum(f, n, kind, s)(xs), want), (n, s)
 
 
 @pytest.mark.parametrize("kind", [FLOOR, NEAREST])
@@ -493,26 +517,51 @@ def test_gap_sum_of_a_polynomial_is_the_sum_of_its_differentiated_hi_row(name, k
     # the rows of a polynomial are equal, so the midpoint row is 2 hi over
     # 2 den: differentiated on ints and divided once per coefficient, it
     # gives the floats of the hi row over den at every order
-    f = builtin(name)
-    xs = grid_points(DEFAULT_GRID)
-    for n in (16, 69, 70, 512, 2048):
-        lo, hi, den = gap_interval(f, n, kind)
+    def hi_row(lo, hi):
         assert lo == hi
-        for s in range(3):
-            want = operators._endpoint_sum(operators._derivative_row(hi, n, s)[0], den, xs)
-            assert np.array_equal(operators.gap_sum(f, n, kind, s)(xs), want)
+        return hi, 1
+
+    _assert_gap_sum_is_the_full_row_sum(builtin(name), kind, hi_row)
 
 
-@pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
-def test_gap_sum_of_irrational_nodes_is_the_midpoint_row_sum(name):
-    f = builtin(name)
-    xs = grid_points(DEFAULT_GRID)
+@pytest.mark.parametrize("name", ["abs_shift", "holder_interior(1/2)", "holder_interior(3/2)",
+                                  "holder_interior(3/2,2,-1)"])
+def test_gap_sum_of_a_non_polynomial_is_the_midpoint_row_sum(name):
     for kind in (FLOOR, NEAREST):
-        for n in (16, 69, 70, 512, 2048):
-            lo, hi, den = gap_interval(f, n, kind)
-            assert lo != hi
-            want = operators._endpoint_sum([a + b for a, b in zip(lo, hi)], 2 * den, xs)
-            assert np.array_equal(operators.gap_sum(f, n, kind)(xs), want)
+        _assert_gap_sum_is_the_full_row_sum(
+            builtin(name), kind, lambda lo, hi: ([a + b for a, b in zip(lo, hi)], 2))
+
+
+@pytest.mark.parametrize("name", [e.spec.name for e in corpus.entries()])
+def test_gap_sum_takes_one_bracket_per_end_node(name, monkeypatch):
+    # no gap row, no bracket row and no binomial row: one APPROX_BITS
+    # bracket at c = C(n,k) for each node an end needs, k < J + s and
+    # k > n - J - s, J = _endpoint_terms(n - s)
+    f = builtin(name)
+    oracle = f._scaled_bracket
+    calls = []
+
+    def counting(k, n, bits, c):
+        calls.append((k, n, bits, c))
+        return oracle(k, n, bits, c)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gap_sum must not call this")
+
+    monkeypatch.setattr(f, "_scaled_bracket", counting)
+    for reader in ("_scaled_bracket_row", "scaled_bracket_row", "eval_bounds"):
+        monkeypatch.setattr(f, reader, refuse)
+    for reader in ("gap_interval", "build_model", "binomial_row"):
+        monkeypatch.setattr(operators, reader, refuse)
+    for kind in (FLOOR, NEAREST):
+        for n in (16, 70, 512, 2048, 16384):
+            for s in range(3):
+                calls.clear()
+                operators.gap_sum(f, n, kind, s)
+                size = operators._endpoint_terms(n - s) + s
+                nodes = [k for k in range(n + 1) if k < size or k > n - size]
+                assert len(nodes) == min(2 * size, n + 1)
+                assert calls == [(k, n, APPROX_BITS, math.comb(n, k)) for k in nodes]
 
 
 def test_gap_sum_refusals():
