@@ -23,8 +23,11 @@ proximity bounds, saturation and moduli live:
   Ditzian-Totik modulus applies the paper rule "difference = 0 when a node
   leaves [0,1]" literally, and takes the second difference of a
   polynomial spec's derivative in its exact Taylor form, free of the
-  cancellation of target differences at small t.  Both raise ValueError,
-  as sup_norm does, when the target is NaN or infinite at a sampled point.
+  cancellation of target differences at small t; that sweep runs all its
+  steps only on the grid columns whose bound at the largest step can reach
+  that step's max, and returns the float of the full sweep.  Both raise
+  ValueError, as sup_norm does, when the target is NaN or infinite at a
+  sampled point.
 * fit_rate: least-squares slope of log error against log n, with exact zeros
   excluded (they signal the trivial class, not a rate).
 * experiment procedures (error_curve, voronovskaya_check, saturation_probe,
@@ -258,6 +261,11 @@ _H_SPAN = 100.0
 # default 4097 points, blocks of 4-8 steps take 0.71-0.74 of the time of one
 # call per step, 16 steps 0.80 and all 64 steps 1.7x: large blocks spill L2.
 _H_BLOCK = 4
+# The Taylor path sweeps every step only on the columns whose bound, the
+# largest step's sum of |A_j| y^j times this margin (plus 2^-1000 for gradual
+# underflow), can reach the max: the Horner rounding of the bound and of each
+# value, 4 (J + 1) u for J terms, is far below 2^-30 at any degree a spec has.
+_BOUND_MARGIN = 1.0 + 2.0 ** -30
 
 
 def _omega1_window_max(vals: np.ndarray, w: int) -> float:
@@ -410,12 +418,10 @@ def omega_phi2(f, t: float, grid: Optional[GridConfig] = None, s: int = 0) -> Mo
     return ModulusEstimate(t=t, value=_omega_phi2_direct(fn, xs, phi, hs))
 
 
-def _omega_phi2_taylor(rows, xs, phi, hs) -> float:
-    """max over hs and feasible x of |sum_j rows[j-1] (h phi)^(2j)| (Taylor path)."""
-    if not rows:
-        return 0.0
+def _taylor_sweep(rows, xs, phi, hs) -> float:
+    """max over hs and feasible x of |sum_j rows[j-1] (h phi)^(2j)|, _H_BLOCK steps a pass."""
     best = 0.0
-    for i in range(0, _H_COUNT, _H_BLOCK):
+    for i in range(0, hs.size, _H_BLOCK):
         off = hs[i:i + _H_BLOCK, None] * phi
         # the direct path's test: xs - off >= 0 in floats is off <= xs,
         # since a float difference is 0 only when it is exactly 0
@@ -430,6 +436,38 @@ def _omega_phi2_taylor(rows, xs, phi, hs) -> float:
         acc *= feasible
         best = max(best, float(acc.max()))
     return best
+
+
+def _omega_phi2_taylor(rows, xs, phi, hs) -> float:
+    """max over hs and feasible x of |sum_j rows[j-1] (h phi)^(2j)| (Taylor path).
+
+    The float of _taylor_sweep over every step and column, for less work:
+    the largest step H runs on every column and gives a max M, and the other
+    steps run only on the columns whose bound U = fl(sum_j |A_j| Y^j),
+    Y = fl(fl(H phi)^2), times _BOUND_MARGIN plus 2^-1000 is not below M (a
+    NaN bound keeps its column).  Proof that a dropped column holds no
+    value above M: rounding is monotone, so each step's y is at most Y and
+    the float sum of the |A_j| y^j at most U; a computed |sum_j A_j y^j|
+    exceeds that float sum by at most a factor (1 + g)/(1 - g) < 1 + 2^-30,
+    g = 2J u / (1 - 2J u) for J < 2^20 terms (the Horner bound), plus
+    a few (J + 1) 2^-1074 of gradual underflow, well under 2^-1000.
+    """
+    if not rows:
+        return 0.0
+    k = int(np.argmax(hs))
+    best = _taylor_sweep(rows, xs, phi, hs[k:k + 1])
+    y_top = hs[k] * phi
+    np.multiply(y_top, y_top, out=y_top)  # Y, as _taylor_sweep squares h phi
+    bound = np.abs(rows[-1]) * y_top
+    for a in rows[-2::-1]:
+        bound += np.abs(a)
+        bound *= y_top
+    bound *= _BOUND_MARGIN
+    bound += 2.0 ** -1000
+    keep = ~(bound < best)
+    if not keep.all():
+        xs, phi, rows = xs[keep], phi[keep], [a[keep] for a in rows]
+    return max(best, _taylor_sweep(rows, xs, phi, hs))
 
 
 def _omega_phi2_direct(fn, xs, phi, hs) -> float:
@@ -529,9 +567,13 @@ def fit_rate(pairs) -> RateFit:
 
 
 def _fit_loglog(ts, vals) -> tuple[Optional[float], bool]:
-    """Slope of log vals against log ts; (None, all_zero_flag) if degenerate."""
+    """Slope of log vals against log ts; (None, all_zero_flag) if degenerate.
+
+    Degenerate means that the positive values span fewer than two distinct
+    t, as fit_rate refuses fitted pairs at one n.
+    """
     pos = [(t, v) for t, v in zip(ts, vals) if v > 0.0]
-    if len(pos) < 2:
+    if len({t for t, _ in pos}) < 2:
         return None, all(v == 0.0 for v in vals)
     x = np.log([t for t, _ in pos])
     y = np.log([v for _, v in pos])

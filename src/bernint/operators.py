@@ -21,10 +21,16 @@ otherwise.
 Evaluation has two paths: a float path, O(n) per point, using the ratio
 form sum_k c_k w_k / sum_k w_k with weights w_k = C(n,k) u^k, u = x/(1-x),
 built as a product chain (on 1-x for x > 1/2, so u <= 1), and an exact
-path, homogeneous_sum over (e, D).  On wide batches the float path stops
-each point once its remaining terms provably cannot change a bit of its
-sums (the tail cut of _bernstein_linear), so its values are those of the
-full chain.  Derivatives of a model are
+path, homogeneous_sum over (e, D).  The float path is one kernel,
+_bernstein_linear, on a row prepared once (_KernelRows: the exact 2^-E
+scaling, the reversed row, the ratio row, the segment length): a model
+caches its prepared row, so sup_norm's grid call and zoom rounds reuse it.
+A prepared row may hold a second coefficient row for the points x > 1/2,
+which is how gap_sum sums both ends of its row in one call.  The kernel
+takes a point or an array-like of points and refuses any that is not
+finite or lies outside [0, 1].  On wide batches it stops each point once
+its remaining terms provably cannot change a bit of its sums (the tail
+cut), so its values are those of the full chain.  Derivatives of a model are
 again models on the same denominator, one degree lower per order:
 differentiating sum_k e_k x^k (1-x)^(m-k) gives the scaled integers
 e'_j = (j+1) e_{j+1} - (m-j) e_j.  After s steps coefficient k is
@@ -40,12 +46,15 @@ two unreduced integer rows over one den, and proximity_gap_exact, its one
 reader, evaluates both rows exactly by homogeneous_sum (none at all when
 both rows are zero).  gap_sum is the float reader: the s-th derivative of
 the midpoint (lo_k + hi_k) / (2 den), differentiated on ints by the rule of
-derivative_model and summed by _endpoint_sum.  Its scaled weights
-x^k (1-x)^(m-k) are tiny away from the ends, so from degree m = 70 on a
-point x <= 1/2 keeps the terms k < J(m) and a point x > 1/2 the top J(m),
-one kernel call of degree J(m) - 1 <= 30 per side (J = 11 at m = 512), and
-the dropped terms total at most 2^-64 max_k |e_k| / den.  So gap_sum reads
-only the nodes those two ends need, at most 2 (J + s) brackets, and
+derivative_model and summed by the function of _endpoint_sum.  Its scaled
+weights x^k (1-x)^(m-k) are tiny away from the ends, so from degree m = 70
+on a point x <= 1/2 keeps the terms k < J(m) and a point x > 1/2 the top
+J(m), and the dropped terms total at most 2^-64 max_k |e_k| / den.  The
+two ends, as floats, are prepared once per n as the two rows of one
+kernel set-up of degree J(m) - 1 <= 30 (J = 11 at m = 512), the left end
+for the points x <= 1/2 and the right end for the others, so a batch of
+points is one kernel call whichever sides it spans.  gap_sum reads only
+the nodes those two ends need, at most 2 (J + s) brackets, and
 differentiates each end on its own; below degree 70 the ends are the
 whole row.  analysis.proximity_gap measures gap_sum at s = 0, and
 analysis.error_curve adds its s-th derivative to a polynomial spec's
@@ -63,7 +72,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,9 +111,11 @@ class BernsteinModel:
     e_k / D == c_k C(n,k), kept in lowest terms (D is the least such
     denominator); build_model's integer kinds have D = 1, so e_k is the
     rounded integer itself.  ``coeffs`` (the c_k as Fractions) and
-    ``float_coeffs`` are views derived from (e, D) on first use.
-    ``coeffs_exact`` is False only when a Classic model stores the midpoints
-    of APPROX_BITS node brackets, some of them inexact, instead of f(k/n).
+    ``float_coeffs`` are views derived from (e, D) on first use, and so is
+    ``_kernel_rows``, the kernel's set-up of float_coeffs that evaluate
+    reads.  ``coeffs_exact`` is False only when a Classic model stores the
+    midpoints of APPROX_BITS node brackets, some of them inexact, instead
+    of f(k/n).
     A model does not record the kind that built it: two models are equal
     exactly when they are the same polynomial.
     """
@@ -141,6 +152,10 @@ class BernsteinModel:
             [e / (d * b) for e, b in zip(self.scaled, binomial_row(self.n))],
             dtype=np.float64,
         )
+
+    @cached_property
+    def _kernel_rows(self) -> "_KernelRows":
+        return _KernelRows(self.float_coeffs)
 
 
 def _degree(n, who: str) -> int:
@@ -241,10 +256,14 @@ _CUT_STEPS = 64
 
 
 def _segment_length(n: int) -> int:
-    """Largest L <= n with C(n, j) < 2^_SEGMENT_BITS for every j <= L (1 at n = 0)."""
-    row = binomial_row(n)
-    if row[n // 2].bit_length() <= _SEGMENT_BITS:
+    """Largest L <= n with C(n, j) < 2^_SEGMENT_BITS for every j <= L (1 at n = 0).
+
+    Up to n = 965 the middle entry C(n, n // 2) fits, and it alone decides:
+    no binomial row is built there.
+    """
+    if math.comb(n, n // 2).bit_length() <= _SEGMENT_BITS:
         return max(n, 1)
+    row = binomial_row(n)
     length = 1
     while row[length + 1].bit_length() <= _SEGMENT_BITS:
         length += 1
@@ -291,20 +310,63 @@ def _finished(r, w, den, num, p) -> np.ndarray:
                | ((p == 0.0) & ((num != 0.0) | ~np.signbit(num)))))
 
 
-def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k coeffs[k] C(n,k) x^k (1-x)^(n-k) at each x in [0, 1].
+class _KernelRows:
+    """The set-up of _bernstein_linear for one degree-n coefficient row per side.
+
+    ``lower`` holds the coefficients c_0..c_n that the points x <= 1/2 are
+    summed against and ``upper`` those of the points x > 1/2, by default
+    the same row (evaluate; gap_sum gives its two end rows).  Each side
+    keeps its row scaled by its own exact 2^-E, E = max(e - _COEFF_BITS, 0)
+    for the binary exponent e of its largest |c_k|, the upper one reversed
+    (its points run on t = 1 - x).  Both share the ratio row
+    a_k = (n-k+1)/k and the segment length (_segment_length); each side's
+    suffix maxima of |c|, which only the tail cut reads, are formed on
+    first use.  A row is prepared once and read by every call on it: the
+    model caches its own (BernsteinModel._kernel_rows), and gap_sum's
+    function holds the one of its two end rows.
+    """
+
+    def __init__(self, lower: np.ndarray, upper: np.ndarray | None = None):
+        self.n = lower.size - 1
+        low = self._scaled(lower)
+        high = low if upper is None else self._scaled(upper)
+        self.exps = (low[0], high[0])
+        self.coeffs = (low[1], high[1][::-1])
+        self.a = np.arange(self.n, 0, -1) / np.arange(1, self.n + 1)  # a[k-1] = a_k
+        self.seg = _segment_length(self.n)
+
+    @staticmethod
+    def _scaled(coeffs: np.ndarray) -> tuple[int, np.ndarray]:
+        """(E, coeffs 2^-E), the coefficients below 2^_COEFF_BITS in size."""
+        e = max(math.frexp(float(np.max(np.abs(coeffs))))[1] - _COEFF_BITS, 0)
+        return e, np.ldexp(coeffs, -e)
+
+    @cached_property
+    def tails(self) -> tuple:
+        """Each side's suffix maxima C_k = max_{j>=k} |c_j| of its scaled row."""
+        return tuple(np.maximum.accumulate(np.abs(cs)[::-1])[::-1] for cs in self.coeffs)
+
+
+def _bernstein_linear(rows: _KernelRows, x, who: str) -> np.ndarray:
+    """Evaluate sum_k c_k C(n,k) x^k (1-x)^(n-k) at each point x, c from ``rows``.
+
+    x is a point or an array of points, each finite and in [0, 1]
+    (ValueError naming ``who`` otherwise); the result has the shape of
+    np.atleast_1d(x).  A point x <= 1/2 is summed against rows' lower row
+    and a point x > 1/2 against its upper row, so one call serves both ends
+    of gap_sum's row.
 
     Ratio form: with u = t/(1-t) the value at t is sum_k c_k w_k / sum_k w_k,
     w_k = C(n,k) u^k, since (1-t)^n sum_k w_k = 1.  Points with x > 1/2 run
     on t = 1-x against the reversed coefficients, which keeps u in [0, 1].
     Every point takes one fixed sequence of float operations: for k = 1..n,
     w_k = w_{k-1} (a_k u) with a_k = (n-k+1)/k, then den += w_k and
-    num += c_k w_k; so its value does not depend on the batch it came in.
-    Narrow batches run that sequence as (degree x points) tables, a few
-    numpy calls per segment: a cumulative product down the degree axis gives
-    the weights, and column sums that add the rows in order (_column_sums)
-    give den and num.  Wide batches loop over the degree, 5 whole-batch
-    ufunc passes per step.
+    num += c_k w_k; so its value does not depend on the batch it came in,
+    nor on the row of the other side.  Narrow batches run that sequence as
+    (degree x points) tables, a few numpy calls per segment: a cumulative
+    product down the degree axis gives the weights, and column sums that
+    add the rows in order (_column_sums) give den and num.  Wide batches
+    loop over the degree, 5 whole-batch ufunc passes per step.
 
     The wide loop stops each point once its remaining steps are exact
     no-ops (the tail cut).  The weights C(n,k) u^k peak near k = n t and then
@@ -322,28 +384,27 @@ def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     the later passes run on views of the window, and the loop ends when it
     is empty.  Tables run every step and stay the reference.
 
-    The weights stay finite at any degree: the coefficients are scaled by an
-    exact 2^-E once they reach 2^_COEFF_BITS, and w, num and den by the same
-    power of two at segment boundaries (_segment_length), so each segment
-    restarts from den in [1/2, 1).
+    The weights stay finite at any degree: each side's coefficients are
+    scaled by an exact 2^-E once they reach 2^_COEFF_BITS (_KernelRows), and
+    w, num and den by the same power of two at segment boundaries
+    (_segment_length), so each segment restarts from den in [1/2, 1).
     """
-    n = coeffs.size - 1
-    e = max(math.frexp(float(np.max(np.abs(coeffs))))[1] - _COEFF_BITS, 0)
-    c = np.ldexp(coeffs, -e)
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError(f"{who}: points must be finite and lie in [0, 1]")
+    n, a, seg = rows.n, rows.a, rows.seg
     right = xs > 0.5
     t = np.concatenate((xs[~right], 1.0 - xs[right]))
     m = t.size - np.count_nonzero(right)
-    # the points of each side present, with that side's coefficients
-    sides = [(s, cs) for s, cs in ((slice(0, m), c), (slice(m, t.size), c[::-1]))
-             if s.stop > s.start]
-    a = np.arange(n, 0, -1) / np.arange(1, n + 1)  # a[k-1] = a_k
+    spans = (slice(0, m), slice(m, t.size))
+    # the points of each side present, with that side's scaled coefficients
+    sides = [(s, cs) for s, cs in zip(spans, rows.coeffs) if s.stop > s.start]
     u = t / (1.0 - t)
     w = np.ones_like(u)
     den = np.ones_like(u)
     num = np.empty_like(u)
     for s, cs in sides:
         num[s] = cs[0]
-    seg = _segment_length(n)
     for k0 in range(1, n + 1, seg):
         k1 = min(k0 + seg, n + 1)
         if k0 > 1:
@@ -375,9 +436,7 @@ def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
             for b0 in range(k0, k1, _CUT_STEPS):
                 if k1 == n + 1 and b0 > 1:
                     if tails is None:
-                        # each side's suffix maxima C_k of |c_j|
-                        tails = [(s, np.maximum.accumulate(np.abs(cs)[::-1])[::-1])
-                                 for s, cs in sides]
+                        tails = list(zip(spans, rows.tails))  # _clip drops an empty side
                     np.multiply(uv, a[b0 - 1], out=rv)
                     for v, tail in _clip(tails, lo, hi):
                         np.multiply(w[v], tail[b0], out=tmp[v])
@@ -397,25 +456,22 @@ def _bernstein_linear(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
                     for wp, tp, cp in parts:
                         np.multiply(wp, cp[j], out=tp)
                     nv += tv
-    q = np.ldexp(num / den, e)
+    q = num / den
     out = np.empty(xs.shape, dtype=np.float64)
-    out[~right] = q[:m]
-    out[right] = q[m:]
+    out[~right] = np.ldexp(q[:m], rows.exps[0])
+    out[right] = np.ldexp(q[m:], rows.exps[1])
     return out
 
 
 def evaluate(model: BernsteinModel, x):
     """Float evaluation at a point or array of points in [0, 1].
 
-    Uses the O(n)-per-point ratio form of _bernstein_linear; raises
+    One call of the O(n)-per-point ratio form of _bernstein_linear on the
+    model's prepared row (cached on the model, as float_coeffs is); raises
     ValueError unless every point is finite and inside [0, 1].
     """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValueError("evaluate: points must be finite and lie in [0, 1]")
-    out = _bernstein_linear(model.float_coeffs, xs)
-    return float(out[0]) if scalar else out
+    out = _bernstein_linear(model._kernel_rows, x, "evaluate")
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 @lru_cache(maxsize=None)
@@ -444,23 +500,27 @@ def _endpoint_terms(m: int) -> int:
     return lo
 
 
-def _endpoint_sum(left, right, m: int, den: int, xs: np.ndarray) -> np.ndarray:
-    """sum_k e_k x^k (1-x)^(m-k) / den at each x of xs, from the two ends of e.
+def _endpoint_sum(left, right, m: int, den: int) -> Callable:
+    """The function x -> sum_k e_k x^k (1-x)^(m-k) / den, from the two ends of e.
 
     left holds the ints e_0..e_(J-1) and right e_(m-J+1)..e_m of a degree-m
     row, J = len(left) = len(right) (gap_sum takes J = _endpoint_terms(m));
-    den is an int > 0, and the points must lie in [0, 1] (not checked).  A
-    point x <= 1/2 keeps the terms k < J:
+    den is an int > 0.  A point x <= 1/2 keeps the terms k < J:
 
         (1-x)^(m-J+1) sum_{j<J} c_j C(J-1,j) x^j (1-x)^(J-1-j),
         c_j = e_j / (den C(J-1,j)),
 
-    one kernel call of degree J - 1 (_bernstein_linear) on the points of
-    its side, times a power factor; a point x > 1/2 keeps, by symmetry, the
-    top J terms, x^(m-J+1) times one call on right.  Each c_j is one
-    correctly rounded int / int division, and the factor is
+    a degree J - 1 kernel sum times a power factor; a point x > 1/2 keeps,
+    by symmetry, the top J terms, x^(m-J+1) times the sum of the c_j of
+    right.  Each c_j is one correctly rounded int / int division, both rows
+    are prepared for the kernel once (_KernelRows, left for the lower side
+    and right for the upper), and each call of the function is one kernel
+    call over all its points, whichever side they lie on.  The factor is
     exp((m-J+1) log1p(-t)), with t = x on the left and the exact 1 - x on
-    the right.  The middle of the row is never read.
+    the right; at J = m + 1 it is exp(0) = 1 and is not applied.  The
+    middle of the row is never read.  The function takes a point or an
+    array-like of points, as evaluate does, and raises ValueError naming
+    gap_sum unless every point is finite and in [0, 1].
 
     Truncation bound: at J = _endpoint_terms(m) <= m/2 the dropped terms
     total at most 2^-64 max_j |e_j| / den at every x in [0, 1].  For
@@ -471,23 +531,25 @@ def _endpoint_sum(left, right, m: int, den: int, xs: np.ndarray) -> np.ndarray:
     = B(m/2) <= B(J).  So the dropped terms total at most
     (m+1-J) B(J) max|e_j| / den, which J(m) keeps under
     2^-64 max|e_j| / den; x > 1/2 is the mirror image.  At J = m + 1
-    (every m <= 69) both ends are the whole row, the factor is exp(0) = 1
-    and nothing is dropped: each side is the kernel call on the
-    coefficients e_k / (den C(m,k)) that evaluate makes on the
-    BernsteinModel of (e, den), whose value at a point does not depend on
-    the batch, so the sum is that call's, bit for bit.
+    (every m <= 69) both ends are the whole row and nothing is dropped:
+    the kernel sums, on either side, the coefficients e_k / (den C(m,k))
+    that evaluate sums on the BernsteinModel of (e, den), and a point's
+    value does not depend on its batch, so the sum is evaluate's, bit for
+    bit.
     """
     terms = len(left)
-    row = binomial_row(terms - 1)
-    upper = xs > 0.5
-    t = np.where(upper, 1.0 - xs, xs)
-    factor = np.exp((m - terms + 1) * np.log1p(-t))
-    out = np.empty_like(xs)
-    for side, ends in ((~upper, left), (upper, right)):
-        if side.any():
-            c = np.array([v / (den * b) for v, b in zip(ends, row)])
-            out[side] = factor[side] * _bernstein_linear(c, xs[side])
-    return out
+    rows = _KernelRows(*(np.array([v / (den * math.comb(terms - 1, j)) for j, v in enumerate(end)])
+                         for end in (left, right)))
+    power = m - terms + 1
+
+    def endpoint_sum(x):
+        out = _bernstein_linear(rows, x, "gap_sum")
+        if power:
+            xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+            out *= np.exp(power * np.log1p(-np.where(xs > 0.5, 1.0 - xs, xs)))
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    return endpoint_sum
 
 
 def _unit_point(x, message: str) -> tuple[int, int]:
@@ -603,22 +665,27 @@ def gap_sum(f, n: int, kind: OperatorKind, s: int = 0, tie: TiePolicy = DEFAULT_
     The gap's midpoint row e_k = lo_k + hi_k over 2 den (the rows of
     gap_interval; at an exact node the gap itself, elsewhere within
     2^-(APPROX_BITS + 1) / n of it), differentiated s times on ints and
-    summed at each point of an array in [0, 1] by _endpoint_sum, which
-    reads only the first and last J = _endpoint_terms(n - s) entries of the
-    differentiated row.  Those need the nodes k < J + s and k > n - J - s,
-    and gap_sum reads those alone: one bracket f.scaled_bracket(k, n,
-    APPROX_BITS, C(n,k)) each, on one den (f.row_den), and from it the entry
+    summed by the function of _endpoint_sum, which reads only the first and
+    last J = _endpoint_terms(n - s) entries of the differentiated row.
+    Those need the nodes k < J + s and k > n - J - s, and gap_sum reads
+    those alone: one bracket f.scaled_bracket(k, n, APPROX_BITS, C(n,k))
+    each, on one den (f.row_den), and from it the entry
     lo_k + hi_k = 2 hi_k - (0 if exact_k else 1) of gap_interval's rows.
     Each end is differentiated on its own by _derivative_row, the left one
     as a prefix and the right one as a suffix of the row.  Up to
-    n - s = 69, where J = n - s + 1, the two ends are the whole row.
+    n - s = 69, where J = n - s + 1, the two ends are the whole row.  The
+    two ends are prepared for the kernel once, here, and each call of the
+    returned function is one kernel call over all its points.  It takes a
+    point or an array-like of points, as evaluate does, and raises
+    ValueError unless every point is finite and in [0, 1].
 
     The value is within 2^-64 max_j |e_j| / (2 den) of the full sum of the
     differentiated row e, and that bound has an a priori size: every
     |lo_k + hi_k| is at most 2 den, and a step from degree d multiplies the
     largest |e_j| by at most d + 1, so the dropped terms total at most
-    2^-64 (n+1)^s.  s > n gives the zero function.  Raises ValueError for
-    s < 0, unless n is an integer >= 1, and for the Classic kind.
+    2^-64 (n+1)^s.  s > n gives the zero function, the sum of the zero row
+    of degree 0.  Raises ValueError for s < 0, unless n is an integer >= 1,
+    and for the Classic kind.
     """
     if s < 0:
         raise ValueError(f"gap_sum: order must be >= 0, got {s}")
@@ -626,7 +693,7 @@ def gap_sum(f, n: int, kind: OperatorKind, s: int = 0, tie: TiePolicy = DEFAULT_
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_sum: kind must be FloorInt or NearestInt")
     if s > n:
-        return lambda xs: np.zeros(np.shape(xs))
+        return _endpoint_sum((0,), (0,), 0, 1)
     m = n - s
     size = _endpoint_terms(m) + s  # the nodes each end needs, n + 1 up to m = 69
     nodes = [*range(size), *range(max(n + 1 - size, size), n + 1)]
@@ -637,7 +704,7 @@ def gap_sum(f, n: int, kind: OperatorKind, s: int = 0, tie: TiePolicy = DEFAULT_
            for num, _, exact in brackets]
     left, _ = _derivative_row(mid[:size], n, s)
     right, _ = _derivative_row(mid[-size:], n, s, n + 1 - size)
-    return lambda xs: _endpoint_sum(left, right, m, 2 * den, xs)
+    return _endpoint_sum(left, right, m, 2 * den)
 
 
 def proximity_gap_exact(

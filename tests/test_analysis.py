@@ -431,6 +431,79 @@ def test_omega_phi2_taylor_path_keeps_x2_at_small_t():
     assert omega_phi2(X2, 1e-6).value <= 5e-13
 
 
+def _omega_phi2_taylor_every_column(rows, xs, phi, hs):
+    """The Taylor sweep over every step and column, 4 steps a pass, as it ran
+    before the columns were bounded: the reference of the pruned sweep."""
+    if not rows:
+        return 0.0
+    best = 0.0
+    for i in range(0, 64, 4):
+        off = hs[i:i + 4, None] * phi
+        feasible = off <= xs
+        feasible &= xs + off <= 1.0
+        y = np.multiply(off, off, out=off)
+        acc = rows[-1] * y
+        for a in rows[-2::-1]:
+            acc += a
+            acc *= y
+        np.abs(acc, out=acc)
+        acc *= feasible
+        best = max(best, float(acc.max()))
+    return best
+
+
+def _taylor_inputs(f, s, m, t):
+    xs = np.linspace(0.0, 1.0, m)
+    phi = np.sqrt(xs * (1.0 - xs))
+    hs = np.geomspace(t / 100.0, t, 64)
+    hs[-1] = t * (1.0 - 2.0 ** -40)
+    rows = [analysis._horner(a, xs) for a in analysis._taylor_rows(f.poly_coeffs, s)]
+    return rows, xs, phi, hs
+
+
+@pytest.mark.parametrize("name", [*POLY_ENTRIES, "monomial(9)", "poly_boundary_flat(3)"])
+def test_omega_phi2_taylor_path_is_the_every_column_sweep_bit_for_bit(name):
+    # the columns the bound drops change no bit of the modulus, also where the
+    # max lies at a step below the largest (x^9 at t = 1: near x = 1 only
+    # the smaller steps are feasible)
+    f = builtin(name)
+    for s in range(len(f.poly_coeffs) + 1):
+        for m in (33, 257, 4097):
+            for t in (1e-6, 1e-3, 0.05, 0.4, 1.0):
+                args = _taylor_inputs(f, s, m, t)
+                want = _omega_phi2_taylor_every_column(*args)
+                assert analysis._omega_phi2_taylor(*args) == want, (s, m, t)
+                assert omega_phi2(f, t, GridConfig(points=m), s).value == want, (s, m, t)
+
+
+def test_omega_phi2_taylor_path_sweeps_only_the_columns_its_bound_keeps(monkeypatch):
+    # the largest step over every column, then every step over the columns
+    # whose bound can reach its max; a row whose every column's bound reaches
+    # it keeps them all, though the values differ
+    sizes = []
+    sweep = analysis._taylor_sweep
+
+    def counted(rows, xs, phi, hs):
+        sizes.append((xs.size, hs.size))
+        return sweep(rows, xs, phi, hs)
+
+    monkeypatch.setattr(analysis, "_taylor_sweep", counted)
+    pbf2 = builtin("poly_boundary_flat(2)")
+    for t, kept in ((0.05, 192), (0.1, 382), (0.2, 762), (0.4, 1490)):
+        sizes.clear()
+        want = _omega_phi2_taylor_every_column(*_taylor_inputs(pbf2, 1, 4097, t))
+        assert omega_phi2(pbf2, t, s=1).value == want
+        assert sizes == [(4097, 1), (kept, 64)], t
+    xs = np.full(9, 0.5)
+    phi = np.sqrt(xs * (1.0 - xs))
+    rows = [np.full(9, 3.0), np.resize([1.0, -1.0], 9)]  # bound (3 + y) y on each
+    hs = np.geomspace(0.004, 0.4, 64)
+    sizes.clear()
+    want = _omega_phi2_taylor_every_column(rows, xs, phi, hs)
+    assert analysis._omega_phi2_taylor(rows, xs, phi, hs) == want
+    assert sizes == [(9, 1), (9, 64)]
+
+
 def test_omega_phi2_of_a_linear_derivative_is_exactly_zero():
     for name, s in (("integer_linear(3,2)", 0), ("monomial(2)", 1), ("monomial(3)", 2),
                     ("monomial(3)", 3), ("monomial(3)", 4), ("poly_boundary_flat(2)", 5)):
@@ -552,9 +625,9 @@ def test_power_form_errors_call_no_kernel(monkeypatch):
     calls = []
     kernel = operators._bernstein_linear
 
-    def counted(coeffs, xs):
-        calls.append(xs.size)
-        return kernel(coeffs, xs)
+    def counted(rows, x, who):
+        calls.append(np.size(x))
+        return kernel(rows, x, who)
 
     monkeypatch.setattr(operators, "_bernstein_linear", counted)
     with monkeypatch.context() as m:
@@ -595,9 +668,9 @@ def test_integer_kind_errors_of_polynomials_build_no_model(monkeypatch):
     degrees = []
     kernel = operators._bernstein_linear
 
-    def counted(coeffs, xs):
-        degrees.append(coeffs.size - 1)
-        return kernel(coeffs, xs)
+    def counted(rows, x, who):
+        degrees.append(rows.n)
+        return kernel(rows, x, who)
 
     monkeypatch.setattr(operators, "_bernstein_linear", counted)
     for name in ("build_model", "derivative_model", "evaluate"):
@@ -609,6 +682,29 @@ def test_integer_kind_errors_of_polynomials_build_no_model(monkeypatch):
     degrees.clear()
     error_curve(X2, FLOOR, 0, [16, 69])
     assert set(degrees) == {16, 69}  # below degree 70 the whole row, as a model would
+    # one kernel call per batch of the gap, both ends in it: every batch of
+    # the sweeps, and the default grid and a 32-point zoom round that
+    # straddles 1/2 at each degree
+    batches = []
+    values = analysis._finite_values
+
+    def counted_batches(fn, xs, who):
+        batches.append(xs.size)
+        return values(fn, xs, who)
+
+    monkeypatch.setattr(analysis, "_finite_values", counted_batches)
+    degrees.clear()
+    error_curve(X2, NEAREST, 0, [16, 32, 64, 128, 256, 512])
+    error_curve(X2, FLOOR, 1, [16, 32, 64, 128, 256, 512])
+    assert len(degrees) == len(batches) and 32 in batches
+    inner = 0.5 + (np.arange(1, 33) / 33 - 0.5) * 1e-3
+    assert inner.min() < 0.5 < inner.max()
+    for n, s in ((16, 0), (69, 0), (71, 1), (512, 2), (2048, 0)):
+        g = operators.gap_sum(X2, n, NEAREST, s)
+        for xs in (grid_points(DEFAULT_GRID), inner):
+            degrees.clear()
+            g(xs)
+            assert degrees == [min(n - s, operators._endpoint_terms(n - s) - 1)], (n, s)
 
 
 def test_integer_kind_errors_read_a_lossy_gap_row_at_its_midpoint():
@@ -865,6 +961,16 @@ def test_converse_quadratic():
     assert rep.w2_exact_zero and rep.slope_w2 is None
     assert rep.slope_w1 == pytest.approx(1.0, abs=0.01)
     assert rep.delta_w1 <= 0.01
+
+
+def test_converse_fits_no_modulus_slope_from_one_t():
+    # two equal t give positive moduli at one t only: no slope, no delta, and
+    # not the all-zero flag (a fit through them warned and read slope 0.0)
+    rep = converse_experiment(X2, FLOOR, 1, [16, 32, 64, 128], [0.5, 0.5])
+    assert rep.w1_pairs[0] == rep.w1_pairs[1] and rep.w1_pairs[0][1] > 0.0
+    assert rep.slope_w1 is None and rep.delta_w1 is None and not rep.w1_exact_zero
+    assert rep.slope_w2 is None and rep.w2_exact_zero  # omega_phi2 of g = 2x is 0
+    assert rep.alpha is not None
 
 
 def test_converse_checks_its_t_list_before_the_error_curve(monkeypatch):

@@ -420,7 +420,7 @@ def endpoint_sum_of_row(e, den, xs):
     """operators._endpoint_sum of the whole row e, given the two ends it keeps."""
     m = len(e) - 1
     j = operators._endpoint_terms(m)
-    return operators._endpoint_sum(e[:j], e[m + 1 - j:], m, den, xs)
+    return operators._endpoint_sum(e[:j], e[m + 1 - j:], m, den)(xs)
 
 
 def test_endpoint_terms_is_the_least_count_within_the_truncation_bound():
@@ -532,6 +532,52 @@ def test_gap_sum_of_a_non_polynomial_is_the_midpoint_row_sum(name):
             builtin(name), kind, lambda lo, hi: ([a + b for a, b in zip(lo, hi)], 2))
 
 
+def _two_call_endpoint_sum(left, right, m, den, xs):
+    """The gap sum as it was formed before both ends shared one kernel call:
+    one call per side, on a row prepared from that side's end alone, times
+    the power factor exp((m - J + 1) log1p(-t)), applied at every m."""
+    terms = len(left)
+    upper = xs > 0.5
+    t = np.where(upper, 1.0 - xs, xs)
+    factor = np.exp((m - terms + 1) * np.log1p(-t))
+    out = np.empty_like(xs)
+    for side, ends in ((~upper, left), (upper, right)):
+        if side.any():
+            c = np.array([v / (den * b) for v, b in zip(ends, binomial_row(terms - 1))])
+            rows = operators._KernelRows(c)
+            out[side] = factor[side] * operators._bernstein_linear(rows, xs[side], "reference")
+    return out
+
+
+# the default grid, 1/2 and its two float neighbours, and 32-point zoom
+# rounds across 1/2 at three widths, as sup_norm makes them
+STRADDLING = [0.5 + (np.arange(1, 33) / 33 - 0.5) * w for w in (0.25, 1e-6, 2.0 ** -45)]
+GAP_POINTS = [grid_points(DEFAULT_GRID),
+              np.array([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]), *STRADDLING]
+
+
+@pytest.mark.parametrize("kind", [FLOOR, NEAREST])
+@pytest.mark.parametrize("name", [e.spec.name for e in corpus.entries()
+                                  if not e.spec.integer_linear])
+def test_gap_sum_is_the_two_call_sum_bit_for_bit(name, kind):
+    # one kernel call over both ends gives, at every point, the floats of one
+    # call per side with the power factor always applied (1.0 up to m = 69)
+    f = builtin(name)
+    for n in (1, 2, 16, 69, 70, 71, 512, 2048):
+        lo, hi, den = gap_interval(f, n, kind)
+        mid = [a + b for a, b in zip(lo, hi)]
+        for s in range(3):
+            g = operators.gap_sum(f, n, kind, s)
+            e, m = operators._derivative_row(mid, n, s)
+            j = operators._endpoint_terms(m)
+            for xs in GAP_POINTS:
+                if s > n:
+                    want = np.zeros(xs.shape)
+                else:
+                    want = _two_call_endpoint_sum(e[:j], e[m + 1 - j:], m, 2 * den, xs)
+                assert np.array_equal(g(xs), want), (n, s, xs.size)
+
+
 @pytest.mark.parametrize("name", [e.spec.name for e in corpus.entries()])
 def test_gap_sum_takes_one_bracket_per_end_node(name, monkeypatch):
     # no gap row, no bracket row and no binomial row: one APPROX_BITS
@@ -573,6 +619,21 @@ def test_gap_sum_refusals():
         operators.gap_sum(X2, 8, FLOOR, -1)
     with pytest.raises(ValueError, match="gap_sum: n must be an integer, got 8.5"):
         operators.gap_sum(X2, 8.5, FLOOR)
+
+
+def test_gap_sum_function_reads_points_as_evaluate_does():
+    # a point or an array-like, each finite and in [0, 1]; the values are
+    # those of the same points in a float array
+    for n, s in ((512, 0), (16, 1), (2, 3)):
+        g = operators.gap_sum(X2, n, FLOOR, s)
+        want = g(np.array([0.1, 0.3, 0.9]))
+        got = g(0.3)
+        assert isinstance(got, float) and got == want[1]
+        assert np.array_equal(g([0.1, 0.3, 0.9]), want)
+        assert np.array_equal(g((0.1, 0.3, 0.9)), want)
+        for bad in (1.5, -0.2, np.nan, np.inf, -np.inf, [0.25, np.nan], np.array([0.5, 1.5])):
+            with pytest.raises(ValueError, match="gap_sum: points must be finite and lie in"):
+                g(bad)
 
 
 @pytest.mark.parametrize("name", ["holder_interior(1/2)", "holder_interior(3/2)"])
