@@ -968,10 +968,10 @@ def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:
     vanishing of f^(i) at both endpoints for i = 2..s, and the two
     inequality families f(k/n) >= f(0) + (k/n) f'(0) (k = 1..s) and
     f(k/n) >= f(1) - (1 - k/n) f'(1) (k = n-s..n-1) over the given n range
-    (only n >= max(s, 1) can be checked), each decided on the integer node
-    bracket (_certified_ge).  Reports the least n0 from which every larger n
-    in the range passes, or the violations.  Raises ValueError when an n is
-    not an integer.
+    (only n >= s can be checked), each decided on the integer node bracket
+    (_certified_ge).  Reports the least n0 from which every larger n in the
+    range passes, or the violations.  Each n is read by operators._degree:
+    ValueError unless it is an integer >= 1 (8.0 and numpy.int64(8) are 8).
     """
     if s < 0:
         raise ValueError("hypothesis_check: s must be >= 0")
@@ -990,13 +990,8 @@ def hypothesis_check(f: FunctionSpec, s: int, n_range) -> HypothesisReport:
         vanishing.append((_dlabel(i, 0), str(v0), v0 == 0))
         vanishing.append((_dlabel(i, 1), str(v1), v1 == 0))
 
-    checked = set()
-    for n in n_range:
-        if n % 1:
-            raise ValueError(f"hypothesis_check: n must be an integer, got {n!r}")
-        if n >= max(s, 1):
-            checked.add(int(n))
-    ns = sorted(checked)
+    degrees = [_degree(n, "hypothesis_check") for n in n_range]
+    ns = sorted({n for n in degrees if n >= s})
     violations = []
     ok_by_n = {}
     for n in ns:

@@ -14,7 +14,7 @@ stderr only, never into the report).
 
 Exit codes: 0 success; 1 hypothesis/assertion failure (report-level
 failures flip the exit code only under --strict); 2 usage/validation
-error; 3 internal failures.
+error, or a value past the float range; 3 internal failures.
 """
 
 from __future__ import annotations
@@ -71,22 +71,26 @@ _MAX_N_STEPS = 1 << 20
 # at n = 2^16 over 10 s and 1.6 GB.
 _MAX_DEGREE = 1 << 14
 
-_DEFAULTS = {
-    "fn": None,
-    "kind": "classic",
-    "tie": "half_away",
-    "s": 0,
-    "n": None,
-    "x": None,
-    "n_min": 16,
-    "n_max": 512,
-    "n_factor": 2.0,
-    "grid": DEFAULT_GRID.points,
-    "refine": DEFAULT_GRID.refine,
-    "t": "0.05,0.1,0.2,0.4",
-    "out": None,
-    "format": "json",
-    "strict": False,
+# Every config key once: its default, its flag's type (int, float, str, bool
+# for a bare switch, list for a comma-separated list that a --config file may
+# also give as a JSON list) or its list of choices, and its help text.  The
+# flag is --key with "-" for "_", in this order.
+_FIELDS = {
+    "fn": (None, str, "corpus function name, e.g. 'monomial(2)'"),
+    "kind": ("classic", sorted(_KINDS), "operator kind"),
+    "tie": ("half_away", sorted(_TIES), "nearest-int tie policy"),
+    "s": (0, int, "derivative order (default 0)"),
+    "n": (None, int, "single degree (coeffs/eval)"),
+    "x": (None, list, "comma-separated rational points"),
+    "n_min": (16, int, "smallest degree in sweeps"),
+    "n_max": (512, int, "largest degree in sweeps"),
+    "n_factor": (2.0, float, "geometric step of the n sweep"),
+    "grid": (DEFAULT_GRID.points, int, f"sup-search grid points (default {DEFAULT_GRID.points})"),
+    "refine": (DEFAULT_GRID.refine, int, f"refinement rounds (default {DEFAULT_GRID.refine})"),
+    "t": ("0.05,0.1,0.2,0.4", list, "comma-separated modulus steps"),
+    "out": (None, str, "output path (atomic write); default stdout"),
+    "format": ("json", ["json", "csv"], "report format"),
+    "strict": (False, bool, "exit 1 when a report-level hypothesis/assertion check fails"),
 }
 
 
@@ -170,7 +174,7 @@ def _parse_list(value, field: str, conv):
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file keys over defaults, then validate."""
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (default, _, _) in _FIELDS.items()}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         try:
@@ -183,33 +187,32 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config", "config file must hold a JSON object")
         for key, val in file_cfg.items():
-            if key not in _DEFAULTS:
+            if key not in _FIELDS:
                 raise ConfigError(key, "unknown config key")
             merged[key] = val
-    for key in _DEFAULTS:
+    for key in _FIELDS:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = cli_val
 
-    # fn and out may be null; a list or dict would not even hash for the
-    # membership tests below
-    for key in ("fn", "out", "kind", "tie", "format"):
+    # a key with no default may be null; a list or dict would not even hash
+    # for the membership tests of the choices
+    for key, (default, kind, _) in _FIELDS.items():
         v = merged[key]
-        if not (isinstance(v, str) or (v is None and key in ("fn", "out"))):
-            raise ConfigError(key, f"must be a string, got {json.dumps(v)}")
-    if merged["kind"] not in _KINDS:
-        raise ConfigError("kind", f"must be one of {sorted(_KINDS)}")
-    if merged["tie"] not in _TIES:
-        raise ConfigError("tie", f"must be one of {sorted(_TIES)}")
-    if merged["format"] not in ("json", "csv"):
-        raise ConfigError("format", "must be json or csv")
-    for key in ("s", "n", "n_min", "n_max", "n_factor", "grid", "refine"):
+        if kind is str or isinstance(kind, list):
+            if not (isinstance(v, str) or (v is None and default is None)):
+                raise ConfigError(key, f"must be a string, got {json.dumps(v)}")
+    for key, (_, kind, _) in _FIELDS.items():
+        if isinstance(kind, list) and merged[key] not in kind:
+            raise ConfigError(key, "must be " + (" or ".join(kind) if len(kind) == 2
+                                                 else f"one of {kind}"))
+    for key, (default, kind, _) in _FIELDS.items():
         v = merged[key]
-        if v is None and key == "n":
+        if kind not in (int, float) or (v is None and default is None):
             continue
         if not _is_number(v):
             raise ConfigError(key, f"must be a number, got {json.dumps(v)}")
-        if key != "n_factor" and isinstance(v, float) and not v.is_integer():
+        if kind is int and isinstance(v, float) and not v.is_integer():
             raise ConfigError(key, f"must be an integer, got {json.dumps(v)}")
     if isinstance(merged["t"], list) and not all(map(_is_number, merged["t"])):
         raise ConfigError("t", f"must be a list of numbers, got {json.dumps(merged['t'])}")
@@ -612,17 +615,18 @@ def _cmd_voronovskaya(cfg: RunConfig):
     return report, *_table(rows), False
 
 
-_HANDLERS = {
-    "list-fns": _cmd_list_fns,
-    "coeffs": _cmd_coeffs,
-    "eval": _cmd_eval,
-    "error": _cmd_error,
-    "rate": _cmd_rate,
-    "modulus": _cmd_modulus,
-    "saturation": _cmd_saturation,
-    "converse": _cmd_converse,
-    "verify": _cmd_verify,
-    "voronovskaya": _cmd_voronovskaya,
+# Every command once: its handler and its help text, in the order --help lists them.
+_COMMANDS = {
+    "list-fns": (_cmd_list_fns, "list the built-in function corpus"),
+    "coeffs": (_cmd_coeffs, "dump model coefficients (exact rationals and floats)"),
+    "eval": (_cmd_eval, "evaluate a model (or its derivative) at points"),
+    "error": (_cmd_error, "sup-norm error sweep over n"),
+    "rate": (_cmd_rate, "fit the error decay exponent"),
+    "modulus": (_cmd_modulus, "moduli of smoothness sweep over t"),
+    "saturation": (_cmd_saturation, "classify n*error decay (trivial/saturated/sub-saturated)"),
+    "converse": (_cmd_converse, "compare error exponent with modulus slopes"),
+    "verify": (_cmd_verify, "check the endpoint/inequality hypotheses"),
+    "voronovskaya": (_cmd_voronovskaya, "exact pointwise Voronovskaya convergence"),
 }
 
 
@@ -634,32 +638,14 @@ def build_parser() -> argparse.ArgumentParser:
     defaults, so main can share one parser between calls.
     """
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--fn", help="corpus function name, e.g. 'monomial(2)'")
-    shared.add_argument("--kind", choices=sorted(_KINDS), help="operator kind")
-    shared.add_argument("--tie", choices=sorted(_TIES), help="nearest-int tie policy")
-    shared.add_argument("--s", type=int, help="derivative order (default 0)")
-    shared.add_argument("--n", type=int, help="single degree (coeffs/eval)")
-    shared.add_argument("--x", help="comma-separated rational points")
-    shared.add_argument("--n-min", type=int, dest="n_min", help="smallest degree in sweeps")
-    shared.add_argument("--n-max", type=int, dest="n_max", help="largest degree in sweeps")
-    shared.add_argument(
-        "--n-factor", type=float, dest="n_factor", help="geometric step of the n sweep"
-    )
-    shared.add_argument(
-        "--grid", type=int, help=f"sup-search grid points (default {DEFAULT_GRID.points})"
-    )
-    shared.add_argument(
-        "--refine", type=int, help=f"refinement rounds (default {DEFAULT_GRID.refine})"
-    )
-    shared.add_argument("--t", help="comma-separated modulus steps")
-    shared.add_argument("--out", help="output path (atomic write); default stdout")
-    shared.add_argument("--format", choices=["json", "csv"], help="report format")
-    shared.add_argument(
-        "--strict",
-        action="store_const",
-        const=True,
-        help="exit 1 when a report-level hypothesis/assertion check fails",
-    )
+    for key, (_, kind, help_text) in _FIELDS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            shared.add_argument(flag, action="store_const", const=True, help=help_text)
+        elif isinstance(kind, list):
+            shared.add_argument(flag, choices=kind, help=help_text)
+        else:
+            shared.add_argument(flag, type=str if kind is list else kind, help=help_text)
     shared.add_argument("--config", help="JSON config file (snake_case keys)")
 
     parser = argparse.ArgumentParser(
@@ -669,20 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bernint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "list-fns": "list the built-in function corpus",
-        "coeffs": "dump model coefficients (exact rationals and floats)",
-        "eval": "evaluate a model (or its derivative) at points",
-        "error": "sup-norm error sweep over n",
-        "rate": "fit the error decay exponent",
-        "modulus": "moduli of smoothness sweep over t",
-        "saturation": "classify n*error decay (trivial/saturated/sub-saturated)",
-        "converse": "compare error exponent with modulus slopes",
-        "verify": "check the endpoint/inequality hypotheses",
-        "voronovskaya": "exact pointwise Voronovskaya convergence",
-    }
-    for name in _HANDLERS:
-        sub.add_parser(name, parents=[shared], help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=help_text)
     return parser
 
 
@@ -696,7 +670,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         cfg = resolve_config(args)
-        report, header, rows, failed = _HANDLERS[cfg.command](cfg)
+        report, header, rows, failed = _COMMANDS[cfg.command][0](cfg)
         _emit(cfg, report, header, rows)
     except (ConfigError, LookupError, ValueError) as e:
         print(f"bernint: {e}", file=sys.stderr)
@@ -707,6 +681,9 @@ def main(argv=None) -> int:
     except HypothesisViolation as e:
         print(f"bernint: hypothesis violation ({e})", file=sys.stderr)
         return 1
+    except OverflowError as e:  # a value past the float range, e.g. a huge derivative
+        print(f"bernint: value past the float range ({e})", file=sys.stderr)
+        return 2
     except Exception:
         traceback.print_exc()
         return 3

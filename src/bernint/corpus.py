@@ -263,25 +263,28 @@ def _horner(c, xs):
 
 def _polynomial_spec(name, coeffs, *, doc="") -> FunctionSpec:
     coeffs = tuple(Fraction(c) for c in coeffs)
-    # chain[i] = (e, D): the i-th derivative is sum_k e[k] x^k / D
+    # chain[i] = e: the i-th derivative is sum_k e[k] x^k / d0.  Its float
+    # row e[k] / d0 is built on the first float call of order i, so an exact
+    # oracle never converts (a coefficient past the float range raises
+    # OverflowError only where a float is asked for).
     e0, d0 = common_denominator(coeffs)
-    chain = [(e0, d0)]
-    fchain = [np.array([float(c) for c in coeffs])]
+    chain = [e0]
+    floats = {}
 
     def _order(i: int):
         while len(chain) <= i:
-            e = _power_derivative(e0, len(chain))
-            chain.append((e, d0))
-            fchain.append(np.array([ek / d0 for ek in e]))  # int / int rounds correctly
-        return chain[i], fchain[i]
+            chain.append(_power_derivative(e0, len(chain)))
+        return chain[i]
 
     def deriv_float(s, xs):
-        return _horner(_order(s)[1], xs)
+        if s not in floats:
+            floats[s] = np.array([ek / d0 for ek in _order(s)])  # int / int rounds correctly
+        return _horner(floats[s], xs)
 
     def deriv_exact(s, x):
-        (e, d), _ = _order(s)
+        e = _order(s)
         b = x.denominator
-        return Fraction(homogeneous_sum(e, x.numerator, b), d * b ** (len(e) - 1))
+        return Fraction(homogeneous_sum(e, x.numerator, b), d0 * b ** (len(e) - 1))
 
     deg = len(e0) - 1
 
@@ -450,57 +453,45 @@ def _int_arg(v: Fraction, what: str) -> int:
     return int(v)
 
 
+# Every family once: its factory, the argument names it takes at each
+# arity (None names the one rational argument, every other is an integer),
+# and the usage text of a call with any other number of arguments.
+_FAMILIES = {
+    "integer_linear": (_make_integer_linear, {2: ("p", "q")},
+                       "integer_linear takes two integer arguments (p, q)"),
+    "monomial": (_make_monomial, {1: ("exponent",)},
+                 "monomial takes one integer argument (the exponent)"),
+    "poly_boundary_flat": (_make_poly_boundary_flat, {1: ("s",), 3: ("s", "p", "q")},
+                           "poly_boundary_flat takes (s) or (s, p, q)"),
+    "abs_shift": (_make_abs_shift, {0: ()}, "abs_shift takes no arguments"),
+    "holder_interior": (_make_holder_interior, {1: (None,), 3: (None, "p", "q")},
+                        "holder_interior takes (gamma) or (gamma, p, q)"),
+}
+
+
 def builtin(name: str) -> FunctionSpec:
     """Instantiate a corpus function from its name, e.g. ``monomial(3)``.
 
     Arguments are rational literals: ``holder_interior(1/2)``,
-    ``integer_linear(-2,0)``.  Unknown names raise LookupError.
+    ``integer_linear(-2,0)``, read as _FAMILIES declares them.  Unknown
+    names, a wrong number of arguments and a non-integer where an integer
+    is declared raise LookupError.
     """
     m = _NAME_RE.match(name)
     if not m:
         raise LookupError(f"cannot parse function name {name!r}")
     family, argstr = m.group(1), m.group(2)
     try:
-        args = (
-            [Fraction(a.strip()) for a in argstr.split(",")]
-            if argstr
-            else []
-        )
+        args = [Fraction(a.strip()) for a in argstr.split(",")] if argstr else []
     except (ValueError, ZeroDivisionError) as e:
         raise LookupError(f"bad arguments in {name!r}: {e}") from None
-
-    if family == "integer_linear":
-        if len(args) != 2:
-            raise LookupError("integer_linear takes two integer arguments (p, q)")
-        return _make_integer_linear(
-            _int_arg(args[0], "p"), _int_arg(args[1], "q")
-        )
-    if family == "monomial":
-        if len(args) != 1:
-            raise LookupError("monomial takes one integer argument (the exponent)")
-        return _make_monomial(_int_arg(args[0], "exponent"))
-    if family == "poly_boundary_flat":
-        if len(args) not in (1, 3):
-            raise LookupError("poly_boundary_flat takes (s) or (s, p, q)")
-        s = _int_arg(args[0], "s")
-        if len(args) == 3:
-            return _make_poly_boundary_flat(
-                s, _int_arg(args[1], "p"), _int_arg(args[2], "q")
-            )
-        return _make_poly_boundary_flat(s)
-    if family == "abs_shift":
-        if args:
-            raise LookupError("abs_shift takes no arguments")
-        return _make_abs_shift()
-    if family == "holder_interior":
-        if len(args) not in (1, 3):
-            raise LookupError("holder_interior takes (gamma) or (gamma, p, q)")
-        if len(args) == 3:
-            return _make_holder_interior(
-                args[0], _int_arg(args[1], "p"), _int_arg(args[2], "q")
-            )
-        return _make_holder_interior(args[0])
-    raise LookupError(f"unknown function {name!r}")
+    if family not in _FAMILIES:
+        raise LookupError(f"unknown function {name!r}")
+    make, arities, usage = _FAMILIES[family]
+    if len(args) not in arities:
+        raise LookupError(usage)
+    return make(*(v if what is None else _int_arg(v, what)
+                  for v, what in zip(args, arities[len(args)])))
 
 
 def entries() -> tuple[CorpusEntry, ...]:

@@ -478,26 +478,35 @@ def evaluate(model: BernsteinModel, x):
 def _endpoint_terms(m: int) -> int:
     """J(m): the least J <= m/2 with (m+1-J) J^J (m-J)^(m-J) 2^64 <= m^m, else m + 1.
 
-    Decided on integers.  J^J (m-J)^(m-J) / m^m is the largest value
-    B(J) of x^J (1-x)^(m-J) on [0, 1], and the left side falls with J up to
-    m/2, so a bisection finds the least J.  No J qualifies for m <= 69, the
-    first truncating degree is m = 70 (J = 31), and J is 11 at m = 512.
+    J^J (m-J)^(m-J) / m^m is the largest value B(J) of x^J (1-x)^(m-J) on
+    [0, 1], and the left side falls with J up to m/2, so the first J that
+    qualifies is the least.  Decided in floats, with a proven margin: J is
+    the first J = 1, 2, ..., m//2 whose log margin
+
+        L(J) = m ln m - [ln(m+1-J) + J ln J + (m-J) ln(m-J) + 64 ln 2],
+
+    the log of m^m over the left side, exceeds delta = 2^-40 (m ln m + 64).
+    The float L(J) is a dozen roundings, each within a few units in the
+    last place of terms whose sizes add up to less than 2 m ln m + 64, so
+    it is far closer than delta to the true L(J): a pass proves the integer
+    inequality, so the truncation bound of _endpoint_sum holds at J, and a
+    near-tie (|L(J)| <= delta) can only give a larger J.  Over every
+    m <= 2^14 the smallest |L| at J and at J - 1 is 2.7e-4 (m = 4904)
+    against delta <= 1.5e-7, so there the rule is the integer test.  No J
+    qualifies for m <= 69, the first truncating degree is m = 70 (J = 31),
+    J is 11 at m = 512 and 5 at m = 2^20 and 2^22.
     """
-    top = m ** m
+    delta = 2.0 ** -40 * (m * math.log(max(m, 1)) + 64)
+    for j in range(1, m // 2 + 1):
+        if _endpoint_margin(m, j) > delta:
+            return j
+    return m + 1
 
-    def fits(j):
-        return ((m + 1 - j) * j ** j * (m - j) ** (m - j)) << 64 <= top
 
-    lo, hi = 1, m // 2
-    if hi < 1 or not fits(hi):
-        return m + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _endpoint_margin(m: int, j: int) -> float:
+    """L(j) of _endpoint_terms in floats, for 1 <= j <= m/2."""
+    return m * math.log(m) - (math.log(m + 1 - j) + j * math.log(j)
+                              + (m - j) * math.log(m - j) + 64 * math.log(2))
 
 
 def _endpoint_sum(left, right, m: int, den: int) -> Callable:
@@ -625,6 +634,21 @@ def require_integer_endpoints(f) -> None:
         raise HypothesisViolation(f"{f.name}: f(0) or f(1) is not an integer")
 
 
+def _gap_rows(brackets, den: int, kind: OperatorKind, tie: TiePolicy) -> tuple[tuple, tuple]:
+    """The gap rows (lo, hi) of node brackets (num_k, den, exact_k) at c = C(n,k).
+
+    The node rule, written once: hi_k = m_k den - num_k, with m_k the
+    rounded integer of the node (exact.round_bracket), and lo_k = hi_k at an
+    exact node, hi_k - 1 elsewhere.  gap_interval reads it over the whole
+    row and gap_sum over the end nodes; each makes one call per row.
+    """
+    mode = kind.value
+    hi = tuple(round_bracket(num, den, exact, mode, tie) * den - num
+               for num, _, exact in brackets)
+    lo = tuple(e if exact else e - 1 for e, (_, _, exact) in zip(hi, brackets))
+    return lo, hi
+
+
 def gap_interval(
     f,
     n: int,
@@ -637,25 +661,23 @@ def gap_interval(
     (num_k, den, exact_k), gives the rounded integer m_k (exact.round_bracket)
     and the scaled gap m_k - C(n,k) f(k/n), which lies in
     (m_k den - num_k - 1, m_k den - num_k] / den, at the right end exactly
-    when exact_k.  hi has the integers m_k den - num_k, and lo the same less
-    1 at every inexact node; neither row is reduced, so hi_k - lo_k is 0 or
-    1, and lo == hi exactly when every bracket is exact.  The basis weights
-    are nonnegative, so sum_k e_k x^k (1-x)^(n-k) / den encloses the gap at
-    every x between e = lo and e = hi, and the two ends differ by at most
+    when exact_k.  The rows come from _gap_rows: hi has the integers
+    m_k den - num_k, and lo the same less 1 at every inexact node; neither
+    row is reduced, so hi_k - lo_k is 0 or 1, and lo == hi exactly when
+    every bracket is exact.  The basis weights are nonnegative, so
+    sum_k e_k x^k (1-x)^(n-k) / den encloses the gap at every x between
+    e = lo and e = hi, and the two ends differ by at most
     2^-APPROX_BITS / n, as sum_k x^k (1-x)^(n-k) <= 1.  proximity_gap_exact
-    is its one reader; gap_sum forms the same entries at the row ends only.
+    is its one reader; gap_sum applies _gap_rows to the row ends only.
     Raises ValueError for the Classic kind and unless n is an integer >= 1
     (8.0 and numpy.int64(8) are taken as 8).
     """
     if kind is OperatorKind.CLASSIC:
         raise ValueError("gap_interval: kind must be FloorInt or NearestInt")
     n = _degree(n, "gap_interval")
-    mode = kind.value
     brackets = f.scaled_bracket_row(n, APPROX_BITS, binomial_row(n))
     den = brackets[0][1]
-    hi = tuple(round_bracket(num, den, exact, mode, tie) * den - num
-               for num, _, exact in brackets)
-    lo = tuple(e if exact else e - 1 for e, (_, _, exact) in zip(hi, brackets))
+    lo, hi = _gap_rows(brackets, den, kind, tie)
     return lo, hi, den
 
 
@@ -669,8 +691,8 @@ def gap_sum(f, n: int, kind: OperatorKind, s: int = 0, tie: TiePolicy = DEFAULT_
     last J = _endpoint_terms(n - s) entries of the differentiated row.
     Those need the nodes k < J + s and k > n - J - s, and gap_sum reads
     those alone: one bracket f.scaled_bracket(k, n, APPROX_BITS, C(n,k))
-    each, on one den (f.row_den), and from it the entry
-    lo_k + hi_k = 2 hi_k - (0 if exact_k else 1) of gap_interval's rows.
+    each, on one den (f.row_den), and from them the entries lo_k + hi_k of
+    gap_interval's rows, by the one node rule of _gap_rows.
     Each end is differentiated on its own by _derivative_row, the left one
     as a prefix and the right one as a suffix of the row.  Up to
     n - s = 69, where J = n - s + 1, the two ends are the whole row.  The
@@ -699,9 +721,7 @@ def gap_sum(f, n: int, kind: OperatorKind, s: int = 0, tie: TiePolicy = DEFAULT_
     nodes = [*range(size), *range(max(n + 1 - size, size), n + 1)]
     brackets = [f.scaled_bracket(k, n, APPROX_BITS, math.comb(n, k)) for k in nodes]
     den = f.row_den(brackets)
-    mode = kind.value
-    mid = [2 * (round_bracket(num, den, exact, mode, tie) * den - num) - (0 if exact else 1)
-           for num, _, exact in brackets]
+    mid = [a + b for a, b in zip(*_gap_rows(brackets, den, kind, tie))]
     left, _ = _derivative_row(mid[:size], n, s)
     right, _ = _derivative_row(mid[-size:], n, s, n + 1 - size)
     return _endpoint_sum(left, right, m, 2 * den)

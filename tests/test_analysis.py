@@ -824,6 +824,13 @@ def test_voronovskaya_refuses_a_degree_below_one():
             voronovskaya_check(X2, F(1, 2), ns)
 
 
+def test_hypothesis_check_refuses_degrees_below_one():
+    # these were skipped without a word
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="hypothesis_check: n must be >= 1"):
+            hypothesis_check(X2, 1, [n, 8])
+
+
 def test_experiments_take_integral_degrees_only():
     x3 = builtin("monomial(3)")
     rep = voronovskaya_check(x3, F(1, 3), [8.0, np.int64(16)])

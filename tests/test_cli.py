@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernint.cli import main
+from bernint.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -435,6 +435,64 @@ def test_bad_config_value_names_the_field(tmp_path, capsys):
     cfg.write_text(json.dumps({"fn": "monomial(2)", "n": "eight"}))
     rc = main(["coeffs", "--config", str(cfg)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("kind", "round", "must be one of ['classic', 'floor', 'nearest']"),
+        ("tie", "up", "must be one of ['half_away', 'half_down', 'half_even', 'half_up']"),
+        ("format", "xml", "must be json or csv"),
+    ],
+)
+def test_config_choice_fields_name_their_choices(field, value, message, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fn": "monomial(2)", "n": 3, field: value}))
+    rc = main(["coeffs", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert f"bernint: config field '{field}': {message}\n" in captured.err
+
+
+def test_help_lists_every_flag_in_order(capsys):
+    flags = ["--fn FN", "--kind {classic,floor,nearest}",
+             "--tie {half_away,half_down,half_even,half_up}", "--s S", "--n N", "--x X",
+             "--n-min N_MIN", "--n-max N_MAX", "--n-factor N_FACTOR", "--grid GRID",
+             "--refine REFINE", "--t T", "--out OUT", "--format {json,csv}", "--strict",
+             "--config CONFIG"]
+    for command in ("rate", "voronovskaya"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+        assert usage == f"usage: bernint {command} [-h] " + " ".join(f"[{f}]" for f in flags)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--help"])
+    listed = capsys.readouterr().out
+    assert ["list-fns", "coeffs", "eval", "error", "rate", "modulus", "saturation", "converse",
+            "verify", "voronovskaya"] == [line.split()[0] for line in listed.splitlines()
+                                          if line[:5].strip() and not line[:4].strip()]
+
+
+# ---------------------------------------------------------------------------
+# values past the float range
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # exact-only commands on a spec whose coefficients pass 1e308
+        (["verify", "--fn", "poly_boundary_flat(1100)", "--s", "1", "--n-max", "64"], 0),
+        (["voronovskaya", "--fn", "poly_boundary_flat(1100)", "--n-max", "64"], 0),
+        # float rows of a 180th derivative of x^200 pass 1e308
+        (["modulus", "--fn", "monomial(200)", "--s", "180"], 2),
+        (["error", "--fn", "monomial(200)", "--s", "180", "--n-max", "64"], 2),
+    ],
+)
+def test_values_past_the_float_range_never_exit_3(argv, code, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == code and "Traceback" not in err
+    assert ("bernint: value past the float range (" in err) == (code == 2)
 
 
 # ---------------------------------------------------------------------------

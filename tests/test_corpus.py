@@ -3,6 +3,7 @@ data, capability limits, and the structural hypotheses each entry promises."""
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -260,6 +261,53 @@ def test_builtin_unknown_or_malformed():
     for bad in ("nope", "monomial(1)", "monomial(x)", "holder_interior(2)", "holder_interior(1/2", "integer_linear(3)"):
         with pytest.raises(LookupError):
             builtin(bad)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("integer_linear(3)", "integer_linear takes two integer arguments (p, q)"),
+        ("integer_linear(1/2,0)", "p must be an integer, got 1/2"),
+        ("integer_linear(1,1/2)", "q must be an integer, got 1/2"),
+        ("monomial", "monomial takes one integer argument (the exponent)"),
+        ("monomial(5/2)", "exponent must be an integer, got 5/2"),
+        ("poly_boundary_flat(1,2)", "poly_boundary_flat takes (s) or (s, p, q)"),
+        ("poly_boundary_flat(3/2)", "s must be an integer, got 3/2"),
+        ("poly_boundary_flat(1,1,1/3)", "q must be an integer, got 1/3"),
+        ("abs_shift(1)", "abs_shift takes no arguments"),
+        ("holder_interior(1/2,1)", "holder_interior takes (gamma) or (gamma, p, q)"),
+        ("holder_interior(1,1/2,0)", "p must be an integer, got 1/2"),
+        ("holder_interior(1)", "holder_interior: exponent must be non-integer in (0, 2)"),
+        ("gaussian(1)", "unknown function 'gaussian(1)'"),
+        ("monomial(1/0)", "bad arguments in 'monomial(1/0)'"),
+    ],
+)
+def test_builtin_names_what_is_wrong(name, message):
+    with pytest.raises(LookupError, match=re.escape(message)):
+        builtin(name)
+
+
+def test_builtin_reads_every_arity_of_each_family():
+    assert builtin("poly_boundary_flat(1, 2, -1)").name == "poly_boundary_flat(1,2,-1)"
+    assert builtin("holder_interior(3/2,2,-1)").name == "holder_interior(3/2,2,-1)"
+    assert builtin("holder_interior(0.5)").name == "holder_interior(1/2)"
+    assert builtin(" abs_shift ").name == "abs_shift"
+
+
+def test_polynomial_float_rows_are_built_only_when_asked():
+    # C(1101, 550) is about 1e330: no float row of this spec exists, yet its
+    # exact oracles answer and the spec constructs
+    f = builtin("poly_boundary_flat(1100)")
+    assert f.endpoint_deriv(0) == (F(0), F(1)) and f.endpoint_deriv(1) == (F(1), F(1))
+    assert f.integer_endpoints and not f.integer_linear
+    with pytest.raises(OverflowError):
+        f.deriv_float(0, [0.5])
+    # order 0 by the rule e_k / D gives the floats of the coefficients
+    xs = np.linspace(0.0, 1.0, 33)
+    for g in [e.spec for e in entries() if e.spec.poly_coeffs is not None] + [
+            corpus._polynomial_spec("r", [F(1, 3), F(-2, 7), F(5, 11), F(10 ** 30, 3)])]:
+        want = corpus._horner(np.array([float(c) for c in g.poly_coeffs]), xs)
+        assert np.array_equal(g.deriv_float(0, xs), want), g.name
 
 
 def test_builtin_rejects_integer_holder_exponent():

@@ -433,6 +433,24 @@ def test_endpoint_terms_is_the_least_count_within_the_truncation_bound():
     assert [operators._endpoint_terms(m) for m in (69, 70, 512, 2048)] == [70, 31, 11, 8]
 
 
+def test_endpoint_terms_float_rule_is_the_integer_rule():
+    # at large m, against the exact test-local reference
+    for m in (1199, 2047, 2048, 4096, 8191, 8192, 16383, 16384):
+        j = operators._endpoint_terms(m)
+        assert 1 <= j <= m // 2 and _fits(m, j) and not _fits(m, j - 1), m
+    # over the whole CLI range, by the margin: a float log margin beyond
+    # delta on either side decides the integer test the same way, at J (a
+    # pass) and at every smaller count (a fail; the one below J suffices
+    # once some count passes, as the left side falls with J)
+    for m in range(0, 2 ** 14 + 1):
+        j = operators._endpoint_terms(m)
+        delta = 2.0 ** -40 * (m * math.log(max(m, 1)) + 64)
+        fails = range(1, m // 2 + 1) if j == m + 1 else range(max(j - 1, 1), j)
+        assert all(operators._endpoint_margin(m, i) < -delta for i in fails), m
+        assert j == m + 1 or operators._endpoint_margin(m, j) > delta, m
+    assert operators._endpoint_terms(2 ** 20) == operators._endpoint_terms(2 ** 22) == 5
+
+
 @pytest.mark.parametrize("m", [70, 128, 512])
 def test_endpoint_terms_drop_at_most_the_stated_bound(m):
     # the all-ones row is the worst case of the bound: every dropped term
